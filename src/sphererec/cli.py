@@ -53,30 +53,24 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", type=Path, default=Path("runs"))
 
 
-_CONFIG_FLAG_FIELDS = (
-    "objective", "encoder", "alpha", "beta", "gamma_user", "gamma_item", "dim", "lr",
-    "batch_size", "max_epochs", "patience", "weight_decay", "seed", "num_layers",
-    "fixed_epochs",
-)
-
-
 def _resolve_train_config(args):
+    """Config from the --config payload, overridden by any flag named like a config key."""
     from .trainer import TrainConfig
 
     payload = {}
     if args.config:
         payload.update(json.loads(args.config.read_text(encoding="utf-8")))
-    for name in _CONFIG_FLAG_FIELDS:
+    for name in TrainConfig().to_dict():
         value = getattr(args, name, None)
         if value is not None:
             payload[name] = value
     return TrainConfig.from_dict(payload), payload
 
 
-def _load_split(args, cfg):
+def _load_split(args, cfg, payload):
     from .data import load_interactions, split_per_user
 
-    dataset_path = args.dataset or (json.loads(args.config.read_text()) if args.config else {}).get("dataset")
+    dataset_path = args.dataset or payload.get("dataset")
     if dataset_path is None:
         raise ValueError("no dataset given: pass --dataset or a config with a 'dataset' key")
     dataset_path = Path(dataset_path)
@@ -98,8 +92,8 @@ def cmd_train(args) -> int:
     from .hypersphere import save_checkpoint
     from .trainer import fit, write_diagnostics_csv
 
-    cfg, _ = _resolve_train_config(args)
-    split, dataset_path = _load_split(args, cfg)
+    cfg, payload = _resolve_train_config(args)
+    split, dataset_path = _load_split(args, cfg, payload)
     report, user_table, item_table = fit(split, cfg)
 
     out = _run_dir(args.out_dir, cfg)
@@ -123,13 +117,9 @@ def cmd_train(args) -> int:
 
 
 def _encode_checkpoint(split, user_table, item_table, cfg):
-    from .encoders import GraphEncoderConfig, build_norm_adjacency, lightgcn_propagate
+    from .encoders import Encoder
 
-    if cfg.encoder == "mf":
-        return user_table.values, item_table.values
-    adjacency = build_norm_adjacency(split.train)
-    return lightgcn_propagate(user_table, item_table, adjacency,
-                              GraphEncoderConfig(num_layers=cfg.num_layers))
+    return Encoder(cfg.encoder, cfg.num_layers, split.train).encode_all(user_table, item_table)
 
 
 def cmd_eval(args) -> int:
@@ -179,7 +169,7 @@ def _sweep_point(task):
 
 def cmd_sweep(args) -> int:
     base_cfg, base_payload = _resolve_train_config(args)
-    split, _ = _load_split(args, base_cfg)
+    split, _ = _load_split(args, base_cfg, base_payload)
     gamma_pairs = [_parse_gamma_ratio(token) for token in args.gamma_ratios]
     grid = list(itertools.product(args.alpha_values, args.beta_values, gamma_pairs))
     stopping_k = base_cfg.eval_k_for_stopping

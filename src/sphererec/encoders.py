@@ -1,10 +1,12 @@
-"""Id-batch encoders: plain table lookup and linear graph propagation.
+"""The id-batch encoder: linear graph propagation, with plain lookup as K = 0.
 
 The graph encoder stacks both embedding tables into one node matrix, applies
 K rounds of symmetric-normalized neighborhood averaging over the training
 bipartite graph, and outputs the mean of layers 0..K. Propagation is linear,
 so the backward pass is the same propagation applied to the scattered output
-gradients (the adjacency is symmetric).
+gradients (the adjacency is symmetric). With K = 0 the output is the raw
+tables, so the lookup ("mf") encoder is that case, served by a plain gather
+and scatter without building the adjacency.
 """
 
 from __future__ import annotations
@@ -94,6 +96,17 @@ def _check_adjacency(user_table: EmbeddingTable, item_table: EmbeddingTable,
         raise ValueError("user and item tables must share one dimensionality")
 
 
+def _layer_mean(adj: NormalizedAdjacency, cfg: GraphEncoderConfig,
+                state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of layers 0..K of a node matrix, split into user and item rows."""
+    acc = state.copy()
+    for _ in range(cfg.num_layers):
+        state = adj.matrix @ state
+        acc += state
+    acc /= cfg.num_layers + 1
+    return acc[:adj.num_users], acc[adj.num_users:]
+
+
 def lightgcn_propagate(
     user_table: EmbeddingTable,
     item_table: EmbeddingTable,
@@ -102,13 +115,7 @@ def lightgcn_propagate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate the stacked tables and return per-node layer-mean outputs."""
     _check_adjacency(user_table, item_table, adj)
-    state = np.vstack([user_table.values, item_table.values])
-    acc = state.copy()
-    for _ in range(cfg.num_layers):
-        state = adj.matrix @ state
-        acc += state
-    acc /= cfg.num_layers + 1
-    return acc[:adj.num_users], acc[adj.num_users:]
+    return _layer_mean(adj, cfg, np.vstack([user_table.values, item_table.values]))
 
 
 def lightgcn_encode(
@@ -148,10 +155,44 @@ def lightgcn_backward(
     scattered = np.zeros((adj.size, dim))
     np.add.at(scattered, np.asarray(user_ids, dtype=np.int64), grad_users)
     np.add.at(scattered, adj.num_users + np.asarray(item_ids, dtype=np.int64), grad_items)
-    state = scattered
-    acc = scattered.copy()
-    for _ in range(cfg.num_layers):
-        state = adj.matrix @ state
-        acc += state
-    acc /= cfg.num_layers + 1
-    return acc[:adj.num_users], acc[adj.num_users:]
+    return _layer_mean(adj, cfg, scattered)
+
+
+class Encoder:
+    """The encoder a run trains with, built once from its config and training part.
+
+    "mf" is the graph encoder with K = 0; "lightgcn" uses `num_layers` rounds.
+    With K = 0 every method takes the lookup path (mf_encode, scatter_rows)
+    and no adjacency is built. The layer functions are looked up by module
+    name at each call, so replacing them on the module reaches this class too.
+    """
+
+    def __init__(self, name: str, num_layers: int, train: InteractionDataset):
+        self.cfg = GraphEncoderConfig(num_layers=num_layers if name == "lightgcn" else 0)
+        self.num_users = train.num_users
+        self.num_items = train.num_items
+        self.adjacency = build_norm_adjacency(train) if self.cfg.num_layers else None
+
+    def encode_all(self, user_table: EmbeddingTable,
+                   item_table: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
+        """Representations of every user and every item."""
+        if self.adjacency is None:
+            return user_table.values, item_table.values
+        return lightgcn_propagate(user_table, item_table, self.adjacency, self.cfg)
+
+    def encode(self, user_table: EmbeddingTable, item_table: EmbeddingTable,
+               user_ids: np.ndarray, item_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Representations of the requested user and item ids (ids may repeat)."""
+        if self.adjacency is None:
+            return mf_encode(user_table, user_ids), mf_encode(item_table, item_ids)
+        return lightgcn_encode(user_table, item_table, self.adjacency, self.cfg,
+                               user_ids, item_ids)
+
+    def backward(self, user_ids: np.ndarray, item_ids: np.ndarray, grad_users: np.ndarray,
+                 grad_items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Full-table gradients from the gradients of an `encode` output."""
+        if self.adjacency is None:
+            return (scatter_rows(grad_users, user_ids, self.num_users),
+                    scatter_rows(grad_items, item_ids, self.num_items))
+        return lightgcn_backward(self.adjacency, self.cfg, user_ids, item_ids,
+                                 grad_users, grad_items)

@@ -61,29 +61,6 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def rank_items_for_user(
-    user_vec: np.ndarray,
-    item_matrix: np.ndarray,
-    exclude: set[int] | np.ndarray | None,
-    k: int,
-) -> np.ndarray:
-    """Top-k item indices by dot-product score, excluded items removed.
-
-    Ordering is descending score with ties broken by ascending item index.
-    When fewer than k items remain after exclusion, all of them are returned.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    scores = np.asarray(item_matrix, dtype=np.float64) @ np.asarray(user_vec, dtype=np.float64)
-    available = scores.shape[0]
-    if exclude is not None:
-        exclude = np.fromiter(exclude, dtype=np.int64) if isinstance(exclude, set) else np.asarray(exclude, dtype=np.int64)
-        scores[exclude] = -np.inf
-        available -= exclude.shape[0]
-    order = np.argsort(-scores, kind="stable")
-    return order[:min(k, available)]
-
-
 def recall_at_k(ranked: np.ndarray, relevant: set[int]) -> float:
     """|ranked ∩ relevant| / |relevant|."""
     if not relevant:
@@ -129,6 +106,8 @@ def evaluate(
         raise ValueError(f"part must be 'validation' or 'test', got {part!r}")
     if score_mode not in ("cosine", "dot"):
         raise ValueError(f"score_mode must be 'cosine' or 'dot', got {score_mode!r}")
+    if min(ks) < 1:
+        raise ValueError(f"every K must be >= 1, got {tuple(ks)}")
     user_vectors = np.asarray(user_vectors, dtype=np.float64)
     item_vectors = np.asarray(item_vectors, dtype=np.float64)
     if user_vectors.shape[0] != split.num_users or item_vectors.shape[0] != split.num_items:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import spearmanr
 
-from .losses import kernel_variance, uniform_part
+from .losses import uniformity_and_variance
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,7 @@ def circle_points(angles_deg) -> np.ndarray:
 
 def config_metrics(cfg: CircleConfig) -> tuple[float, float]:
     """(uniform_loss, kernel_variance) of the configuration's point set."""
-    points = circle_points(cfg.angles_deg)
-    return uniform_part(points), kernel_variance(points)
+    return uniformity_and_variance(circle_points(cfg.angles_deg))
 
 
 def sweep_moving_point(

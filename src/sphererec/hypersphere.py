@@ -1,4 +1,4 @@
-"""Hypersphere primitives: embedding tables, normalization, pairwise distances.
+"""Hypersphere primitives: embedding tables, normalization, checkpoint IO.
 
 Raw embeddings are stored unnormalized; losses normalize on the fly so
 gradients flow through the normalization. Checkpoints store one table per
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 MIN_ROW_NORM = 1e-12
 
@@ -75,18 +74,6 @@ def l2_normalize(vectors: np.ndarray) -> np.ndarray:
     """Divide each row by its L2 norm, mapping rows onto the unit sphere."""
     unit, _ = normalize_with_norms(vectors)
     return unit
-
-
-def pairwise_sq_dists(vectors: np.ndarray) -> np.ndarray:
-    """Condensed squared distances over unordered distinct row pairs (j < k).
-
-    For unit rows each entry equals 2 - 2<x_j, x_k> and lies in [0, 4]. Length
-    is B(B-1)/2.
-    """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.shape[0] < 2:
-        raise ValueError(f"need at least 2 vectors, got {vectors.shape[0]}")
-    return pdist(vectors, "sqeuclidean")
 
 
 def batch_mean(vectors: np.ndarray) -> np.ndarray:

@@ -94,23 +94,37 @@ def align_loss(users: np.ndarray, items: np.ndarray) -> float:
     return float(np.einsum("ij,ij->i", diff, diff).mean())
 
 
-def _kernel_matrix(vectors: np.ndarray) -> tuple[np.ndarray, float, int]:
+def _kernel_matrix(vectors: np.ndarray) -> tuple[np.ndarray, float, int, float]:
     """Gaussian kernel exp(-2 d) over all row pairs.
 
-    Returns (W, m, P): the B x B kernel matrix with zeroed diagonal, the mean
-    kernel value over the P = B(B-1)/2 condensed pairs, and P itself.
+    Returns (W, m, P, V): the B x B kernel matrix with zeroed diagonal, the
+    mean kernel value over the P = B(B-1)/2 condensed pairs, P itself, and
+    the population variance V of the condensed kernel values.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     b = vectors.shape[0]
     if b < 2:
         raise ValueError(f"need at least 2 vectors, got {b}")
-    sq = 2.0 - 2.0 * (vectors @ vectors.T)
-    np.clip(sq, 0.0, None, out=sq)
-    kernel = np.exp(-2.0 * sq)
+    # squared distances turn into the kernel in place, so the variance below
+    # needs one more B x B buffer, not two
+    kernel = 2.0 - 2.0 * (vectors @ vectors.T)
+    np.clip(kernel, 0.0, None, out=kernel)
+    kernel *= -2.0
+    np.exp(kernel, out=kernel)
     np.fill_diagonal(kernel, 0.0)
     pair_count = b * (b - 1) // 2
     mean = float(kernel.sum() / (2 * pair_count))
-    return kernel, mean, pair_count
+    dev = kernel - mean
+    np.fill_diagonal(dev, 0.0)
+    dev *= dev
+    variance = float(dev.sum() / (2 * pair_count))
+    return kernel, mean, pair_count, variance
+
+
+def uniformity_and_variance(vectors: np.ndarray) -> tuple[float, float]:
+    """(uniform_part, kernel_variance) of the same rows from one kernel build."""
+    _, mean, _, variance = _kernel_matrix(vectors)
+    return float(np.log(mean + UNIFORM_EPS)), variance
 
 
 def uniform_part(vectors: np.ndarray) -> float:
@@ -119,16 +133,12 @@ def uniform_part(vectors: np.ndarray) -> float:
     Zero when all points coincide (up to eps) and negative otherwise; lower
     means the points spread more evenly over the sphere.
     """
-    _, mean, _ = _kernel_matrix(vectors)
-    return float(np.log(mean + UNIFORM_EPS))
+    return uniformity_and_variance(vectors)[0]
 
 
 def kernel_variance(vectors: np.ndarray) -> float:
     """Population variance of the condensed pairwise kernel values."""
-    kernel, mean, pair_count = _kernel_matrix(vectors)
-    dev = kernel - mean
-    np.fill_diagonal(dev, 0.0)
-    return float((dev * dev).sum() / (2 * pair_count))
+    return uniformity_and_variance(vectors)[1]
 
 
 def weighted_uniform_loss(users: np.ndarray, items: np.ndarray,
@@ -210,17 +220,12 @@ def rau_loss_and_gradient(
     center = diff.mean(axis=0)
     ra = float(center @ center)
 
-    kernel_u, mean_u, pairs_u = _kernel_matrix(users)
-    kernel_i, mean_i, pairs_i = _kernel_matrix(items)
+    kernel_u, mean_u, pairs_u, variance_u = _kernel_matrix(users)
+    kernel_i, mean_i, pairs_i, variance_i = _kernel_matrix(items)
     uniform_u = float(np.log(mean_u + UNIFORM_EPS))
     uniform_i = float(np.log(mean_i + UNIFORM_EPS))
     weighted_uniform = weights.gamma_user * uniform_u + weights.gamma_item * uniform_i
-
-    dev_u = kernel_u - mean_u
-    np.fill_diagonal(dev_u, 0.0)
-    dev_i = kernel_i - mean_i
-    np.fill_diagonal(dev_i, 0.0)
-    ru = float((dev_u * dev_u).sum() / (2 * pairs_u) + (dev_i * dev_i).sum() / (2 * pairs_i))
+    ru = variance_u + variance_i
 
     total = align + weighted_uniform + weights.alpha * ra + weights.beta * ru
     breakdown = LossBreakdown(align=align, weighted_uniform=weighted_uniform,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +62,9 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+        if not 0 <= self.num_layers <= encoders.MAX_LAYERS:
+            raise ValueError(f"num_layers must be in [0, {encoders.MAX_LAYERS}], "
+                             f"got {self.num_layers}")
 
     def effective_weights(self) -> LossWeights | None:
         """Loss weights after objective resolution.
@@ -76,40 +79,19 @@ class TrainConfig:
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "encoder": self.encoder,
-            "alpha": self.weights.alpha,
-            "beta": self.weights.beta,
-            "gamma_user": self.weights.gamma_user,
-            "gamma_item": self.weights.gamma_item,
-            "dim": self.dim,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "weight_decay": self.weight_decay,
-            "seed": self.seed,
-            "eval_k_for_stopping": self.eval_k_for_stopping,
-            "num_layers": self.num_layers,
-            "fixed_epochs": self.fixed_epochs,
-            "bpr_full_history_rejection": self.bpr_full_history_rejection,
-        }
+        """Flat field dict in declaration order, the weights spliced in where they sit."""
+        flat = {}
+        for name, value in asdict(self).items():
+            flat.update(value if name == "weights" else {name: value})
+        return flat
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainConfig":
-        payload = dict(payload)
-        weights = LossWeights(
-            alpha=float(payload.pop("alpha", 0.0)),
-            beta=float(payload.pop("beta", 0.0)),
-            gamma_user=float(payload.pop("gamma_user", 0.5)),
-            gamma_item=float(payload.pop("gamma_item", 0.5)),
-        )
-        known = {f: payload[f] for f in (
-            "objective", "encoder", "dim", "lr", "batch_size", "max_epochs", "patience",
-            "weight_decay", "seed", "eval_k_for_stopping", "num_layers", "fixed_epochs",
-            "bpr_full_history_rejection",
-        ) if f in payload}
+        """Inverse of to_dict; absent keys take their defaults, unknown keys are ignored."""
+        weights = LossWeights(**{f.name: float(payload[f.name])
+                                 for f in fields(LossWeights) if f.name in payload})
+        known = {f.name: payload[f.name] for f in fields(cls)
+                 if f.name != "weights" and f.name in payload}
         return cls(weights=weights, **known)
 
 
@@ -178,14 +160,7 @@ class TrainReport:
     total_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "best_epoch": self.best_epoch,
-            "epochs_run": self.epochs_run,
-            "diagnostics": [vars(d) for d in self.diagnostics],
-            "val_history": self.val_history,
-            "best_val": self.best_val,
-            "total_time_s": self.total_time_s,
-        }
+        return asdict(self)
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
@@ -206,10 +181,7 @@ class TrainState:
         self.item_adam = AdamState.like(self.item_table.values)
         self.shuffle_root = shuffle_root
         self.negative_root = negative_root
-        self.adjacency = (
-            encoders.build_norm_adjacency(split.train) if cfg.encoder == "lightgcn" else None
-        )
-        self.graph_cfg = encoders.GraphEncoderConfig(num_layers=cfg.num_layers)
+        self.encoder = encoders.Encoder(cfg.encoder, cfg.num_layers, split.train)
 
         probe_rng = np.random.default_rng(probe_seed)
         n_pairs = split.train.num_interactions
@@ -224,33 +196,6 @@ class TrainState:
             probe_rng.permutation(split.num_items)[:min(PROBE_LIMIT, split.num_items)]
         )
 
-    def encode_batch(self, user_ids: np.ndarray, item_ids: np.ndarray):
-        if self.adjacency is None:
-            return (
-                encoders.mf_encode(self.user_table, user_ids),
-                encoders.mf_encode(self.item_table, item_ids),
-            )
-        return encoders.lightgcn_encode(
-            self.user_table, self.item_table, self.adjacency, self.graph_cfg, user_ids, item_ids
-        )
-
-    def encode_all(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.adjacency is None:
-            return self.user_table.values, self.item_table.values
-        return encoders.lightgcn_propagate(
-            self.user_table, self.item_table, self.adjacency, self.graph_cfg
-        )
-
-    def backward_to_tables(self, user_ids, item_ids, grad_users, grad_items):
-        if self.adjacency is None:
-            return (
-                encoders.scatter_rows(grad_users, user_ids, self.user_table.rows),
-                encoders.scatter_rows(grad_items, item_ids, self.item_table.rows),
-            )
-        return encoders.lightgcn_backward(
-            self.adjacency, self.graph_cfg, user_ids, item_ids, grad_users, grad_items
-        )
-
     def apply_gradients(self, user_grad: np.ndarray, item_grad: np.ndarray) -> None:
         adam_step(self.user_table.values, user_grad, self.user_adam,
                   self.cfg.lr, self.cfg.weight_decay)
@@ -259,6 +204,17 @@ class TrainState:
 
     def snapshot(self) -> tuple[EmbeddingTable, EmbeddingTable]:
         return self.user_table.copy(), self.item_table.copy()
+
+
+def _check_negatives_exist(split: SplitDataset, full_history: bool) -> None:
+    """Raise where _sample_negatives could never accept a draw."""
+    if split.num_items < 2:
+        raise ValueError("the bpr objective needs at least 2 items to draw a negative, "
+                         f"the catalog has {split.num_items}")
+    saturated = np.flatnonzero(np.diff(split.train.user_indptr) >= split.num_items)
+    if full_history and saturated.size:
+        raise ValueError(f"user {int(saturated[0])} has every item in its training history, "
+                         "so bpr_full_history_rejection can draw no negative for it")
 
 
 def _sample_negatives(batch_items: np.ndarray, split: SplitDataset, user_ids: np.ndarray,
@@ -287,42 +243,31 @@ def _bpr_step(state: TrainState, split: SplitDataset, batch, rng) -> None:
     cfg = state.cfg
     negatives = _sample_negatives(batch.item_indices, split, batch.user_indices, rng,
                                   cfg.bpr_full_history_rejection)
-    if state.adjacency is None:
-        user_vecs = encoders.mf_encode(state.user_table, batch.user_indices)
-        pos_vecs = encoders.mf_encode(state.item_table, batch.item_indices)
-        neg_vecs = encoders.mf_encode(state.item_table, negatives)
-    else:
-        all_users, all_items = state.encode_all()
-        user_vecs = all_users[batch.user_indices]
-        pos_vecs = all_items[batch.item_indices]
-        neg_vecs = all_items[negatives]
+    # positives and negatives form one item batch: one encode, one backward
+    item_ids = np.concatenate([batch.item_indices, negatives])
+    user_vecs, item_vecs = state.encoder.encode(state.user_table, state.item_table,
+                                                batch.user_indices, item_ids)
+    pos_vecs, neg_vecs = np.split(item_vecs, 2)
     _, grad_u, grad_p, grad_n = losses.bpr_loss_and_gradient(user_vecs, pos_vecs, neg_vecs)
-    if state.adjacency is None:
-        user_grad = encoders.scatter_rows(grad_u, batch.user_indices, state.user_table.rows)
-        item_grad = encoders.scatter_rows(grad_p, batch.item_indices, state.item_table.rows)
-        item_grad += encoders.scatter_rows(grad_n, negatives, state.item_table.rows)
-    else:
-        item_ids = np.concatenate([batch.item_indices, negatives])
-        item_grads = np.concatenate([grad_p, grad_n])
-        user_grad, item_grad = encoders.lightgcn_backward(
-            state.adjacency, state.graph_cfg, batch.user_indices, item_ids, grad_u, item_grads
-        )
-    state.apply_gradients(user_grad, item_grad)
+    state.apply_gradients(*state.encoder.backward(
+        batch.user_indices, item_ids, grad_u, np.concatenate([grad_p, grad_n])))
 
 
 def _probe_diagnostics(state: TrainState, epoch: int, wall_time_s: float) -> EpochDiagnostics:
-    all_users, all_items = state.encode_all()
+    all_users, all_items = state.encoder.encode_all(state.user_table, state.item_table)
     pair_users = l2_normalize(all_users[state.probe_pair_users])
     pair_items = l2_normalize(all_items[state.probe_pair_items])
-    probe_users = l2_normalize(all_users[state.probe_users])
-    probe_items = l2_normalize(all_items[state.probe_items])
+    uniform_user, variance_user = losses.uniformity_and_variance(
+        l2_normalize(all_users[state.probe_users]))
+    uniform_item, variance_item = losses.uniformity_and_variance(
+        l2_normalize(all_items[state.probe_items]))
     return EpochDiagnostics(
         epoch=epoch,
         align=losses.align_loss(pair_users, pair_items),
-        uniform_user=losses.uniform_part(probe_users),
-        uniform_item=losses.uniform_part(probe_items),
-        kernel_variance_user=losses.kernel_variance(probe_users),
-        kernel_variance_item=losses.kernel_variance(probe_items),
+        uniform_user=uniform_user,
+        uniform_item=uniform_item,
+        kernel_variance_user=variance_user,
+        kernel_variance_item=variance_item,
         wall_time_s=wall_time_s,
     )
 
@@ -341,12 +286,11 @@ def train_epoch(split: SplitDataset, state: TrainState, cfg: TrainConfig,
         if weights is None:
             _bpr_step(state, split, batch, negative_rng)
             continue
-        user_vecs, item_vecs = state.encode_batch(batch.user_indices, batch.item_indices)
+        user_vecs, item_vecs = state.encoder.encode(state.user_table, state.item_table,
+                                                    batch.user_indices, batch.item_indices)
         _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights)
-        user_grad, item_grad = state.backward_to_tables(
-            batch.user_indices, batch.item_indices, grad_users, grad_items
-        )
-        state.apply_gradients(user_grad, item_grad)
+        state.apply_gradients(*state.encoder.backward(
+            batch.user_indices, batch.item_indices, grad_users, grad_items))
     return _probe_diagnostics(state, epoch_index, time.perf_counter() - started)
 
 
@@ -363,6 +307,8 @@ def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTa
             "validation split is empty so early stopping is impossible; "
             "set fixed_epochs=True (CLI: --fixed-epochs) to train for max_epochs"
         )
+    if cfg.objective == "bpr":
+        _check_negatives_exist(split, cfg.bpr_full_history_rejection)
     started = time.perf_counter()
     state = TrainState(split, cfg)
     score_mode = "dot" if cfg.objective == "bpr" else "cosine"
@@ -382,7 +328,7 @@ def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTa
         epochs_run = epoch
         if cfg.fixed_epochs:
             continue
-        all_users, all_items = state.encode_all()
+        all_users, all_items = state.encoder.encode_all(state.user_table, state.item_table)
         report = evaluate(split, all_users, all_items, ks=(stopping_k,),
                           part="validation", score_mode=score_mode)
         entry = {
@@ -424,24 +370,13 @@ def write_diagnostics_csv(report: TrainReport, path, stopping_k: int) -> None:
     Wall-clock timings stay in the JSON report only, so identical seeded runs
     produce byte-identical CSVs.
     """
-    columns = [
-        "epoch", "align", "uniform_user", "uniform_item",
-        "kernel_variance_user", "kernel_variance_item",
-        f"val_recall@{stopping_k}", f"val_ndcg@{stopping_k}",
-    ]
+    diag_columns = [f.name for f in fields(EpochDiagnostics) if f.name != "wall_time_s"]
+    val_columns = [f"recall@{stopping_k}", f"ndcg@{stopping_k}"]
     val_by_epoch = {entry["epoch"]: entry for entry in report.val_history}
-    lines = [",".join(columns)]
+    lines = [",".join(diag_columns + [f"val_{c}" for c in val_columns])]
     for diag in report.diagnostics:
         entry = val_by_epoch.get(diag.epoch)
-        row = [
-            str(diag.epoch),
-            repr(diag.align),
-            repr(diag.uniform_user),
-            repr(diag.uniform_item),
-            repr(diag.kernel_variance_user),
-            repr(diag.kernel_variance_item),
-            repr(entry[f"recall@{stopping_k}"]) if entry else "",
-            repr(entry[f"ndcg@{stopping_k}"]) if entry else "",
-        ]
+        row = [repr(getattr(diag, c)) for c in diag_columns]
+        row += [repr(entry[c]) if entry else "" for c in val_columns]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

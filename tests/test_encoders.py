@@ -172,3 +172,33 @@ class TestLightgcnGradient:
         fd_item = central_differences(lambda i: loss_from_tables(user_values, i), item_values)
         assert max_relative_error(grad_user_table, fd_user) <= 1e-4
         assert max_relative_error(grad_item_table, fd_item) <= 1e-4
+
+
+class TestEncoder:
+    def test_lookup_path_equals_graph_path_at_zero_layers(self):
+        ds, adj = toy_graph()
+        user_table = init_xavier(2, 4, seed=1)
+        item_table = init_xavier(3, 4, seed=2)
+        graph_cfg = encoders.GraphEncoderConfig(num_layers=0)
+        user_ids, item_ids = np.array([0, 1, 1, 0]), np.array([2, 0, 2, 2])
+        grads = np.random.default_rng(4).normal(size=(2, 4, 4))
+        for name in ("mf", "lightgcn"):
+            encoder = encoders.Encoder(name, 0, ds)
+            assert encoder.adjacency is None
+            pairs = [
+                (encoder.encode_all(user_table, item_table),
+                 encoders.lightgcn_propagate(user_table, item_table, adj, graph_cfg)),
+                (encoder.encode(user_table, item_table, user_ids, item_ids),
+                 encoders.lightgcn_encode(user_table, item_table, adj, graph_cfg,
+                                          user_ids, item_ids)),
+                (encoder.backward(user_ids, item_ids, *grads),
+                 encoders.lightgcn_backward(adj, graph_cfg, user_ids, item_ids, *grads)),
+            ]
+            for lookup, graph in pairs:
+                for lookup_part, graph_part in zip(lookup, graph):
+                    np.testing.assert_array_equal(lookup_part, graph_part)
+
+    def test_mf_ignores_num_layers(self):
+        ds, _ = toy_graph()
+        assert encoders.Encoder("mf", 2, ds).cfg.num_layers == 0
+        assert encoders.Encoder("lightgcn", 2, ds).cfg.num_layers == 2

@@ -2,31 +2,7 @@ import numpy as np
 import pytest
 
 from sphererec import data
-from sphererec.evaluation import evaluate, ndcg_at_k, rank_items_for_user, recall_at_k
-
-
-class TestRankItems:
-    item_matrix = np.array([[0.1], [0.9], [0.5]])
-
-    def test_top_two(self):
-        ranked = rank_items_for_user(np.array([1.0]), self.item_matrix, None, 2)
-        assert ranked.tolist() == [1, 2]
-
-    def test_ties_break_by_ascending_index(self):
-        ranked = rank_items_for_user(np.array([1.0]), np.ones((4, 1)), None, 4)
-        assert ranked.tolist() == [0, 1, 2, 3]
-
-    def test_exclusion(self):
-        ranked = rank_items_for_user(np.array([1.0]), self.item_matrix, {1}, 2)
-        assert ranked.tolist() == [2, 0]
-
-    def test_k_larger_than_available_returns_all(self):
-        ranked = rank_items_for_user(np.array([1.0]), self.item_matrix, {1}, 10)
-        assert ranked.tolist() == [2, 0]
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            rank_items_for_user(np.array([1.0]), self.item_matrix, None, 0)
+from sphererec.evaluation import evaluate, ndcg_at_k, recall_at_k
 
 
 class TestRecall:
@@ -119,6 +95,33 @@ class TestEvaluate:
                                      part="test", exclude_validation=False)
         assert with_exclusion.recall[10] >= without_exclusion.recall[10]
 
+    @staticmethod
+    def one_user_split(num_items, train_items, validation_items, test_items):
+        def part(items):
+            return data.dataset_from_pairs(1, num_items, [(0, item) for item in items])
+        return data.SplitDataset(train=part(train_items), validation=part(validation_items),
+                                 test=part(test_items), split_seed=0)
+
+    def test_ties_across_kth_position_rank_by_ascending_index(self):
+        # every item scores the same, so the top 2 are items 0 and 1
+        items = np.ones((4, 1))
+        for test_item, hit in ((1, 1.0), (2, 0.0)):
+            split = self.one_user_split(4, [], [], [test_item])
+            report = evaluate(split, np.ones((1, 1)), items, ks=(2,), score_mode="dot")
+            assert report.recall[2] == hit
+
+    def test_train_and_validation_items_excluded_from_test_ranking(self):
+        # scores fall with the item index: 0 (train) > 1 (validation) > 2 (test) > 3
+        split = self.one_user_split(4, [0], [1], [2])
+        users, items = np.ones((1, 1)), np.array([[4.0], [3.0], [2.0], [1.0]])
+        test = evaluate(split, users, items, ks=(1,), part="test", score_mode="dot")
+        assert test.recall[1] == 1.0 and test.ndcg[1] == 1.0
+        leaky = evaluate(split, users, items, ks=(1,), part="test", score_mode="dot",
+                         exclude_validation=False)
+        assert leaky.recall[1] == 0.0
+        validation = evaluate(split, users, items, ks=(1,), part="validation", score_mode="dot")
+        assert validation.recall[1] == 1.0
+
     def test_repeated_calls_identical(self, synthetic_split):
         users, items = oracle_cluster_embeddings(synthetic_split)
         a = evaluate(synthetic_split, users, items, ks=(10, 50), part="validation")
@@ -137,6 +140,11 @@ class TestEvaluate:
             evaluate(synthetic_split, users, items, part="train")
         with pytest.raises(ValueError, match="score_mode"):
             evaluate(synthetic_split, users, items, score_mode="euclidean")
+
+    def test_k_must_be_positive(self, synthetic_split):
+        users, items = oracle_cluster_embeddings(synthetic_split)
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            evaluate(synthetic_split, users, items, ks=(0, 20))
 
     def test_report_table_format(self, synthetic_split):
         users, items = oracle_cluster_embeddings(synthetic_split)

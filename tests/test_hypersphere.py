@@ -64,38 +64,6 @@ class TestL2Normalize:
         np.testing.assert_allclose(twice, once, atol=1e-12)
 
 
-class TestPairwiseSqDists:
-    def test_antipodal(self):
-        pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(hs.pairwise_sq_dists(pts), [4.0])
-
-    def test_identical_rows(self):
-        pts = np.array([[0.6, 0.8], [0.6, 0.8]])
-        np.testing.assert_allclose(hs.pairwise_sq_dists(pts), [0.0], atol=1e-15)
-
-    def test_orthogonal(self):
-        pts = np.array([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(hs.pairwise_sq_dists(pts), [2.0])
-
-    def test_needs_two_rows(self):
-        with pytest.raises(ValueError):
-            hs.pairwise_sq_dists(np.array([[1.0, 0.0]]))
-
-    @given(finite_rows)
-    @settings(max_examples=50, deadline=None)
-    def test_matches_dot_product_form_and_range(self, rows):
-        unit = hs.l2_normalize(rows)
-        dists = hs.pairwise_sq_dists(unit)
-        b = unit.shape[0]
-        assert dists.shape == (b * (b - 1) // 2,)
-        assert np.all(dists >= -1e-12) and np.all(dists <= 4.0 + 1e-12)
-        gram = unit @ unit.T
-        expected = np.array([
-            2.0 - 2.0 * gram[j, k] for j in range(b) for k in range(j + 1, b)
-        ])
-        np.testing.assert_allclose(dists, expected, atol=1e-10)
-
-
 class TestBatchMean:
     def test_two_rows(self):
         out = hs.batch_mean(np.array([[1.0, 0.0], [0.0, 1.0]]))

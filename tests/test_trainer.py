@@ -70,6 +70,18 @@ class TestTrainConfig:
         again = TrainConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
+    def test_dict_key_order_is_pinned(self):
+        # checkpoint.json and the run-directory hash depend on this order
+        assert list(TrainConfig().to_dict()) == [
+            "objective", "encoder", "alpha", "beta", "gamma_user", "gamma_item", "dim",
+            "lr", "batch_size", "max_epochs", "patience", "weight_decay", "seed",
+            "eval_k_for_stopping", "num_layers", "fixed_epochs", "bpr_full_history_rejection",
+        ]
+
+    def test_rejects_out_of_range_num_layers(self):
+        with pytest.raises(ValueError, match="num_layers"):
+            TrainConfig(encoder="mf", num_layers=9)
+
     def test_directau_pins_weights(self):
         cfg = TrainConfig(objective="directau",
                           weights=LossWeights(alpha=0.9, beta=9.0))
@@ -200,6 +212,37 @@ class TestFit:
             trainer.fit(split, base_config())
         report, *_ = trainer.fit(split, base_config(max_epochs=2, fixed_epochs=True))
         assert report.epochs_run == 2
+
+    def test_bpr_on_one_item_catalog_rejected(self):
+        ds = data.dataset_from_pairs(4, 1, [(u, 0) for u in range(4)])
+        split = data.split_per_user(ds, seed=0)
+        with pytest.raises(ValueError, match="at least 2 items"):
+            trainer.fit(split, base_config(objective="bpr", fixed_epochs=True))
+
+    def test_full_history_rejection_with_saturated_user_rejected(self):
+        # user 0 has both items, so no item can be its negative
+        ds = data.dataset_from_pairs(2, 2, [(0, 0), (0, 1), (1, 0)])
+        split = data.split_per_user(ds, seed=0)
+        with pytest.raises(ValueError, match="every item"):
+            trainer.fit(split, base_config(objective="bpr", fixed_epochs=True,
+                                           bpr_full_history_rejection=True))
+        report, *_ = trainer.fit(split, base_config(objective="bpr", fixed_epochs=True,
+                                                    max_epochs=1))
+        assert report.epochs_run == 1
+
+    @pytest.mark.parametrize("objective", trainer.OBJECTIVES)
+    def test_mf_is_the_graph_encoder_with_zero_layers(self, objective):
+        split = small_split()
+        weights = LossWeights(alpha=0.5, beta=5.0, gamma_user=0.7, gamma_item=0.3)
+        runs = [trainer.fit(split, base_config(objective=objective, weights=weights,
+                                               max_epochs=3, **encoder))
+                for encoder in ({"encoder": "mf"}, {"encoder": "lightgcn", "num_layers": 0})]
+        (report_mf, *tables_mf), (report_graph, *tables_graph) = runs
+        for mf_table, graph_table in zip(tables_mf, tables_graph):
+            np.testing.assert_array_equal(mf_table.values, graph_table.values)
+        assert [dataclasses.replace(d, wall_time_s=0.0) for d in report_mf.diagnostics] == \
+            [dataclasses.replace(d, wall_time_s=0.0) for d in report_graph.diagnostics]
+        assert report_mf.val_history == report_graph.val_history
 
     def test_best_metric_is_max_of_history(self):
         split = small_split()
