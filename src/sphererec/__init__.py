@@ -29,8 +29,7 @@ _EXPORTS = {
     "l2_normalize": "hypersphere",
     "LossBreakdown": "losses",
     "LossWeights": "losses",
-    "rau_gradient": "losses",
-    "rau_loss": "losses",
+    "rau_loss_and_gradient": "losses",
     "TrainConfig": "trainer",
     "TrainReport": "trainer",
     "fit": "trainer",

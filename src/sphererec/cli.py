@@ -191,7 +191,9 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_point(task) for task in tasks]
 
-    best_index = max(range(len(rows)), key=lambda i: rows[i][f"best_val_ndcg@{stopping_k}"])
+    # fixed-epoch fits never score the validation part, so no row can be best
+    best_index = None if base_cfg.fixed_epochs else max(
+        range(len(rows)), key=lambda i: rows[i][f"best_val_ndcg@{stopping_k}"])
     columns = list(rows[0].keys()) + ["best"]
     lines = [",".join(columns)]
     for index, row in enumerate(rows):
@@ -202,7 +204,10 @@ def cmd_sweep(args) -> int:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(csv_text, encoding="utf-8")
     print(csv_text, end="")
-    print(f"best grid point: {rows[best_index]}")
+    if best_index is None:
+        print("best grid point: none (--fixed-epochs trains without a validation metric)")
+    else:
+        print(f"best grid point: {rows[best_index]}")
     return 0
 
 

@@ -54,7 +54,6 @@ class SplitDataset:
     validation: InteractionDataset
     test: InteractionDataset
     split_seed: int
-    ratios: tuple[float, float, float] = DEFAULT_RATIOS
 
     @property
     def num_users(self) -> int:
@@ -148,31 +147,25 @@ def load_interactions(path, format: str | None = None) -> InteractionDataset:
     return dataset_from_pairs(len(user_ids), len(item_ids), pairs)
 
 
-def _split_counts(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
+def _split_counts(n: int) -> tuple[int, int, int]:
     # Users with fewer than 3 interactions keep everything in train.
     if n < 3:
         return n, 0, 0
-    n_train = round(n * ratios[0])
+    n_train = round(n * DEFAULT_RATIOS[0])
     n_train = min(max(n_train, 1), n)
-    n_val = min(round(n * ratios[1]), n - n_train)
+    n_val = min(round(n * DEFAULT_RATIOS[1]), n - n_train)
     n_test = n - n_train - n_val
     return n_train, n_val, n_test
 
 
-def split_per_user(
-    ds: InteractionDataset,
-    ratios: tuple[float, float, float] = DEFAULT_RATIOS,
-    seed: int = 0,
-) -> SplitDataset:
+def split_per_user(ds: InteractionDataset, seed: int = 0) -> SplitDataset:
     """Shuffle each user's interactions with a seeded generator and split them.
 
-    Per user, counts are round(n*ratios[0]) train / round(n*ratios[1])
-    validation / remainder test, clamped so train keeps at least one
+    Per user, counts are round(0.8 n) train / round(0.1 n) validation /
+    remainder test (DEFAULT_RATIOS), clamped so train keeps at least one
     interaction; users with fewer than 3 interactions go entirely to train.
     The three parts are disjoint and their union is the source set.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {ratios}")
     rng = np.random.default_rng(seed)
     train_pairs: list[np.ndarray] = []
     val_pairs: list[np.ndarray] = []
@@ -183,7 +176,7 @@ def split_per_user(
         if n == 0:
             continue
         shuffled = rng.permutation(items)
-        n_train, n_val, _ = _split_counts(n, ratios)
+        n_train, n_val, _ = _split_counts(n)
         parts = (
             shuffled[:n_train],
             shuffled[n_train:n_train + n_val],
@@ -205,7 +198,6 @@ def split_per_user(
         validation=build(val_pairs),
         test=build(test_pairs),
         split_seed=seed,
-        ratios=tuple(ratios),
     )
 
 
@@ -265,7 +257,7 @@ def write_split_manifest(split: SplitDataset, path) -> None:
     """Write a JSON manifest recording seed, ratios, and per-part counts."""
     manifest = {
         "split_seed": split.split_seed,
-        "ratios": list(split.ratios),
+        "ratios": list(DEFAULT_RATIOS),
         "num_users": split.num_users,
         "num_items": split.num_items,
         "interactions": {

@@ -93,14 +93,13 @@ def evaluate(
     ks: tuple[int, ...] = DEFAULT_KS,
     part: str = "test",
     score_mode: str = "cosine",
-    exclude_validation: bool = True,
 ) -> MetricsReport:
     """Rank all items for every user with interactions in `part`.
 
     Exclusion per user: training items always; validation items too when
-    part="test" and exclude_validation is set (prevents validation leakage
-    into test ranks). `user_vectors`/`item_vectors` are the ENCODED full
-    tables; pass score_mode="dot" for models trained on raw dot products.
+    part="test" (prevents validation leakage into test ranks).
+    `user_vectors`/`item_vectors` are the ENCODED full tables; pass
+    score_mode="dot" for models trained on raw dot products.
     """
     if part not in ("validation", "test"):
         raise ValueError(f"part must be 'validation' or 'test', got {part!r}")
@@ -108,6 +107,8 @@ def evaluate(
         raise ValueError(f"score_mode must be 'cosine' or 'dot', got {score_mode!r}")
     if min(ks) < 1:
         raise ValueError(f"every K must be >= 1, got {tuple(ks)}")
+    if len(set(ks)) != len(ks):
+        raise ValueError(f"every K must be distinct, got {tuple(ks)}")
     user_vectors = np.asarray(user_vectors, dtype=np.float64)
     item_vectors = np.asarray(item_vectors, dtype=np.float64)
     if user_vectors.shape[0] != split.num_users or item_vectors.shape[0] != split.num_items:
@@ -133,7 +134,7 @@ def evaluate(
         scores = user_vectors[chunk] @ item_vectors.T
         for row, user in enumerate(chunk):
             excluded = split.train.items_for_user(user)
-            if part == "test" and exclude_validation:
+            if part == "test":
                 excluded = np.concatenate([excluded, split.validation.items_for_user(user)])
             scores[row, excluded] = -np.inf
         order = np.argsort(-scores, axis=1, kind="stable")[:, :max_k]

@@ -76,14 +76,6 @@ def l2_normalize(vectors: np.ndarray) -> np.ndarray:
     return unit
 
 
-def batch_mean(vectors: np.ndarray) -> np.ndarray:
-    """Arithmetic mean over rows."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.shape[0] < 1:
-        raise ValueError("batch_mean of an empty batch")
-    return vectors.mean(axis=0)
-
-
 def config_hash(config: dict) -> str:
     """Short stable hash of a JSON-serializable config dict."""
     payload = json.dumps(config, sort_keys=True, separators=(",", ":"))

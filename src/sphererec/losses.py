@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .hypersphere import batch_mean, normalize_with_norms
+from .hypersphere import normalize_with_norms
 
 UNIFORM_EPS = 1e-12
 GAMMA_SUM_TOL = 1e-9
@@ -122,56 +122,14 @@ def _kernel_matrix(vectors: np.ndarray) -> tuple[np.ndarray, float, int, float]:
 
 
 def uniformity_and_variance(vectors: np.ndarray) -> tuple[float, float]:
-    """(uniform_part, kernel_variance) of the same rows from one kernel build."""
+    """(uniformity, kernel variance) of the same rows from one kernel build.
+
+    Uniformity is log(E exp(-2 d) + eps) over the condensed pairs: zero when
+    all points coincide (up to eps), lower the more evenly they spread. The
+    kernel variance is the population variance of the same kernel values.
+    """
     _, mean, _, variance = _kernel_matrix(vectors)
     return float(np.log(mean + UNIFORM_EPS)), variance
-
-
-def uniform_part(vectors: np.ndarray) -> float:
-    """log of the mean pairwise Gaussian kernel: log(E exp(-2 d) + eps).
-
-    Zero when all points coincide (up to eps) and negative otherwise; lower
-    means the points spread more evenly over the sphere.
-    """
-    return uniformity_and_variance(vectors)[0]
-
-
-def kernel_variance(vectors: np.ndarray) -> float:
-    """Population variance of the condensed pairwise kernel values."""
-    return uniformity_and_variance(vectors)[1]
-
-
-def weighted_uniform_loss(users: np.ndarray, items: np.ndarray,
-                          gamma_user: float, gamma_item: float) -> float:
-    """gamma_user * uniform_part(users) + gamma_item * uniform_part(items)."""
-    return gamma_user * uniform_part(users) + gamma_item * uniform_part(items)
-
-
-def ra_loss(users: np.ndarray, items: np.ndarray) -> float:
-    """Squared distance between the batch-mean user and item representations."""
-    users = np.asarray(users, dtype=np.float64)
-    items = np.asarray(items, dtype=np.float64)
-    _check_paired(users, items)
-    center = batch_mean(users - items)
-    return float(center @ center)
-
-
-def ru_loss(users: np.ndarray, items: np.ndarray) -> float:
-    """Sum of the user-side and item-side kernel variances."""
-    return kernel_variance(users) + kernel_variance(items)
-
-
-def rau_loss(users_raw: np.ndarray, items_raw: np.ndarray, weights: LossWeights) -> LossBreakdown:
-    """Evaluate the combined objective on raw embeddings (normalized once here)."""
-    breakdown, _, _ = rau_loss_and_gradient(users_raw, items_raw, weights, need_gradient=False)
-    return breakdown
-
-
-def rau_gradient(users_raw: np.ndarray, items_raw: np.ndarray,
-                 weights: LossWeights) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of the combined objective w.r.t. the raw batch rows."""
-    _, grad_users, grad_items = rau_loss_and_gradient(users_raw, items_raw, weights)
-    return grad_users, grad_items
 
 
 def _uniform_grad(kernel: np.ndarray, mean: float, pair_count: int, unit: np.ndarray) -> np.ndarray:
@@ -196,8 +154,7 @@ def rau_loss_and_gradient(
     users_raw: np.ndarray,
     items_raw: np.ndarray,
     weights: LossWeights,
-    need_gradient: bool = True,
-) -> tuple[LossBreakdown, np.ndarray | None, np.ndarray | None]:
+) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Combined objective and its gradient in one pass.
 
     Shares the pairwise kernel matrices between the loss value and the
@@ -230,8 +187,6 @@ def rau_loss_and_gradient(
     total = align + weighted_uniform + weights.alpha * ra + weights.beta * ru
     breakdown = LossBreakdown(align=align, weighted_uniform=weighted_uniform,
                               ra=ra, ru=ru, total=total)
-    if not need_gradient:
-        return breakdown, None, None
 
     grad_users = (2.0 / batch) * diff
     grad_items = (-2.0 / batch) * diff
@@ -250,18 +205,6 @@ def rau_loss_and_gradient(
     grad_users = _normalization_backward(grad_users, users, user_norms)
     grad_items = _normalization_backward(grad_items, items, item_norms)
     return breakdown, grad_users, grad_items
-
-
-def bpr_loss(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
-    """Mean -log sigmoid(s_pos - s_neg) over positionally paired raw scores."""
-    pos_scores = np.asarray(pos_scores, dtype=np.float64)
-    neg_scores = np.asarray(neg_scores, dtype=np.float64)
-    if pos_scores.shape != neg_scores.shape:
-        raise ValueError(f"score length mismatch: {pos_scores.shape} vs {neg_scores.shape}")
-    if pos_scores.shape[0] < 1:
-        raise ValueError("bpr_loss needs at least one pair")
-    # -log sigmoid(x) = log(1 + exp(-x)), stable via logaddexp
-    return float(np.logaddexp(0.0, -(pos_scores - neg_scores)).mean())
 
 
 def bpr_loss_and_gradient(

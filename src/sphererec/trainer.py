@@ -62,6 +62,8 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+        if self.eval_k_for_stopping < 1:
+            raise ValueError(f"eval_k_for_stopping must be >= 1, got {self.eval_k_for_stopping}")
         if not 0 <= self.num_layers <= encoders.MAX_LAYERS:
             raise ValueError(f"num_layers must be in [0, {encoders.MAX_LAYERS}], "
                              f"got {self.num_layers}")

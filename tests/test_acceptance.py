@@ -70,15 +70,25 @@ def test_criterion_1_loss_oracle_equivalence():
                         + weights.alpha * oracle_ra + weights.beta * oracle_ru)
 
         assert abs(losses.align_loss(users, items) - oracle_align) <= 1e-10
-        assert abs(losses.uniform_part(users) - oracle_uniform_u) <= 1e-10
-        assert abs(losses.weighted_uniform_loss(users, items, 0.8, 0.2) - oracle_wu) <= 1e-10
-        assert abs(losses.ra_loss(users, items) - oracle_ra) <= 1e-10
-        assert abs(losses.ru_loss(users, items) - oracle_ru) <= 1e-10
-        assert abs(losses.rau_loss(users_raw, items_raw, weights).total - oracle_total) <= 1e-10
+        uniform_u, var_u = losses.uniformity_and_variance(users)
+        uniform_i, var_i = losses.uniformity_and_variance(items)
+        assert abs(uniform_u - oracle_uniform_u) <= 1e-10
+        assert abs(uniform_i - oracle_uniform_i) <= 1e-10
+        assert abs(var_u - oracle_var_u) <= 1e-10
+        assert abs(var_i - oracle_var_i) <= 1e-10
 
+        breakdown, _, _ = losses.rau_loss_and_gradient(users_raw, items_raw, weights)
+        assert abs(breakdown.align - oracle_align) <= 1e-10
+        assert abs(breakdown.weighted_uniform - oracle_wu) <= 1e-10
+        assert abs(breakdown.ra - oracle_ra) <= 1e-10
+        assert abs(breakdown.ru - oracle_ru) <= 1e-10
+        assert abs(breakdown.total - oracle_total) <= 1e-10
+
+        # one-column vectors against a unit user turn the scores into BPR margins
         pos = rng.normal(size=batch)
         neg = rng.normal(size=batch)
-        assert abs(losses.bpr_loss(pos, neg) - oracles.bpr(pos.tolist(), neg.tolist())) <= 1e-10
+        bpr = losses.bpr_loss_and_gradient(np.ones((batch, 1)), pos[:, None], neg[:, None])[0]
+        assert abs(bpr - oracles.bpr(pos.tolist(), neg.tolist())) <= 1e-10
 
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"criterion 1 took {elapsed:.1f}s (budget 10s)"
@@ -94,11 +104,11 @@ def test_criterion_2_gradient_correctness():
         rng = np.random.default_rng(seed)
         users = rng.normal(size=(8, 4))
         items = rng.normal(size=(8, 4))
-        grad_users, grad_items = losses.rau_gradient(users, items, weights)
+        _, grad_users, grad_items = losses.rau_loss_and_gradient(users, items, weights)
         fd_users = central_differences(
-            lambda u: losses.rau_loss(u, items, weights).total, users, step=1e-4)
+            lambda u: losses.rau_loss_and_gradient(u, items, weights)[0].total, users, step=1e-4)
         fd_items = central_differences(
-            lambda i: losses.rau_loss(users, i, weights).total, items, step=1e-4)
+            lambda i: losses.rau_loss_and_gradient(users, i, weights)[0].total, items, step=1e-4)
         worst_mf = max(worst_mf,
                        max_relative_error(grad_users, fd_users),
                        max_relative_error(grad_items, fd_items))
@@ -121,7 +131,7 @@ def test_criterion_2_gradient_correctness():
             batch_u, batch_i = encoders.lightgcn_encode(
                 EmbeddingTable(2, 3, u_values), EmbeddingTable(3, 3, i_values),
                 adjacency, graph_cfg, user_ids, item_ids)
-            return losses.rau_loss(batch_u, batch_i, weights).total
+            return losses.rau_loss_and_gradient(batch_u, batch_i, weights)[0].total
 
         batch_u, batch_i = encoders.lightgcn_encode(
             EmbeddingTable(2, 3, user_values), EmbeddingTable(3, 3, item_values),

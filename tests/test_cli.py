@@ -99,6 +99,10 @@ class TestEvalCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_repeated_k_exits_2(self, checkpoint, capsys):
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--k", "20", "20"]) == 2
+        assert "distinct" in capsys.readouterr().err
+
     def test_csv_report_output(self, checkpoint, tmp_path):
         out_csv = tmp_path / "metrics.csv"
         assert cli.main(["eval", "--checkpoint", str(checkpoint),
@@ -143,6 +147,18 @@ class TestSweepCommand:
         argv[0] = "sweep"
         argv += ["--gamma-ratios", "0.7:0.3", "--out", str(tmp_path / "s.csv")]
         assert cli.main(argv) == 2
+
+    def test_fixed_epochs_marks_no_best_row(self, synthetic_tsv, tmp_path, capsys):
+        out_csv = tmp_path / "sweep.csv"
+        argv = train_args(synthetic_tsv, tmp_path / "unused")
+        argv[0] = "sweep"
+        argv += ["--fixed-epochs", "--alpha-values", "0.0", "0.5", "--k", "10",
+                 "--out", str(out_csv)]
+        assert cli.main(argv) == 0
+        rows = out_csv.read_text().strip().split("\n")[1:]
+        assert len(rows) == 2
+        assert not any(row.endswith("*") for row in rows)
+        assert "best grid point: none" in capsys.readouterr().out
 
     def test_parallel_workers_match_sequential(self, synthetic_tsv, tmp_path):
         def run(out_name, workers):

@@ -158,7 +158,7 @@ class TestLightgcnGradient:
                 EmbeddingTable(2, 3, u_values), EmbeddingTable(3, 3, i_values),
                 adj, cfg, user_ids, item_ids,
             )
-            return losses.rau_loss(batch_u, batch_i, weights).total
+            return losses.rau_loss_and_gradient(batch_u, batch_i, weights)[0].total
 
         batch_u, batch_i = encoders.lightgcn_encode(
             EmbeddingTable(2, 3, user_values), EmbeddingTable(3, 3, item_values),

@@ -73,8 +73,8 @@ class TestEvaluate:
         )
         users = rng.normal(size=(num_users, 16))
         items = rng.normal(size=(num_items, 16))
-        report = evaluate(split, users, items, ks=(k,), part="test",
-                          exclude_validation=False)
+        # the validation pair is a training pair, so excluding it changes nothing
+        report = evaluate(split, users, items, ks=(k,), part="test")
         expected = k / (num_items - 1)
         sigma = np.sqrt(expected * (1 - expected) / num_users)
         assert abs(report.recall[k] - expected) <= 3 * sigma
@@ -87,12 +87,12 @@ class TestEvaluate:
         no_exclusion_split = data.SplitDataset(
             train=data.dataset_from_pairs(synthetic_split.num_users,
                                           synthetic_split.num_items, [(0, 0)]),
-            validation=synthetic_split.validation,
+            validation=data.dataset_from_pairs(synthetic_split.num_users,
+                                               synthetic_split.num_items, []),
             test=synthetic_split.test,
             split_seed=0,
         )
-        without_exclusion = evaluate(no_exclusion_split, users, items, ks=(10,),
-                                     part="test", exclude_validation=False)
+        without_exclusion = evaluate(no_exclusion_split, users, items, ks=(10,), part="test")
         assert with_exclusion.recall[10] >= without_exclusion.recall[10]
 
     @staticmethod
@@ -116,8 +116,9 @@ class TestEvaluate:
         users, items = np.ones((1, 1)), np.array([[4.0], [3.0], [2.0], [1.0]])
         test = evaluate(split, users, items, ks=(1,), part="test", score_mode="dot")
         assert test.recall[1] == 1.0 and test.ndcg[1] == 1.0
-        leaky = evaluate(split, users, items, ks=(1,), part="test", score_mode="dot",
-                         exclude_validation=False)
+        # with an empty validation part, item 1 is ranked and takes the top slot
+        leaky = evaluate(self.one_user_split(4, [0], [], [2]), users, items, ks=(1,),
+                         part="test", score_mode="dot")
         assert leaky.recall[1] == 0.0
         validation = evaluate(split, users, items, ks=(1,), part="validation", score_mode="dot")
         assert validation.recall[1] == 1.0
@@ -145,6 +146,9 @@ class TestEvaluate:
         users, items = oracle_cluster_embeddings(synthetic_split)
         with pytest.raises(ValueError, match="K must be >= 1"):
             evaluate(synthetic_split, users, items, ks=(0, 20))
+        # a repeated K would add every user into its entry twice
+        with pytest.raises(ValueError, match="K must be distinct"):
+            evaluate(synthetic_split, users, items, ks=(20, 20))
 
     def test_report_table_format(self, synthetic_split):
         users, items = oracle_cluster_embeddings(synthetic_split)

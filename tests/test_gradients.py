@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from sphererec import losses
 from sphererec.losses import LossWeights
 
@@ -34,11 +35,11 @@ class TestRauGradient:
         rng = np.random.default_rng(seed)
         users = rng.normal(size=(8, 4))
         items = rng.normal(size=(8, 4))
-        grad_users, grad_items = losses.rau_gradient(users, items, FULL_WEIGHTS)
+        _, grad_users, grad_items = losses.rau_loss_and_gradient(users, items, FULL_WEIGHTS)
         fd_users = central_differences(
-            lambda u: losses.rau_loss(u, items, FULL_WEIGHTS).total, users)
+            lambda u: losses.rau_loss_and_gradient(u, items, FULL_WEIGHTS)[0].total, users)
         fd_items = central_differences(
-            lambda i: losses.rau_loss(users, i, FULL_WEIGHTS).total, items)
+            lambda i: losses.rau_loss_and_gradient(users, i, FULL_WEIGHTS)[0].total, items)
         assert max_relative_error(grad_users, fd_users) <= 1e-4
         assert max_relative_error(grad_items, fd_items) <= 1e-4
 
@@ -46,7 +47,7 @@ class TestRauGradient:
         rng = np.random.default_rng(11)
         users = rng.normal(size=(6, 5))
         items = rng.normal(size=(6, 5))
-        grad_users, grad_items = losses.rau_gradient(users, items, FULL_WEIGHTS)
+        _, grad_users, grad_items = losses.rau_loss_and_gradient(users, items, FULL_WEIGHTS)
         assert np.max(np.abs(np.einsum("ij,ij->i", grad_users, users))) < 1e-12
         assert np.max(np.abs(np.einsum("ij,ij->i", grad_items, items))) < 1e-12
 
@@ -55,7 +56,7 @@ class TestRauGradient:
         users = rng.normal(size=(5, 4))
         items = rng.normal(size=(5, 4))
         users[2] *= 2.0
-        grad_users, _ = losses.rau_gradient(users, items, FULL_WEIGHTS)
+        _, grad_users, _ = losses.rau_loss_and_gradient(users, items, FULL_WEIGHTS)
         assert abs(grad_users[2] @ users[2]) < 1e-12
 
     def test_coincident_points_have_zero_align_gradient(self):
@@ -63,7 +64,7 @@ class TestRauGradient:
         # remaining gradient is the (equal) uniformity pull on both sides.
         rows = np.tile(np.array([[1.0, 2.0, -1.0]]), (4, 1)) + 0.0
         rows = rows + np.arange(4)[:, None] * 0.1
-        grad_users, grad_items = losses.rau_gradient(rows, rows.copy(), LossWeights())
+        _, grad_users, grad_items = losses.rau_loss_and_gradient(rows, rows.copy(), LossWeights())
         np.testing.assert_array_equal(grad_users, grad_items)
 
 
@@ -91,4 +92,5 @@ class TestBprGradient:
         value, *_ = losses.bpr_loss_and_gradient(users, pos, neg)
         pos_scores = np.einsum("ij,ij->i", users, pos)
         neg_scores = np.einsum("ij,ij->i", users, neg)
-        assert value == pytest.approx(losses.bpr_loss(pos_scores, neg_scores), abs=1e-12)
+        assert value == pytest.approx(oracles.bpr(pos_scores.tolist(), neg_scores.tolist()),
+                                      abs=1e-12)

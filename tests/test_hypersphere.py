@@ -64,24 +64,6 @@ class TestL2Normalize:
         np.testing.assert_allclose(twice, once, atol=1e-12)
 
 
-class TestBatchMean:
-    def test_two_rows(self):
-        out = hs.batch_mean(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_allclose(out, [0.5, 0.5])
-
-    def test_single_row_identity(self):
-        row = np.array([[0.3, -0.7]])
-        np.testing.assert_allclose(hs.batch_mean(row), row[0])
-
-    def test_antipodal_rows_cancel(self):
-        pts = np.array([[0.6, 0.8], [-0.6, -0.8]])
-        np.testing.assert_allclose(hs.batch_mean(pts), [0.0, 0.0], atol=1e-15)
-
-    def test_empty_batch(self):
-        with pytest.raises(ValueError):
-            hs.batch_mean(np.empty((0, 3)))
-
-
 class TestCheckpointIO:
     def test_roundtrip_is_float32_exact(self, tmp_path):
         table = hs.init_xavier(7, 4, seed=2)

@@ -9,6 +9,7 @@ import oracles
 from conftest import random_unit_rows
 from sphererec import losses
 from sphererec.geometry import circle_points
+from sphererec.hypersphere import l2_normalize
 from sphererec.losses import LossWeights
 
 
@@ -47,21 +48,23 @@ class TestAlignLoss:
 class TestUniformPart:
     def test_coincident_points_zero(self):
         rows = np.tile([[0.6, 0.8]], (4, 1))
-        assert losses.uniform_part(rows) == pytest.approx(0.0, abs=1e-9)
+        assert losses.uniformity_and_variance(rows)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_antipodal_pair(self):
-        assert losses.uniform_part(circle_points([0.0, 180.0])) == pytest.approx(-8.0, abs=1e-6)
+        uniform, _ = losses.uniformity_and_variance(circle_points([0.0, 180.0]))
+        assert uniform == pytest.approx(-8.0, abs=1e-6)
 
     def test_equilateral_triangle(self):
-        assert losses.uniform_part(circle_points([0.0, 120.0, 240.0])) == pytest.approx(-6.0, abs=1e-6)
+        uniform, _ = losses.uniformity_and_variance(circle_points([0.0, 120.0, 240.0]))
+        assert uniform == pytest.approx(-6.0, abs=1e-6)
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
-            losses.uniform_part(np.array([[1.0, 0.0]]))
+            losses.uniformity_and_variance(np.array([[1.0, 0.0]]))
 
     def test_separating_coincident_pair_improves(self):
-        collapsed = losses.uniform_part(circle_points([0.0, 0.0, 180.0]))
-        separated = losses.uniform_part(circle_points([0.0, 20.0, 180.0]))
+        collapsed, _ = losses.uniformity_and_variance(circle_points([0.0, 0.0, 180.0]))
+        separated, _ = losses.uniformity_and_variance(circle_points([0.0, 20.0, 180.0]))
         assert separated < collapsed
 
 
@@ -70,35 +73,45 @@ class TestWeightedUniform:
         rng = np.random.default_rng(0)
         users = random_unit_rows(rng, 6, 3)
         items = random_unit_rows(rng, 6, 3)
-        expected = 0.5 * losses.uniform_part(users) + 0.5 * losses.uniform_part(items)
-        assert losses.weighted_uniform_loss(users, items, 0.5, 0.5) == pytest.approx(expected, abs=1e-15)
+        expected = (0.5 * losses.uniformity_and_variance(l2_normalize(users))[0]
+                    + 0.5 * losses.uniformity_and_variance(l2_normalize(items))[0])
+        out, _, _ = losses.rau_loss_and_gradient(users, items, LossWeights())
+        assert out.weighted_uniform == pytest.approx(expected, abs=1e-15)
 
     def test_zero_item_weight(self):
         rng = np.random.default_rng(1)
         users = random_unit_rows(rng, 5, 3)
         items = random_unit_rows(rng, 5, 3)
-        assert losses.weighted_uniform_loss(users, items, 1.0, 0.0) == losses.uniform_part(users)
+        weights = LossWeights(gamma_user=1.0, gamma_item=0.0)
+        out, _, _ = losses.rau_loss_and_gradient(users, items, weights)
+        assert out.weighted_uniform == losses.uniformity_and_variance(l2_normalize(users))[0]
 
     def test_linear_combination(self):
-        users = circle_points([0.0, 120.0, 240.0])   # uniform_part -6
-        items = circle_points([0.0, 180.0])          # uniform_part -8
-        value = losses.weighted_uniform_loss(users, items, 0.7, 0.3)
-        assert value == pytest.approx(0.7 * -6.0 + 0.3 * -8.0, abs=1e-5)
+        users = circle_points([0.0, 180.0])   # uniformity -8
+        items = circle_points([0.0, 90.0])    # uniformity -4
+        weights = LossWeights(gamma_user=0.7, gamma_item=0.3)
+        out, _, _ = losses.rau_loss_and_gradient(users, items, weights)
+        assert out.weighted_uniform == pytest.approx(0.7 * -8.0 + 0.3 * -4.0, abs=1e-5)
 
 
 class TestRaLoss:
     def test_coincident_centers(self):
         users = circle_points([0.0, 90.0])
         items = circle_points([90.0, 0.0])
-        assert losses.ra_loss(users, items) == pytest.approx(0.0, abs=1e-15)
+        out, _, _ = losses.rau_loss_and_gradient(users, items, LossWeights())
+        assert out.ra == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_example(self):
         users = np.array([[1.0, 0.0], [0.0, 1.0]])
-        items = -users
-        assert losses.ra_loss(users, items) == pytest.approx(2.0)
+        out, _, _ = losses.rau_loss_and_gradient(users, -users, LossWeights())
+        assert out.ra == pytest.approx(2.0)
 
     def test_single_orthogonal_pair(self):
-        assert losses.ra_loss([[1.0, 0.0]], [[0.0, 1.0]]) == pytest.approx(2.0)
+        # a batch needs two pairs; repeating one pair keeps its center
+        users = np.array([[1.0, 0.0], [1.0, 0.0]])
+        items = np.array([[0.0, 1.0], [0.0, 1.0]])
+        out, _, _ = losses.rau_loss_and_gradient(users, items, LossWeights())
+        assert out.ra == pytest.approx(2.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -107,29 +120,32 @@ class TestRaLoss:
         users = random_unit_rows(rng, 7, 4)
         items = random_unit_rows(rng, 7, 4)
         perm = rng.permutation(7)
-        base = losses.ra_loss(users, items)
-        assert losses.ra_loss(users[perm], items[perm]) == pytest.approx(base, abs=1e-12)
+        base, _, _ = losses.rau_loss_and_gradient(users, items, LossWeights())
+        permuted, _, _ = losses.rau_loss_and_gradient(users[perm], items[perm], LossWeights())
+        assert permuted.ra == pytest.approx(base.ra, abs=1e-12)
 
 
 class TestRuLoss:
     def test_equal_distances_zero(self):
         users = circle_points([0.0, 120.0, 240.0])
         items = circle_points([10.0, 130.0, 250.0])
-        assert losses.ru_loss(users, items) == pytest.approx(0.0, abs=1e-12)
+        out, _, _ = losses.rau_loss_and_gradient(users, items, LossWeights())
+        assert out.ru == pytest.approx(0.0, abs=1e-12)
 
     def test_collapsed_pair_variance(self):
         users = circle_points([0.0, 0.0, 180.0])
         expected = oracles.kernel_variance(users.tolist())
         assert expected == pytest.approx(0.2220733, abs=1e-6)
-        assert losses.kernel_variance(users) == pytest.approx(expected, abs=1e-12)
+        assert losses.uniformity_and_variance(users)[1] == pytest.approx(expected, abs=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_non_negative(self, seed):
         rng = np.random.default_rng(seed)
-        users = random_unit_rows(rng, 5, 3)
+        users = random_unit_rows(rng, 6, 3)
         items = random_unit_rows(rng, 6, 3)
-        assert losses.ru_loss(users, items) >= 0.0
+        out, _, _ = losses.rau_loss_and_gradient(users, items, LossWeights())
+        assert out.ru >= 0.0
 
 
 class TestRauLoss:
@@ -138,7 +154,7 @@ class TestRauLoss:
         users = rng.normal(size=(8, 5))
         items = rng.normal(size=(8, 5))
         weights = LossWeights(alpha=0.4, beta=2.5, gamma_user=0.6, gamma_item=0.4)
-        out = losses.rau_loss(users, items, weights)
+        out, _, _ = losses.rau_loss_and_gradient(users, items, weights)
         reconstructed = (out.align + out.weighted_uniform
                          + weights.alpha * out.ra + weights.beta * out.ru)
         assert out.total == pytest.approx(reconstructed, abs=1e-10)
@@ -147,12 +163,12 @@ class TestRauLoss:
         rng = np.random.default_rng(3)
         users = rng.normal(size=(6, 4))
         items = rng.normal(size=(6, 4))
-        out = losses.rau_loss(users, items, LossWeights())
+        out, _, _ = losses.rau_loss_and_gradient(users, items, LossWeights())
         unit_u = users / np.linalg.norm(users, axis=1, keepdims=True)
         unit_i = items / np.linalg.norm(items, axis=1, keepdims=True)
-        plain = losses.align_loss(unit_u, unit_i) + losses.weighted_uniform_loss(
-            unit_u, unit_i, 0.5, 0.5
-        )
+        plain = (losses.align_loss(unit_u, unit_i)
+                 + 0.5 * losses.uniformity_and_variance(unit_u)[0]
+                 + 0.5 * losses.uniformity_and_variance(unit_i)[0])
         assert out.total == pytest.approx(plain, abs=1e-12)
 
     def test_matches_oracle_small_batch(self):
@@ -161,11 +177,12 @@ class TestRauLoss:
         items = rng.normal(size=(4, 3))
         weights = LossWeights(alpha=0.3, beta=1.5, gamma_user=0.7, gamma_item=0.3)
         expected = oracles.rau_total(users.tolist(), items.tolist(), 0.3, 1.5, 0.7, 0.3)
-        assert losses.rau_loss(users, items, weights).total == pytest.approx(expected, abs=1e-10)
+        out, _, _ = losses.rau_loss_and_gradient(users, items, weights)
+        assert out.total == pytest.approx(expected, abs=1e-10)
 
     def test_needs_batch_of_two(self):
         with pytest.raises(ValueError):
-            losses.rau_loss(np.ones((1, 3)), np.ones((1, 3)), LossWeights())
+            losses.rau_loss_and_gradient(np.ones((1, 3)), np.ones((1, 3)), LossWeights())
 
 
 class TestOracleEquivalence:
@@ -181,33 +198,43 @@ class TestOracleEquivalence:
         ul, il = users.tolist(), items.tolist()
 
         assert losses.align_loss(users, items) == pytest.approx(oracles.align(ul, il), abs=1e-10)
-        assert losses.uniform_part(users) == pytest.approx(oracles.uniform_part(ul), abs=1e-10)
-        assert losses.weighted_uniform_loss(users, items, 0.6, 0.4) == pytest.approx(
-            oracles.weighted_uniform(ul, il, 0.6, 0.4), abs=1e-10)
-        assert losses.ra_loss(users, items) == pytest.approx(oracles.ra(ul, il), abs=1e-10)
-        assert losses.ru_loss(users, items) == pytest.approx(oracles.ru(ul, il), abs=1e-10)
+        for rows, rows_list in ((users, ul), (items, il)):
+            uniform, variance = losses.uniformity_and_variance(rows)
+            assert uniform == pytest.approx(oracles.uniform_part(rows_list), abs=1e-10)
+            assert variance == pytest.approx(oracles.kernel_variance(rows_list), abs=1e-10)
 
         weights = LossWeights(alpha=0.9, beta=4.0, gamma_user=0.8, gamma_item=0.2)
-        assert losses.rau_loss(users_raw, items_raw, weights).total == pytest.approx(
+        out, _, _ = losses.rau_loss_and_gradient(users_raw, items_raw, weights)
+        assert out.align == pytest.approx(oracles.align(ul, il), abs=1e-10)
+        assert out.weighted_uniform == pytest.approx(
+            oracles.weighted_uniform(ul, il, 0.8, 0.2), abs=1e-10)
+        assert out.ra == pytest.approx(oracles.ra(ul, il), abs=1e-10)
+        assert out.ru == pytest.approx(oracles.ru(ul, il), abs=1e-10)
+        assert out.total == pytest.approx(
             oracles.rau_total(users_raw.tolist(), items_raw.tolist(), 0.9, 4.0, 0.8, 0.2),
             abs=1e-10)
 
         pos = rng.normal(size=batch)
         neg = rng.normal(size=batch)
-        assert losses.bpr_loss(pos, neg) == pytest.approx(
-            oracles.bpr(pos.tolist(), neg.tolist()), abs=1e-10)
+        value = losses.bpr_loss_and_gradient(np.ones((batch, 1)), pos[:, None], neg[:, None])[0]
+        assert value == pytest.approx(oracles.bpr(pos.tolist(), neg.tolist()), abs=1e-10)
 
 
 class TestBprLoss:
+    """Scores as one-column vectors against a unit user: each score is its own margin term."""
+
     def test_equal_scores(self):
-        assert losses.bpr_loss([1.0, 2.0], [1.0, 2.0]) == pytest.approx(math.log(2.0))
+        value, *_ = losses.bpr_loss_and_gradient(np.ones((2, 1)), [[1.0], [2.0]], [[1.0], [2.0]])
+        assert value == pytest.approx(math.log(2.0))
 
     def test_unit_margin(self):
-        assert losses.bpr_loss([1.0], [0.0]) == pytest.approx(0.31326168751822286)
+        value, *_ = losses.bpr_loss_and_gradient([[1.0]], [[1.0]], [[0.0]])
+        assert value == pytest.approx(0.31326168751822286)
 
     def test_large_margin_vanishes(self):
-        assert losses.bpr_loss([60.0], [0.0]) == pytest.approx(0.0, abs=1e-12)
+        value, *_ = losses.bpr_loss_and_gradient([[1.0]], [[60.0]], [[0.0]])
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            losses.bpr_loss([1.0, 2.0], [1.0])
+            losses.bpr_loss_and_gradient(np.ones((2, 1)), [[1.0], [2.0]], [[1.0]])

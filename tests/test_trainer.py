@@ -78,6 +78,11 @@ class TestTrainConfig:
             "eval_k_for_stopping", "num_layers", "fixed_epochs", "bpr_full_history_rejection",
         ]
 
+    def test_rejects_stopping_k_below_one(self):
+        # caught before fit, not after a whole epoch of training
+        with pytest.raises(ValueError, match="eval_k_for_stopping"):
+            TrainConfig(eval_k_for_stopping=0)
+
     def test_rejects_out_of_range_num_layers(self):
         with pytest.raises(ValueError, match="num_layers"):
             TrainConfig(encoder="mf", num_layers=9)
