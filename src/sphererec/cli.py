@@ -8,6 +8,7 @@ imports happen inside the command handlers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -72,7 +73,7 @@ def _load_split(args, cfg, payload):
 
     dataset_path = args.dataset or payload.get("dataset")
     if dataset_path is None:
-        raise ValueError("no dataset given: pass --dataset or a config with a 'dataset' key")
+        raise ValueError("no dataset given: pass --dataset or a config/checkpoint that names one")
     dataset_path = Path(dataset_path)
     if not dataset_path.exists():
         raise ValueError(f"dataset path does not exist: {dataset_path}")
@@ -86,9 +87,17 @@ def _run_dir(base: Path, cfg) -> Path:
     return base / f"{config_hash(cfg.to_dict())}-seed{cfg.seed}"
 
 
+def _evaluate_tables(split, user_table, item_table, cfg, score_mode=None, **evaluate_kwargs):
+    """Encode the tables with the run's encoder and rank them (default: cfg.score_mode)."""
+    from .encoders import Encoder
+    from .evaluation import evaluate
+
+    encoded = Encoder(cfg.encoder, cfg.num_layers, split.train).encode_all(user_table, item_table)
+    return evaluate(split, *encoded, score_mode=score_mode or cfg.score_mode, **evaluate_kwargs)
+
+
 def cmd_train(args) -> int:
     from .data import write_split_manifest
-    from .evaluation import evaluate
     from .hypersphere import save_checkpoint
     from .trainer import fit, write_diagnostics_csv
 
@@ -108,37 +117,21 @@ def cmd_train(args) -> int:
     print(f"epochs run: {report.epochs_run}, best epoch: {report.best_epoch}")
     if report.best_val is not None:
         print(f"best validation: {report.best_val}")
-    score_mode = "dot" if cfg.objective == "bpr" else "cosine"
-    all_users, all_items = _encode_checkpoint(split, user_table, item_table, cfg)
-    test_report = evaluate(split, all_users, all_items, part="test", score_mode=score_mode)
+    test_report = _evaluate_tables(split, user_table, item_table, cfg)
     test_report.to_json(out / "test_metrics.json")
     print(test_report.format_table())
     return 0
 
 
-def _encode_checkpoint(split, user_table, item_table, cfg):
-    from .encoders import Encoder
-
-    return Encoder(cfg.encoder, cfg.num_layers, split.train).encode_all(user_table, item_table)
-
-
 def cmd_eval(args) -> int:
-    from .data import load_interactions, split_per_user
-    from .evaluation import evaluate
     from .hypersphere import load_checkpoint
     from .trainer import TrainConfig
 
     user_table, item_table, sidecar = load_checkpoint(args.checkpoint)
     cfg = TrainConfig.from_dict(sidecar["config"])
-    dataset_path = args.dataset or sidecar["config"].get("dataset")
-    if dataset_path is None:
-        raise ValueError("no dataset given: pass --dataset or use a checkpoint that records one")
-    ds = load_interactions(dataset_path, format=args.format)
-    split = split_per_user(ds, seed=cfg.seed)
-    all_users, all_items = _encode_checkpoint(split, user_table, item_table, cfg)
-    score_mode = args.score_mode or ("dot" if cfg.objective == "bpr" else "cosine")
-    report = evaluate(split, all_users, all_items, ks=tuple(args.k), part=args.part,
-                      score_mode=score_mode)
+    split, _ = _load_split(args, cfg, sidecar["config"])
+    report = _evaluate_tables(split, user_table, item_table, cfg, score_mode=args.score_mode,
+                              ks=tuple(args.k), part=args.part)
     print(report.format_table())
     if args.out:
         report.to_json(args.out)
@@ -149,18 +142,15 @@ def cmd_eval(args) -> int:
 
 def _sweep_point(task):
     """Fit one grid point and report its validation/test metrics."""
-    from .evaluation import evaluate
-    from .trainer import TrainConfig, fit
+    from .trainer import fit
 
-    split, payload, ks, stopping_k = task
-    cfg = TrainConfig.from_dict(payload)
+    split, cfg, ks = task
     report, user_table, item_table = fit(split, cfg)
-    all_users, all_items = _encode_checkpoint(split, user_table, item_table, cfg)
-    test_report = evaluate(split, all_users, all_items, ks=tuple(ks), part="test")
+    test_report = _evaluate_tables(split, user_table, item_table, cfg, ks=ks)
+    stopping_k = cfg.eval_k_for_stopping
     best_ndcg = report.best_val[f"ndcg@{stopping_k}"] if report.best_val else float("nan")
     return {
-        "alpha": payload["alpha"], "beta": payload["beta"],
-        "gamma_user": payload["gamma_user"], "gamma_item": payload["gamma_item"],
+        **dataclasses.asdict(cfg.weights),
         f"best_val_ndcg@{stopping_k}": best_ndcg,
         **{f"test_recall@{k}": test_report.recall[k] for k in ks},
         **{f"test_ndcg@{k}": test_report.ndcg[k] for k in ks},
@@ -168,18 +158,21 @@ def _sweep_point(task):
 
 
 def cmd_sweep(args) -> int:
+    from .evaluation import check_ks
+    from .trainer import TrainConfig
+
     base_cfg, base_payload = _resolve_train_config(args)
     split, _ = _load_split(args, base_cfg, base_payload)
+    ks = tuple(args.k)
+    check_ks(ks)
     gamma_pairs = [_parse_gamma_ratio(token) for token in args.gamma_ratios]
-    grid = list(itertools.product(args.alpha_values, args.beta_values, gamma_pairs))
+    # every grid point's config is built, and so checked, before the first fit
+    tasks = [(split, TrainConfig.from_dict(dict(base_payload, alpha=alpha, beta=beta,
+                                                gamma_user=gamma_user, gamma_item=gamma_item,
+                                                objective="rau")), ks)
+             for alpha, beta, (gamma_user, gamma_item)
+             in itertools.product(args.alpha_values, args.beta_values, gamma_pairs)]
     stopping_k = base_cfg.eval_k_for_stopping
-
-    tasks = []
-    for alpha, beta, (gamma_user, gamma_item) in grid:
-        payload = dict(base_payload, alpha=alpha, beta=beta,
-                       gamma_user=gamma_user, gamma_item=gamma_item, objective="rau")
-        payload.pop("dataset", None)
-        tasks.append((split, payload, tuple(args.k), stopping_k))
 
     env_cap = os.environ.get("RAU_NUM_THREADS")
     workers = min(args.workers, int(env_cap)) if env_cap else args.workers
@@ -239,17 +232,19 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    import numpy as np
+
     from .data import load_interactions, split_per_user, write_split_manifest
 
     ds = load_interactions(args.dataset, format=args.format)
-    degrees = [ds.items_for_user(u).size for u in range(ds.num_users)]
+    degrees = np.diff(ds.user_indptr)
     density = ds.num_interactions / (ds.num_users * ds.num_items)
     print(f"users: {ds.num_users}")
     print(f"items: {ds.num_items}")
     print(f"interactions: {ds.num_interactions}")
     print(f"density: {density:.6f}")
-    print(f"interactions per user: min={min(degrees)} mean={ds.num_interactions / ds.num_users:.2f} "
-          f"max={max(degrees)}")
+    print(f"interactions per user: min={degrees.min()} "
+          f"mean={ds.num_interactions / ds.num_users:.2f} max={degrees.max()}")
     if args.split_seed is not None:
         split = split_per_user(ds, seed=args.split_seed)
         print(f"split (seed {args.split_seed}): train={split.train.num_interactions} "

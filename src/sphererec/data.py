@@ -167,38 +167,21 @@ def split_per_user(ds: InteractionDataset, seed: int = 0) -> SplitDataset:
     The three parts are disjoint and their union is the source set.
     """
     rng = np.random.default_rng(seed)
-    train_pairs: list[np.ndarray] = []
-    val_pairs: list[np.ndarray] = []
-    test_pairs: list[np.ndarray] = []
+    part_of = np.zeros(ds.num_interactions, dtype=np.int8)  # 0 train, 1 validation, 2 test
     for user in range(ds.num_users):
-        items = ds.items_for_user(user)
-        n = items.shape[0]
+        start = ds.user_indptr[user]
+        n = int(ds.user_indptr[user + 1] - start)
         if n == 0:
             continue
-        shuffled = rng.permutation(items)
+        order = start + rng.permutation(n)
         n_train, n_val, _ = _split_counts(n)
-        parts = (
-            shuffled[:n_train],
-            shuffled[n_train:n_train + n_val],
-            shuffled[n_train + n_val:],
-        )
-        for out, part in zip((train_pairs, val_pairs, test_pairs), parts):
-            if part.shape[0]:
-                rows = np.empty((part.shape[0], 2), dtype=np.int64)
-                rows[:, 0] = user
-                rows[:, 1] = part
-                out.append(rows)
-
-    def build(chunks: list[np.ndarray]) -> InteractionDataset:
-        pairs = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-        return dataset_from_pairs(ds.num_users, ds.num_items, pairs)
-
-    return SplitDataset(
-        train=build(train_pairs),
-        validation=build(val_pairs),
-        test=build(test_pairs),
-        split_seed=seed,
+        part_of[order[n_train:n_train + n_val]] = 1
+        part_of[order[n_train + n_val:]] = 2
+    train, validation, test = (
+        dataset_from_pairs(ds.num_users, ds.num_items, ds.interactions[part_of == part])
+        for part in range(3)
     )
+    return SplitDataset(train=train, validation=validation, test=test, split_seed=seed)
 
 
 def epoch_batches(train: InteractionDataset, batch_size: int, epoch_seed: int):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SplitDataset
+from .data import InteractionDataset, SplitDataset
 
 DEFAULT_KS = (20, 50)
 _CHUNK = 1024
@@ -61,24 +61,21 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def recall_at_k(ranked: np.ndarray, relevant: set[int]) -> float:
-    """|ranked ∩ relevant| / |relevant|."""
-    if not relevant:
-        raise ValueError("recall undefined for an empty relevant set")
-    hits = sum(1 for item in ranked if int(item) in relevant)
-    return hits / len(relevant)
+def check_ks(ks) -> None:
+    """Raise ValueError unless every K is at least 1 and no K repeats."""
+    if min(ks) < 1:
+        raise ValueError(f"every K must be >= 1, got {tuple(ks)}")
+    if len(set(ks)) != len(ks):
+        raise ValueError(f"every K must be distinct, got {tuple(ks)}")
 
 
-def ndcg_at_k(ranked: np.ndarray, relevant: set[int], k: int) -> float:
-    """Binary-relevance NDCG with 1-based ranks and log2 discounting."""
-    if not relevant:
-        raise ValueError("ndcg undefined for an empty relevant set")
-    dcg = 0.0
-    for rank, item in enumerate(ranked[:k], start=1):
-        if int(item) in relevant:
-            dcg += 1.0 / math.log2(rank + 1)
-    ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(len(relevant), k) + 1))
-    return dcg / ideal
+def _csr_cells(part: InteractionDataset, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, item) cells of `users`' CSR rows in `part`; rows index `users`, items ascend."""
+    starts = part.user_indptr[users]
+    counts = part.user_indptr[users + 1] - starts
+    rows = np.repeat(np.arange(users.size), counts)
+    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return rows, part.user_items[np.arange(rows.size) + offsets]
 
 
 def _guarded_unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -105,10 +102,7 @@ def evaluate(
         raise ValueError(f"part must be 'validation' or 'test', got {part!r}")
     if score_mode not in ("cosine", "dot"):
         raise ValueError(f"score_mode must be 'cosine' or 'dot', got {score_mode!r}")
-    if min(ks) < 1:
-        raise ValueError(f"every K must be >= 1, got {tuple(ks)}")
-    if len(set(ks)) != len(ks):
-        raise ValueError(f"every K must be distinct, got {tuple(ks)}")
+    check_ks(ks)
     user_vectors = np.asarray(user_vectors, dtype=np.float64)
     item_vectors = np.asarray(item_vectors, dtype=np.float64)
     if user_vectors.shape[0] != split.num_users or item_vectors.shape[0] != split.num_items:
@@ -126,29 +120,35 @@ def evaluate(
         return MetricsReport(ks=tuple(ks), recall={k: 0.0 for k in ks},
                              ndcg={k: 0.0 for k in ks}, num_users_evaluated=0)
 
-    max_k = max(ks)
-    recall_sums = {k: 0.0 for k in ks}
-    ndcg_sums = {k: 0.0 for k in ks}
+    # 1-based rank r is discounted by 1 / log2(r + 1); a user with m target
+    # items has ideal DCG@K = the sum of the first min(m, K) discounts
+    ranked_columns = min(max(ks), split.num_items)
+    discounts = np.array([1.0 / math.log2(rank + 2) for rank in range(ranked_columns)])
+    ideal_dcg = np.cumsum(discounts)
+    last_column = np.minimum(ks, ranked_columns) - 1
+    excluded_parts = (split.train, split.validation) if part == "test" else (split.train,)
+    per_user = []  # recall@K then ndcg@K for each K, one row per user in user order
     for start in range(0, eval_users.size, _CHUNK):
         chunk = eval_users[start:start + _CHUNK]
         scores = user_vectors[chunk] @ item_vectors.T
-        for row, user in enumerate(chunk):
-            excluded = split.train.items_for_user(user)
-            if part == "test":
-                excluded = np.concatenate([excluded, split.validation.items_for_user(user)])
-            scores[row, excluded] = -np.inf
-        order = np.argsort(-scores, axis=1, kind="stable")[:, :max_k]
-        for row, user in enumerate(chunk):
-            relevant = set(int(i) for i in target.items_for_user(user))
-            ranked = order[row]
-            for k in ks:
-                recall_sums[k] += recall_at_k(ranked[:k], relevant)
-                ndcg_sums[k] += ndcg_at_k(ranked, relevant, k)
+        for excluded in excluded_parts:
+            scores[_csr_cells(excluded, chunk)] = -np.inf
+        ranked = np.argsort(-scores, axis=1, kind="stable")[:, :ranked_columns]
+        # a ranked cell is a hit when its row * num_items + item key is a target key
+        rows, items = _csr_cells(target, chunk)
+        target_keys = rows * split.num_items + items
+        ranked_keys = np.arange(chunk.size)[:, None] * split.num_items + ranked
+        found = np.minimum(np.searchsorted(target_keys, ranked_keys), target_keys.size - 1)
+        hits = target_keys[found] == ranked_keys
+        num_relevant = np.bincount(rows, minlength=chunk.size)[:, None]
+        recall = np.cumsum(hits, axis=1)[:, last_column] / num_relevant
+        dcg = np.cumsum(hits * discounts, axis=1)[:, last_column]
+        ndcg = dcg / ideal_dcg[np.minimum(num_relevant, ks) - 1]
+        per_user.append(np.concatenate([recall, ndcg], axis=1))
 
+    # cumsum adds one user at a time in user order, as a running total does;
+    # np.sum's pairwise order could change the last digits of the means
     n = int(eval_users.size)
-    return MetricsReport(
-        ks=tuple(ks),
-        recall={k: recall_sums[k] / n for k in ks},
-        ndcg={k: ndcg_sums[k] / n for k in ks},
-        num_users_evaluated=n,
-    )
+    means = (np.cumsum(np.concatenate(per_user), axis=0)[-1] / n).tolist()
+    return MetricsReport(ks=tuple(ks), recall=dict(zip(ks, means)),
+                         ndcg=dict(zip(ks, means[len(ks):])), num_users_evaluated=n)

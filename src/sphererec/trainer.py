@@ -56,8 +56,12 @@ class TrainConfig:
         if self.encoder not in ENCODERS:
             raise ValueError(f"encoder must be one of {ENCODERS}, got {self.encoder!r}")
         # lr == 0 is allowed: it freezes the tables, useful for no-op smoke runs
-        if self.lr < 0:
-            raise ValueError(f"lr must be non-negative, got {self.lr}")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not np.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if self.max_epochs < 0:
+            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 2:
@@ -67,6 +71,11 @@ class TrainConfig:
         if not 0 <= self.num_layers <= encoders.MAX_LAYERS:
             raise ValueError(f"num_layers must be in [0, {encoders.MAX_LAYERS}], "
                              f"got {self.num_layers}")
+
+    @property
+    def score_mode(self) -> str:
+        """How `evaluate` scores this model: raw dot products for bpr, cosine otherwise."""
+        return "dot" if self.objective == "bpr" else "cosine"
 
     def effective_weights(self) -> LossWeights | None:
         """Loss weights after objective resolution.
@@ -313,7 +322,6 @@ def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTa
         _check_negatives_exist(split, cfg.bpr_full_history_rejection)
     started = time.perf_counter()
     state = TrainState(split, cfg)
-    score_mode = "dot" if cfg.objective == "bpr" else "cosine"
     stopping_k = cfg.eval_k_for_stopping
 
     diagnostics: list[EpochDiagnostics] = []
@@ -332,7 +340,7 @@ def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTa
             continue
         all_users, all_items = state.encoder.encode_all(state.user_table, state.item_table)
         report = evaluate(split, all_users, all_items, ks=(stopping_k,),
-                          part="validation", score_mode=score_mode)
+                          part="validation", score_mode=cfg.score_mode)
         entry = {
             "epoch": epoch,
             f"recall@{stopping_k}": report.recall[stopping_k],

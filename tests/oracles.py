@@ -1,4 +1,4 @@
-"""Naive double-loop reference implementations for cross-checking the losses.
+"""Naive reference implementations for cross-checking the losses and the ranking.
 
 Everything here is pure Python over lists: explicit pair loops, explicit
 normalization, no numpy, no shared code with the package. Deliberately slow
@@ -8,6 +8,7 @@ and obvious.
 import math
 
 EPS = 1e-12
+NORM_FLOOR = 1e-12
 
 
 def normalize(rows):
@@ -16,6 +17,12 @@ def normalize(rows):
         norm = math.sqrt(sum(v * v for v in row))
         out.append([v / norm for v in row])
     return out
+
+
+def guarded_unit_rows(rows):
+    """Rows scaled to unit length; a row shorter than NORM_FLOOR is divided by it."""
+    return [[v / max(math.sqrt(sum(x * x for x in row)), NORM_FLOOR) for v in row]
+            for row in rows]
 
 
 def sq_dist(x, y):
@@ -81,3 +88,41 @@ def bpr(pos_scores, neg_scores):
         # -log sigmoid(x), written to survive large |x|
         total += math.log1p(math.exp(-abs(x))) + max(-x, 0.0)
     return total / len(pos_scores)
+
+
+def ranking_metrics(user_rows, item_rows, train, validation, target, ks, score_mode, part):
+    """Mean Recall@K and NDCG@K by ranking every item for one user at a time.
+
+    `train`, `validation` and `target` map each user to a set of items. The
+    documented rules: scores are dot products, of unit rows (zero rows stay
+    zero) in cosine mode; excluded items (train, plus validation when
+    part="test") rank below every other item; ties rank by ascending item
+    index; 1-based rank r is discounted by 1 / log2(r + 1). Only users with
+    target items are scored. Sums run left to right, one term at a time.
+    """
+    if score_mode == "cosine":
+        user_rows, item_rows = guarded_unit_rows(user_rows), guarded_unit_rows(item_rows)
+    recall_sums = {k: 0.0 for k in ks}
+    ndcg_sums = {k: 0.0 for k in ks}
+    users = [user for user in range(len(user_rows)) if target.get(user)]
+    for user in users:
+        excluded = set(train.get(user, ()))
+        if part == "test":
+            excluded |= set(validation.get(user, ()))
+        scores = [sum(u * i for u, i in zip(user_rows[user], item_row)) for item_row in item_rows]
+        ranking = sorted(range(len(item_rows)),
+                         key=lambda item: (item in excluded, -scores[item], item))
+        relevant = target[user]
+        for k in ks:
+            top = ranking[:k]
+            recall_sums[k] += sum(1 for item in top if item in relevant) / len(relevant)
+            dcg = 0.0
+            for rank, item in enumerate(top, start=1):
+                if item in relevant:
+                    dcg += 1.0 / math.log2(rank + 1)
+            ideal = 0.0
+            for rank in range(1, min(len(relevant), k) + 1):
+                ideal += 1.0 / math.log2(rank + 1)
+            ndcg_sums[k] += dcg / ideal
+    n = len(users)
+    return {k: recall_sums[k] / n for k in ks}, {k: ndcg_sums[k] / n for k in ks}, n

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sphererec import cli
+from sphererec import cli, trainer
 
 
 def train_args(dataset, out_dir, **extra):
@@ -147,6 +147,18 @@ class TestSweepCommand:
         argv[0] = "sweep"
         argv += ["--gamma-ratios", "0.7:0.3", "--out", str(tmp_path / "s.csv")]
         assert cli.main(argv) == 2
+
+    @pytest.mark.parametrize("bad", [["--alpha-values", "0", "-1"], ["--k", "20", "20"],
+                                     ["--k", "0"]])
+    def test_bad_grid_value_or_k_exits_2_before_any_fit(self, synthetic_tsv, tmp_path,
+                                                        monkeypatch, bad):
+        fits = []
+        monkeypatch.setattr(trainer, "fit", lambda *args: fits.append(args))
+        argv = train_args(synthetic_tsv, tmp_path / "unused")
+        argv[0] = "sweep"
+        argv += bad + ["--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 2
+        assert fits == []
 
     def test_fixed_epochs_marks_no_best_row(self, synthetic_tsv, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"

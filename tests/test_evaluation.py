@@ -1,40 +1,11 @@
+import math
+
 import numpy as np
+import oracles
 import pytest
 
 from sphererec import data
-from sphererec.evaluation import evaluate, ndcg_at_k, recall_at_k
-
-
-class TestRecall:
-    def test_single_relevant_hit(self):
-        assert recall_at_k(np.array([3, 1]), {1}) == 1.0
-
-    def test_no_hits(self):
-        assert recall_at_k(np.array([3, 1]), {7}) == 0.0
-
-    def test_partial(self):
-        assert recall_at_k(np.array([1, 2, 3]), {1, 2, 8, 9}) == 0.5
-
-    def test_empty_relevant_rejected(self):
-        with pytest.raises(ValueError):
-            recall_at_k(np.array([1]), set())
-
-
-class TestNdcg:
-    def test_hit_at_rank_one(self):
-        assert ndcg_at_k(np.array([5, 1, 2]), {5}, 3) == pytest.approx(1.0)
-
-    def test_hit_at_rank_two(self):
-        assert ndcg_at_k(np.array([9, 5]), {5}, 2) == pytest.approx(1.0 / np.log2(3.0))
-
-    def test_no_hits(self):
-        assert ndcg_at_k(np.array([9, 8]), {5}, 2) == 0.0
-
-    def test_one_iff_all_relevant_on_top(self):
-        # both relevant items in the top-2 slots -> exactly 1
-        assert ndcg_at_k(np.array([4, 2, 7]), {2, 4}, 3) == pytest.approx(1.0)
-        # one relevant item pushed below a miss -> strictly below 1
-        assert ndcg_at_k(np.array([4, 7, 2]), {2, 4}, 3) < 1.0
+from sphererec.evaluation import MetricsReport, evaluate
 
 
 def oracle_cluster_embeddings(split):
@@ -46,6 +17,29 @@ def oracle_cluster_embeddings(split):
     items[:split.num_items // 2, 0] = 1.0
     items[split.num_items // 2:, 1] = 1.0
     return users, items
+
+
+def tie_heavy_fixture():
+    """A 40-user, 30-item split whose embeddings tie a lot and score exactly.
+
+    Rows are signed axis vectors or (+-0.5, +-0.5, +-0.5, +-0.5) scaled by 0,
+    0.5, 1, 2 or 3, so zero rows occur and every norm, unit row and score is
+    exact whatever the summation order; items 10-19 repeat rows 0-9.
+    """
+    rng = np.random.default_rng(3)
+    halves = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [-1, 1, 1, -1]])
+    palette = np.vstack([np.eye(4), -np.eye(4), halves, -halves])
+
+    def rows(n):
+        scales = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], size=(n, 1))
+        return palette[rng.integers(len(palette), size=n)] * scales
+
+    users, items = rows(40), rows(30)
+    items[10:20] = items[:10]
+    pairs = [(user, int(item)) for user in range(40)
+             for item in rng.choice(30, size=rng.integers(2, 16), replace=False)]
+    split = data.split_per_user(data.dataset_from_pairs(40, 30, pairs), seed=4)
+    return split, users, items
 
 
 class TestEvaluate:
@@ -101,6 +95,61 @@ class TestEvaluate:
             return data.dataset_from_pairs(1, num_items, [(0, item) for item in items])
         return data.SplitDataset(train=part(train_items), validation=part(validation_items),
                                  test=part(test_items), split_seed=0)
+
+    @staticmethod
+    def ranked_in_index_order(split, ks):
+        """Evaluate a one-user split whose item scores fall as the item index grows."""
+        items = np.arange(split.num_items, 0, -1, dtype=float)[:, None]
+        return evaluate(split, np.ones((1, 1)), items, ks=ks, score_mode="dot")
+
+    def test_hit_at_rank_one(self):
+        report = self.ranked_in_index_order(self.one_user_split(3, [], [], [0]), (1, 3))
+        assert report.recall == {1: 1.0, 3: 1.0} and report.ndcg == {1: 1.0, 3: 1.0}
+
+    def test_hit_at_rank_two(self):
+        report = self.ranked_in_index_order(self.one_user_split(3, [], [], [1]), (1, 2))
+        assert report.recall == {1: 0.0, 2: 1.0}
+        assert report.ndcg == {1: 0.0, 2: 1.0 / math.log2(3)}
+
+    def test_no_hits(self):
+        report = self.ranked_in_index_order(self.one_user_split(3, [], [], [2]), (2,))
+        assert report.recall[2] == 0.0 and report.ndcg[2] == 0.0
+
+    def test_partial_recall(self):
+        # items 0 and 1 of the relevant {0, 1, 7, 8} make the top 3
+        report = self.ranked_in_index_order(self.one_user_split(10, [], [], [0, 1, 7, 8]), (3,))
+        assert report.recall[3] == 0.5
+
+    def test_one_iff_all_relevant_on_top(self):
+        # both relevant items in the top-2 slots -> exactly 1
+        on_top = self.ranked_in_index_order(self.one_user_split(3, [], [], [0, 1]), (3,))
+        assert on_top.ndcg[3] == 1.0
+        # one relevant item pushed below a miss -> strictly below 1
+        below = self.ranked_in_index_order(self.one_user_split(3, [], [], [0, 2]), (3,))
+        assert below.ndcg[3] < 1.0
+
+    def test_k_larger_than_catalog(self):
+        # 4 items with item 0 excluded rank as 1, 2, 3, then 0: K = 10 covers them all
+        report = self.ranked_in_index_order(self.one_user_split(4, [0], [], [3]), (2, 10))
+        assert report.recall == {2: 0.0, 10: 1.0}
+        assert report.ndcg == {2: 0.0, 10: 0.5}
+
+    @pytest.mark.parametrize("part", ["test", "validation"])
+    @pytest.mark.parametrize("score_mode", ["cosine", "dot"])
+    def test_matches_naive_ranking_oracle(self, part, score_mode):
+        split, users, items = tie_heavy_fixture()
+        ks = (1, 3, 10, 40)  # 40 is more than the 30 items
+
+        def item_sets(part_data):
+            return {user: set(part_data.items_for_user(user).tolist())
+                    for user in range(part_data.num_users)}
+
+        target = split.test if part == "test" else split.validation
+        recall, ndcg, num_users = oracles.ranking_metrics(
+            users.tolist(), items.tolist(), item_sets(split.train), item_sets(split.validation),
+            item_sets(target), ks, score_mode, part)
+        report = evaluate(split, users, items, ks=ks, part=part, score_mode=score_mode)
+        assert report == MetricsReport(ks, recall, ndcg, num_users)
 
     def test_ties_across_kth_position_rank_by_ascending_index(self):
         # every item scores the same, so the top 2 are items 0 and 1

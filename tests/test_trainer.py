@@ -87,6 +87,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="num_layers"):
             TrainConfig(encoder="mf", num_layers=9)
 
+    @pytest.mark.parametrize("field_name, value", [
+        ("max_epochs", -3), ("weight_decay", -5.0), ("weight_decay", float("inf")),
+        ("lr", -1e-3), ("lr", float("nan")),
+    ])
+    def test_rejects_values_that_train_silently_wrong(self, field_name, value):
+        # caught before fit: a negative epoch count or decay trains silently
+        # wrong, and a NaN lr used to fail only after the first step
+        with pytest.raises(ValueError, match=field_name):
+            TrainConfig(**{field_name: value})
+
     def test_directau_pins_weights(self):
         cfg = TrainConfig(objective="directau",
                           weights=LossWeights(alpha=0.9, beta=9.0))
