@@ -42,6 +42,57 @@ def tie_heavy_fixture():
     return split, users, items
 
 
+def one_user_split(num_items, train_items, validation_items, test_items):
+    def part(items):
+        return data.dataset_from_pairs(1, num_items, [(0, item) for item in items])
+    return data.SplitDataset(train=part(train_items), validation=part(validation_items),
+                             test=part(test_items), split_seed=0)
+
+
+def ranked_in_index_order(split, ks):
+    """Evaluate a one-user split whose item scores fall as the item index grows."""
+    items = np.arange(split.num_items, 0, -1, dtype=float)[:, None]
+    return evaluate(split, np.ones((1, 1)), items, ks=ks, score_mode="dot")
+
+
+class TestRecall:
+    def test_single_relevant_hit(self):
+        report = ranked_in_index_order(one_user_split(3, [], [], [0]), (1, 3))
+        assert report.recall == {1: 1.0, 3: 1.0}
+
+    def test_no_hits(self):
+        report = ranked_in_index_order(one_user_split(3, [], [], [2]), (2,))
+        assert report.recall[2] == 0.0
+
+    def test_partial(self):
+        # items 0 and 1 of the relevant {0, 1, 7, 8} make the top 3
+        report = ranked_in_index_order(one_user_split(10, [], [], [0, 1, 7, 8]), (3,))
+        assert report.recall[3] == 0.5
+
+
+class TestNdcg:
+    def test_hit_at_rank_one(self):
+        report = ranked_in_index_order(one_user_split(3, [], [], [0]), (1, 3))
+        assert report.ndcg == {1: 1.0, 3: 1.0}
+
+    def test_hit_at_rank_two(self):
+        report = ranked_in_index_order(one_user_split(3, [], [], [1]), (1, 2))
+        assert report.recall == {1: 0.0, 2: 1.0}
+        assert report.ndcg == {1: 0.0, 2: 1.0 / math.log2(3)}
+
+    def test_no_hits(self):
+        report = ranked_in_index_order(one_user_split(3, [], [], [2]), (2,))
+        assert report.ndcg[2] == 0.0
+
+    def test_one_iff_all_relevant_on_top(self):
+        # both relevant items in the top-2 slots -> exactly 1
+        on_top = ranked_in_index_order(one_user_split(3, [], [], [0, 1]), (3,))
+        assert on_top.ndcg[3] == 1.0
+        # one relevant item pushed below a miss -> strictly below 1
+        below = ranked_in_index_order(one_user_split(3, [], [], [0, 2]), (3,))
+        assert below.ndcg[3] < 1.0
+
+
 class TestEvaluate:
     def test_oracle_embeddings_reach_full_recall(self, synthetic_split):
         users, items = oracle_cluster_embeddings(synthetic_split)
@@ -89,48 +140,9 @@ class TestEvaluate:
         without_exclusion = evaluate(no_exclusion_split, users, items, ks=(10,), part="test")
         assert with_exclusion.recall[10] >= without_exclusion.recall[10]
 
-    @staticmethod
-    def one_user_split(num_items, train_items, validation_items, test_items):
-        def part(items):
-            return data.dataset_from_pairs(1, num_items, [(0, item) for item in items])
-        return data.SplitDataset(train=part(train_items), validation=part(validation_items),
-                                 test=part(test_items), split_seed=0)
-
-    @staticmethod
-    def ranked_in_index_order(split, ks):
-        """Evaluate a one-user split whose item scores fall as the item index grows."""
-        items = np.arange(split.num_items, 0, -1, dtype=float)[:, None]
-        return evaluate(split, np.ones((1, 1)), items, ks=ks, score_mode="dot")
-
-    def test_hit_at_rank_one(self):
-        report = self.ranked_in_index_order(self.one_user_split(3, [], [], [0]), (1, 3))
-        assert report.recall == {1: 1.0, 3: 1.0} and report.ndcg == {1: 1.0, 3: 1.0}
-
-    def test_hit_at_rank_two(self):
-        report = self.ranked_in_index_order(self.one_user_split(3, [], [], [1]), (1, 2))
-        assert report.recall == {1: 0.0, 2: 1.0}
-        assert report.ndcg == {1: 0.0, 2: 1.0 / math.log2(3)}
-
-    def test_no_hits(self):
-        report = self.ranked_in_index_order(self.one_user_split(3, [], [], [2]), (2,))
-        assert report.recall[2] == 0.0 and report.ndcg[2] == 0.0
-
-    def test_partial_recall(self):
-        # items 0 and 1 of the relevant {0, 1, 7, 8} make the top 3
-        report = self.ranked_in_index_order(self.one_user_split(10, [], [], [0, 1, 7, 8]), (3,))
-        assert report.recall[3] == 0.5
-
-    def test_one_iff_all_relevant_on_top(self):
-        # both relevant items in the top-2 slots -> exactly 1
-        on_top = self.ranked_in_index_order(self.one_user_split(3, [], [], [0, 1]), (3,))
-        assert on_top.ndcg[3] == 1.0
-        # one relevant item pushed below a miss -> strictly below 1
-        below = self.ranked_in_index_order(self.one_user_split(3, [], [], [0, 2]), (3,))
-        assert below.ndcg[3] < 1.0
-
     def test_k_larger_than_catalog(self):
         # 4 items with item 0 excluded rank as 1, 2, 3, then 0: K = 10 covers them all
-        report = self.ranked_in_index_order(self.one_user_split(4, [0], [], [3]), (2, 10))
+        report = ranked_in_index_order(one_user_split(4, [0], [], [3]), (2, 10))
         assert report.recall == {2: 0.0, 10: 1.0}
         assert report.ndcg == {2: 0.0, 10: 0.5}
 
@@ -155,18 +167,18 @@ class TestEvaluate:
         # every item scores the same, so the top 2 are items 0 and 1
         items = np.ones((4, 1))
         for test_item, hit in ((1, 1.0), (2, 0.0)):
-            split = self.one_user_split(4, [], [], [test_item])
+            split = one_user_split(4, [], [], [test_item])
             report = evaluate(split, np.ones((1, 1)), items, ks=(2,), score_mode="dot")
             assert report.recall[2] == hit
 
     def test_train_and_validation_items_excluded_from_test_ranking(self):
         # scores fall with the item index: 0 (train) > 1 (validation) > 2 (test) > 3
-        split = self.one_user_split(4, [0], [1], [2])
+        split = one_user_split(4, [0], [1], [2])
         users, items = np.ones((1, 1)), np.array([[4.0], [3.0], [2.0], [1.0]])
         test = evaluate(split, users, items, ks=(1,), part="test", score_mode="dot")
         assert test.recall[1] == 1.0 and test.ndcg[1] == 1.0
         # with an empty validation part, item 1 is ranked and takes the top slot
-        leaky = evaluate(self.one_user_split(4, [0], [], [2]), users, items, ks=(1,),
+        leaky = evaluate(one_user_split(4, [0], [], [2]), users, items, ks=(1,),
                          part="test", score_mode="dot")
         assert leaky.recall[1] == 0.0
         validation = evaluate(split, users, items, ks=(1,), part="validation", score_mode="dot")
