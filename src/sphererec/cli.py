@@ -1,6 +1,6 @@
 """Command-line entry points: train, eval, sweep, geometry, inspect.
 
-Thread caps (RAU_NUM_THREADS or --single-thread) are applied to the BLAS
+Thread caps (RAU_NUM_THREADS or --single-thread) override the BLAS
 environment variables before any numerical module is imported, so the heavy
 imports happen inside the command handlers.
 """
@@ -28,7 +28,7 @@ def _apply_thread_cap(single_thread: bool) -> None:
     if cap is None:
         return
     for name in _THREAD_ENV_VARS:
-        os.environ.setdefault(name, cap)
+        os.environ[name] = cap
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -98,7 +98,7 @@ def _evaluate_tables(split, user_table, item_table, cfg, score_mode=None, **eval
 
 def cmd_train(args) -> int:
     from .data import write_split_manifest
-    from .hypersphere import save_checkpoint
+    from .hypersphere import save_checkpoint, write_json
     from .trainer import fit, write_diagnostics_csv
 
     cfg, payload = _resolve_train_config(args)
@@ -106,10 +106,9 @@ def cmd_train(args) -> int:
     report, user_table, item_table = fit(split, cfg)
 
     out = _run_dir(args.out_dir, cfg)
-    out.mkdir(parents=True, exist_ok=True)
     sidecar_config = dict(cfg.to_dict(), dataset=str(dataset_path))
     save_checkpoint(out, user_table, item_table, cfg.seed, sidecar_config)
-    report.to_json(out / "report.json")
+    write_json(out / "report.json", report.to_dict())
     write_diagnostics_csv(report, out / "diagnostics.csv", cfg.eval_k_for_stopping)
     write_split_manifest(split, out / "split_manifest.json")
 
@@ -118,13 +117,13 @@ def cmd_train(args) -> int:
     if report.best_val is not None:
         print(f"best validation: {report.best_val}")
     test_report = _evaluate_tables(split, user_table, item_table, cfg)
-    test_report.to_json(out / "test_metrics.json")
+    write_json(out / "test_metrics.json", test_report.to_dict())
     print(test_report.format_table())
     return 0
 
 
 def cmd_eval(args) -> int:
-    from .hypersphere import load_checkpoint
+    from .hypersphere import load_checkpoint, write_json
     from .trainer import TrainConfig
 
     user_table, item_table, sidecar = load_checkpoint(args.checkpoint)
@@ -134,7 +133,7 @@ def cmd_eval(args) -> int:
                               ks=tuple(args.k), part=args.part)
     print(report.format_table())
     if args.out:
-        report.to_json(args.out)
+        write_json(args.out, report.to_dict())
     if args.out_csv:
         report.to_csv(args.out_csv)
     return 0
@@ -159,6 +158,7 @@ def _sweep_point(task):
 
 def cmd_sweep(args) -> int:
     from .evaluation import check_ks
+    from .hypersphere import write_csv
     from .trainer import TrainConfig
 
     base_cfg, base_payload = _resolve_train_config(args)
@@ -187,15 +187,10 @@ def cmd_sweep(args) -> int:
     # fixed-epoch fits never score the validation part, so no row can be best
     best_index = None if base_cfg.fixed_epochs else max(
         range(len(rows)), key=lambda i: rows[i][f"best_val_ndcg@{stopping_k}"])
-    columns = list(rows[0].keys()) + ["best"]
-    lines = [",".join(columns)]
-    for index, row in enumerate(rows):
-        cells = [repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns[:-1]]
-        cells.append("*" if index == best_index else "")
-        lines.append(",".join(cells))
-    csv_text = "\n".join(lines) + "\n"
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(csv_text, encoding="utf-8")
+    csv_text = write_csv(args.out, [*rows[0], "best"],
+                         [[*row.values(), "*" if index == best_index else None]
+                          for index, row in enumerate(rows)])
     print(csv_text, end="")
     if best_index is None:
         print("best grid point: none (--fixed-epochs trains without a validation metric)")
@@ -214,13 +209,14 @@ def _parse_gamma_ratio(token: str) -> tuple[float, float]:
 
 def cmd_geometry(args) -> int:
     from .geometry import (CircleConfig, config_metrics, sweep_moving_point, sweep_to_csv,
-                           verification_to_json, verify_low_variance_claim)
+                           verify_low_variance_claim)
+    from .hypersphere import write_json
 
     rows = sweep_moving_point(tuple(args.fixed), args.step)
     verification = verify_low_variance_claim(rows)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     sweep_to_csv(rows, args.out_dir / "sweep.csv")
-    verification_to_json(verification, args.out_dir / "verification.json")
+    write_json(args.out_dir / "verification.json", dataclasses.asdict(verification))
     print(f"rows: {len(rows)}")
     print(f"uniform-loss minimum at {verification.min_loss_angle_deg} deg, "
           f"variance there {verification.variance_at_min:.3e}, "

@@ -8,11 +8,12 @@ collapse to a single interaction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .hypersphere import write_json
 
 DEFAULT_RATIOS = (0.8, 0.1, 0.1)
 
@@ -238,7 +239,7 @@ def two_cluster_dataset(
 
 def write_split_manifest(split: SplitDataset, path) -> None:
     """Write a JSON manifest recording seed, ratios, and per-part counts."""
-    manifest = {
+    write_json(path, {
         "split_seed": split.split_seed,
         "ratios": list(DEFAULT_RATIOS),
         "num_users": split.num_users,
@@ -248,5 +249,4 @@ def write_split_manifest(split: SplitDataset, path) -> None:
             "validation": split.validation.num_interactions,
             "test": split.test.num_interactions,
         },
-    }
-    Path(path).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    })

@@ -9,14 +9,13 @@ cosine similarities (hypersphere geometry).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .data import InteractionDataset, SplitDataset
+from .hypersphere import write_csv
 
 DEFAULT_KS = (20, 50)
 _CHUNK = 1024
@@ -39,14 +38,9 @@ class MetricsReport:
             "num_users_evaluated": self.num_users_evaluated,
         }
 
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
-
     def to_csv(self, path) -> None:
-        columns = ["k", "recall", "ndcg"]
-        lines = [",".join(columns)]
-        lines += [f"{k},{self.recall[k]!r},{self.ndcg[k]!r}" for k in self.ks]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_csv(path, ["k", "recall", "ndcg"],
+                  [(k, self.recall[k], self.ndcg[k]) for k in self.ks])
 
     def format_table(self) -> str:
         """Percentage table with two decimals, one column per metric@K."""
@@ -145,6 +139,7 @@ def evaluate(
         dcg = np.cumsum(hits * discounts, axis=1)[:, last_column]
         ndcg = dcg / ideal_dcg[np.minimum(num_relevant, ks) - 1]
         per_user.append(np.concatenate([recall, ndcg], axis=1))
+        del scores, ranked, ranked_keys, found, hits  # freed before the next chunk allocates
 
     # cumsum adds one user at a time in user order, as a running total does;
     # np.sum's pairwise order could change the last digits of the means

@@ -9,14 +9,13 @@ deceptively low uniformity loss while their variance spikes.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.stats import spearmanr
 
+from .hypersphere import write_csv
 from .losses import uniformity_and_variance
 
 
@@ -51,13 +50,6 @@ class SweepVerification:
     min_loss_angle_deg: float
     variance_at_min: float
     rank_correlation: float
-
-    def to_dict(self) -> dict:
-        return {
-            "min_loss_angle_deg": self.min_loss_angle_deg,
-            "variance_at_min": self.variance_at_min,
-            "rank_correlation": self.rank_correlation,
-        }
 
 
 def circle_points(angles_deg) -> np.ndarray:
@@ -108,10 +100,5 @@ def verify_low_variance_claim(rows: list[SweepRow]) -> SweepVerification:
 
 
 def sweep_to_csv(rows: list[SweepRow], path) -> None:
-    lines = ["moving_angle,uniform_loss,kernel_variance"]
-    lines += [f"{row.moving_angle_deg!r},{row.uniform_loss!r},{row.kernel_variance!r}" for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def verification_to_json(verification: SweepVerification, path) -> None:
-    Path(path).write_text(json.dumps(verification.to_dict(), indent=2) + "\n", encoding="utf-8")
+    # the header says `moving_angle` for the moving_angle_deg field; sweep.csv readers use it
+    write_csv(path, ["moving_angle", "uniform_loss", "kernel_variance"], map(astuple, rows))

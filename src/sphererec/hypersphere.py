@@ -1,9 +1,10 @@
-"""Hypersphere primitives: embedding tables, normalization, checkpoint IO.
+"""Hypersphere primitives: embedding tables, normalization, checkpoint and artifact IO.
 
 Raw embeddings are stored unnormalized; losses normalize on the fly so
 gradients flow through the normalization. Checkpoints store one table per
 file: a fixed binary header followed by row-major little-endian float32
-values, plus a JSON sidecar written alongside the pair of tables.
+values, plus a JSON sidecar. Every JSON and CSV run artifact goes through
+`write_json` and `write_csv`; this module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -82,6 +83,19 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
+def write_json(path, payload) -> None:
+    """Write `payload` as UTF-8 JSON indented by 2, with a trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def write_csv(path, header, rows) -> str:
+    """Write header and rows as lines of comma-joined `str` cells, None empty; return the text."""
+    text = "".join(",".join("" if cell is None else str(cell) for cell in row) + "\n"
+                   for row in [header, *rows])
+    Path(path).write_text(text, encoding="utf-8")
+    return text
+
+
 def save_embedding_table(path, table: EmbeddingTable, role: str) -> None:
     """Write one table: header (magic, version, rows, dim, role) + f32 rows."""
     if role not in _ROLES:
@@ -116,12 +130,12 @@ def save_checkpoint(directory, user_table: EmbeddingTable, item_table: Embedding
     directory.mkdir(parents=True, exist_ok=True)
     save_embedding_table(directory / "user.emb", user_table, "user")
     save_embedding_table(directory / "item.emb", item_table, "item")
-    sidecar = {"seed": seed, "config_hash": config_hash(config), "config": config}
-    (directory / "checkpoint.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    write_json(directory / "checkpoint.json",
+               {"seed": seed, "config_hash": config_hash(config), "config": config})
 
 
 def load_checkpoint(directory) -> tuple[EmbeddingTable, EmbeddingTable, dict]:
-    """Read back the (user, item, sidecar) triple written by save_checkpoint."""
+    """Read back save_checkpoint's (user, item, sidecar); reject an edited or partial sidecar."""
     directory = Path(directory)
     user_table, role = load_embedding_table(directory / "user.emb")
     if role != "user":
@@ -130,4 +144,9 @@ def load_checkpoint(directory) -> tuple[EmbeddingTable, EmbeddingTable, dict]:
     if role != "item":
         raise ValueError(f"{directory}/item.emb has role {role!r}, expected 'item'")
     sidecar = json.loads((directory / "checkpoint.json").read_text(encoding="utf-8"))
+    missing = [key for key in ("seed", "config_hash", "config") if key not in sidecar]
+    if missing:
+        raise ValueError(f"{directory}/checkpoint.json lacks {', '.join(missing)}")
+    if config_hash(sidecar["config"]) != sidecar["config_hash"]:
+        raise ValueError(f"{directory}/checkpoint.json: config does not match its config_hash")
     return user_table, item_table, sidecar

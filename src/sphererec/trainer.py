@@ -9,17 +9,15 @@ epochs without the O(N^2) cost of all-pairs statistics.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
 from . import encoders, losses
 from .data import SplitDataset, epoch_batches
 from .evaluation import evaluate
-from .hypersphere import EmbeddingTable, init_xavier, l2_normalize
+from .hypersphere import EmbeddingTable, init_xavier, l2_normalize, write_csv
 from .losses import LossWeights
 
 ADAM_BETA1 = 0.9
@@ -31,6 +29,9 @@ ENCODERS = ("mf", "lightgcn")
 
 PROBE_LIMIT = 2048
 DIRECTAU_WEIGHTS = LossWeights(alpha=0.0, beta=0.0, gamma_user=0.5, gamma_item=0.5)
+# the types each annotation accepts: a float field takes an int too, so a JSON "lr": 1
+# keeps its run hash; a bool, though an int subclass, fits only a bool field
+_ACCEPTED_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,11 @@ class TrainConfig:
     bpr_full_history_rejection: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in _ACCEPTED_TYPES and (isinstance(value, bool) != (f.type == "bool")
+                                           or not isinstance(value, _ACCEPTED_TYPES[f.type])):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.encoder not in ENCODERS:
@@ -172,9 +178,6 @@ class TrainReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
 
 
 class TrainState:
@@ -383,10 +386,8 @@ def write_diagnostics_csv(report: TrainReport, path, stopping_k: int) -> None:
     diag_columns = [f.name for f in fields(EpochDiagnostics) if f.name != "wall_time_s"]
     val_columns = [f"recall@{stopping_k}", f"ndcg@{stopping_k}"]
     val_by_epoch = {entry["epoch"]: entry for entry in report.val_history}
-    lines = [",".join(diag_columns + [f"val_{c}" for c in val_columns])]
-    for diag in report.diagnostics:
-        entry = val_by_epoch.get(diag.epoch)
-        row = [repr(getattr(diag, c)) for c in diag_columns]
-        row += [repr(entry[c]) if entry else "" for c in val_columns]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # an epoch without a validation entry (fixed_epochs) gets empty cells
+    write_csv(path, diag_columns + [f"val_{c}" for c in val_columns],
+              [[getattr(diag, c) for c in diag_columns]
+               + [val_by_epoch.get(diag.epoch, {}).get(c) for c in val_columns]
+               for diag in report.diagnostics])

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -65,6 +66,31 @@ class TestTrainCommand:
                          "--max-epochs", "1"]) == 0
         report = json.loads((only_run_dir(out_dir) / "report.json").read_text())
         assert report["epochs_run"] == 1
+
+    def test_mistyped_config_value_exits_2(self, synthetic_tsv, tmp_path, capsys):
+        # "false" is a string, not a bool: it used to train without validation
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fixed_epochs": "false", "max_epochs": 1,
+                                      "dataset": str(synthetic_tsv)}))
+        out_dir = tmp_path / "runs"
+        assert cli.main(["train", "--config", str(config), "--out-dir", str(out_dir)]) == 2
+        assert "fixed_epochs" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("single_thread, rau_num_threads, expected", [
+    (True, None, "1"), (False, "2", "2"),
+])
+def test_thread_cap_overrides_inherited_variables(monkeypatch, single_thread,
+                                                  rau_num_threads, expected):
+    for name in cli._THREAD_ENV_VARS:
+        monkeypatch.setenv(name, "4")
+    if rau_num_threads is None:
+        monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RAU_NUM_THREADS", rau_num_threads)
+    cli._apply_thread_cap(single_thread)
+    assert [os.environ[name] for name in cli._THREAD_ENV_VARS] == [expected] * 4
 
 
 class TestEvalCommand:

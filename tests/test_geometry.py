@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 import oracles
 from sphererec import geometry
+from sphererec.hypersphere import write_json
 from sphererec.geometry import (CircleConfig, SweepRow, config_metrics, sweep_moving_point,
                                 verify_low_variance_claim)
 
@@ -102,5 +105,7 @@ def test_csv_and_json_outputs(tmp_path):
     assert lines[0] == "moving_angle,uniform_loss,kernel_variance"
     assert len(lines) == 5
     verification = verify_low_variance_claim(rows)
-    geometry.verification_to_json(verification, tmp_path / "verify.json")
-    assert (tmp_path / "verify.json").exists()
+    write_json(tmp_path / "verify.json", dataclasses.asdict(verification))
+    written = json.loads((tmp_path / "verify.json").read_text())
+    assert list(written) == ["min_loss_angle_deg", "variance_at_min", "rank_correlation"]
+    assert written["min_loss_angle_deg"] == verification.min_loss_angle_deg

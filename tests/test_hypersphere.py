@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,25 @@ class TestCheckpointIO:
         assert sidecar["config_hash"] == hs.config_hash(config)
         assert sidecar["config"] == config
 
+    @pytest.mark.parametrize("key", ["seed", "config_hash", "config"])
+    def test_sidecar_missing_key_rejected(self, tmp_path, key):
+        hs.save_checkpoint(tmp_path, hs.init_xavier(3, 4, seed=0), hs.init_xavier(5, 4, seed=1),
+                           seed=42, config={"encoder": "mf"})
+        sidecar = json.loads((tmp_path / "checkpoint.json").read_text())
+        del sidecar[key]
+        hs.write_json(tmp_path / "checkpoint.json", sidecar)
+        with pytest.raises(ValueError, match=f"lacks {key}"):
+            hs.load_checkpoint(tmp_path)
+
+    def test_edited_sidecar_config_rejected(self, tmp_path):
+        hs.save_checkpoint(tmp_path, hs.init_xavier(3, 4, seed=0), hs.init_xavier(5, 4, seed=1),
+                           seed=42, config={"encoder": "mf"})
+        sidecar = json.loads((tmp_path / "checkpoint.json").read_text())
+        sidecar["config"]["encoder"] = "lightgcn"
+        hs.write_json(tmp_path / "checkpoint.json", sidecar)
+        with pytest.raises(ValueError, match="config_hash"):
+            hs.load_checkpoint(tmp_path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.emb"
         path.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")
@@ -101,3 +122,13 @@ class TestCheckpointIO:
     def test_bad_role_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="role"):
             hs.save_embedding_table(tmp_path / "t.emb", hs.init_xavier(2, 2, 0), "query")
+
+
+def test_artifact_writers_exact_bytes(tmp_path):
+    hs.write_json(tmp_path / "a.json", {"ks": [20, 0.5], "best": {"epoch": None}})
+    assert (tmp_path / "a.json").read_bytes() == (
+        b'{\n  "ks": [\n    20,\n    0.5\n  ],\n  "best": {\n    "epoch": null\n  }\n}\n')
+    text = hs.write_csv(tmp_path / "a.csv", ["k", "recall", "best"],
+                        [(20, np.float64(0.1), None), (50, 1 / 3, "*")])
+    assert text == "k,recall,best\n20,0.1,\n50,0.3333333333333333,*\n"
+    assert (tmp_path / "a.csv").read_bytes() == text.encode("utf-8")

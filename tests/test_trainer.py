@@ -97,6 +97,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field_name):
             TrainConfig(**{field_name: value})
 
+    @pytest.mark.parametrize("field_name, value", [
+        ("fixed_epochs", "false"), ("dim", "16"), ("lr", "0.01"), ("max_epochs", 1.5),
+        ("batch_size", 64.0), ("seed", True), ("lr", True), ("objective", 1),
+    ])
+    def test_rejects_mistyped_values(self, field_name, value):
+        # a JSON config can carry any type; "false" used to switch validation
+        # off, "16" failed with a TypeError deep inside fit
+        with pytest.raises(ValueError, match=f"{field_name} must be of type"):
+            TrainConfig(**{field_name: value})
+
+    def test_int_accepted_for_float_field(self):
+        # a JSON `"lr": 1` stays accepted and stays an int in the hashed dict
+        lr = TrainConfig.from_dict({"lr": 1}).to_dict()["lr"]
+        assert type(lr) is int and lr == 1
+
     def test_directau_pins_weights(self):
         cfg = TrainConfig(objective="directau",
                           weights=LossWeights(alpha=0.9, beta=9.0))
@@ -300,3 +315,14 @@ class TestDiagnosticsCsv:
         lines = path.read_text().strip().split("\n")
         assert lines[0].startswith("epoch,align,uniform_user")
         assert len(lines) == 1 + report.epochs_run
+
+    def test_fixed_epochs_rows_end_with_empty_validation_cells(self, tmp_path):
+        split = small_split()
+        cfg = base_config(max_epochs=2, fixed_epochs=True)
+        report, *_ = trainer.fit(split, cfg)
+        path = tmp_path / "diag.csv"
+        trainer.write_diagnostics_csv(report, path, cfg.eval_k_for_stopping)
+        header, *rows = path.read_text().strip().split("\n")
+        assert header.endswith(",val_recall@20,val_ndcg@20")
+        assert len(rows) == 2
+        assert all(row.endswith(",,") and ",,," not in row for row in rows)
