@@ -5,6 +5,11 @@ items (and validation items, when scoring the test part) are excluded before
 ranking. Ties break by ascending item index so runs are reproducible across
 platforms. Scores are either raw dot products (ranking-loss geometry) or
 cosine similarities (hypersphere geometry).
+
+Only the top max(K) columns are ranked. A partition finds each user's K-th
+best score; every item scoring at least that much, ties included, is a
+candidate, and a stable sort of the candidates alone gives the same top K as
+a stable sort of the whole catalog.
 """
 
 from __future__ import annotations
@@ -77,6 +82,23 @@ def _guarded_unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / np.maximum(norms, 1e-12)
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(-scores, axis=1, kind="stable")[:, :k], sorting only the candidates.
+
+    `scores` is negated in place. A row's candidates are the cells not
+    ranked below its k-th best, which keeps every tie of the k-th score (and
+    NaN cells, which argsort ranks last), so each row has at least k.
+    """
+    neg = np.negative(scores, out=scores)
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
+    candidates = ~(neg > kth)
+    rows, columns = np.nonzero(candidates)  # row-major: columns ascend within a row
+    order = np.lexsort((neg[candidates], rows))  # stable: equal scores keep column order
+    counts = np.bincount(rows, minlength=neg.shape[0])
+    starts = np.cumsum(counts) - counts  # where each row's candidates begin in `order`
+    return columns[order[starts[:, None] + np.arange(k)]]
+
+
 def evaluate(
     split: SplitDataset,
     user_vectors: np.ndarray,
@@ -90,7 +112,8 @@ def evaluate(
     Exclusion per user: training items always; validation items too when
     part="test" (prevents validation leakage into test ranks).
     `user_vectors`/`item_vectors` are the ENCODED full tables; pass
-    score_mode="dot" for models trained on raw dot products.
+    score_mode="dot" for models trained on raw dot products. Both tables
+    must be finite.
     """
     if part not in ("validation", "test"):
         raise ValueError(f"part must be 'validation' or 'test', got {part!r}")
@@ -104,6 +127,9 @@ def evaluate(
             f"checkpoint covers {user_vectors.shape[0]} users / {item_vectors.shape[0]} items, "
             f"split has {split.num_users} / {split.num_items}"
         )
+    for name, vectors in (("user_vectors", user_vectors), ("item_vectors", item_vectors)):
+        if not np.isfinite(vectors).all():
+            raise ValueError(f"{name} contains non-finite entries")
     if score_mode == "cosine":
         user_vectors = _guarded_unit_rows(user_vectors)
         item_vectors = _guarded_unit_rows(item_vectors)
@@ -127,7 +153,7 @@ def evaluate(
         scores = user_vectors[chunk] @ item_vectors.T
         for excluded in excluded_parts:
             scores[_csr_cells(excluded, chunk)] = -np.inf
-        ranked = np.argsort(-scores, axis=1, kind="stable")[:, :ranked_columns]
+        ranked = _top_k(scores, ranked_columns)
         # a ranked cell is a hit when its row * num_items + item key is a target key
         rows, items = _csr_cells(target, chunk)
         target_keys = rows * split.num_items + items

@@ -34,6 +34,12 @@ DIRECTAU_WEIGHTS = LossWeights(alpha=0.0, beta=0.0, gamma_user=0.5, gamma_item=0
 _ACCEPTED_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
+def _check_type(name: str, value, type_name: str) -> None:
+    if (isinstance(value, bool) != (type_name == "bool")
+            or not isinstance(value, _ACCEPTED_TYPES[type_name])):
+        raise ValueError(f"{name} must be of type {type_name}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     objective: str = "rau"
@@ -53,10 +59,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type in _ACCEPTED_TYPES and (isinstance(value, bool) != (f.type == "bool")
-                                           or not isinstance(value, _ACCEPTED_TYPES[f.type])):
-                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type in _ACCEPTED_TYPES:
+                _check_type(f.name, getattr(self, f.name), f.type)
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.encoder not in ENCODERS:
@@ -104,9 +108,20 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainConfig":
-        """Inverse of to_dict; absent keys take their defaults, unknown keys are ignored."""
-        weights = LossWeights(**{f.name: float(payload[f.name])
-                                 for f in fields(LossWeights) if f.name in payload})
+        """Inverse of to_dict; absent keys take their defaults.
+
+        A `dataset` key (the run's data file) is skipped; any other key that
+        is not a config field raises ValueError, as does a weight that is not
+        an int or a float. Weights are stored as floats, so `"beta": 5` and
+        `"beta": 5.0` give the same config.
+        """
+        unknown = sorted(payload.keys() - cls().to_dict().keys() - {"dataset"})
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
+        weight_fields = [f for f in fields(LossWeights) if f.name in payload]
+        for f in weight_fields:
+            _check_type(f.name, payload[f.name], f.type)
+        weights = LossWeights(**{f.name: float(payload[f.name]) for f in weight_fields})
         known = {f.name: payload[f.name] for f in fields(cls)
                  if f.name != "weights" and f.name in payload}
         return cls(weights=weights, **known)

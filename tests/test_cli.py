@@ -117,6 +117,19 @@ class TestEvalCommand:
         metrics = json.loads(out_json.read_text())
         assert metrics["recall"]["1"] > 0.0
 
+    @pytest.mark.parametrize("encoder", ["mf", "lightgcn"])
+    @pytest.mark.parametrize("objective", ["rau", "bpr"])
+    def test_eval_of_fresh_run_writes_its_test_metrics(self, synthetic_tsv, tmp_path,
+                                                       encoder, objective):
+        # the checkpoint read back from disk ranks exactly as the trained tables did
+        out_dir = tmp_path / "runs"
+        assert cli.main(train_args(synthetic_tsv, out_dir, encoder=encoder, objective=objective,
+                                   dim=16, **{"batch-size": 128, "max-epochs": 6})) == 0
+        run = only_run_dir(out_dir)
+        out_json = tmp_path / "metrics.json"
+        assert cli.main(["eval", "--checkpoint", str(run), "--out", str(out_json)]) == 0
+        assert out_json.read_bytes() == (run / "test_metrics.json").read_bytes()
+
     def test_malformed_checkpoint_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad"
         bad.mkdir()

@@ -3,9 +3,19 @@ import math
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sphererec import data
-from sphererec.evaluation import MetricsReport, evaluate
+from sphererec.evaluation import MetricsReport, _top_k, evaluate
+
+# heavy ties, excluded (-inf) cells, and the NaN and +inf that overflowing dot products give
+tied_scores = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 6), st.integers(1, 12)),
+    elements=st.sampled_from([-np.inf, 0.0, 1.0, 2.0, 3.0, np.inf, np.nan]),
+)
 
 
 def oracle_cluster_embeddings(split):
@@ -162,6 +172,46 @@ class TestEvaluate:
             item_sets(target), ks, score_mode, part)
         report = evaluate(split, users, items, ks=ks, part=part, score_mode=score_mode)
         assert report == MetricsReport(ks, recall, ndcg, num_users)
+
+    @pytest.mark.parametrize("ks", [(1, 3, 10), (2, 7), (25,), (29,)])
+    @pytest.mark.parametrize("part", ["test", "validation"])
+    @pytest.mark.parametrize("score_mode", ["cosine", "dot"])
+    def test_matches_naive_ranking_oracle_below_catalog_size(self, ks, part, score_mode):
+        # every K is below the 30 items, so each one cuts the ranking
+        split, users, items = tie_heavy_fixture()
+
+        def item_sets(part_data):
+            return {user: set(part_data.items_for_user(user).tolist())
+                    for user in range(part_data.num_users)}
+
+        target = split.test if part == "test" else split.validation
+        recall, ndcg, num_users = oracles.ranking_metrics(
+            users.tolist(), items.tolist(), item_sets(split.train), item_sets(split.validation),
+            item_sets(target), ks, score_mode, part)
+        report = evaluate(split, users, items, ks=ks, part=part, score_mode=score_mode)
+        assert report == MetricsReport(ks, recall, ndcg, num_users)
+
+    def test_excluded_items_fill_the_tail_when_fewer_than_k_remain(self):
+        # 6 items, 4 excluded from the test ranking: K = 5 ranks 1, 4, then 0, 2, 3
+        report = ranked_in_index_order(one_user_split(6, [0, 2, 3], [5], [4]), (1, 5))
+        assert report.recall == {1: 0.0, 5: 1.0}
+        assert report.ndcg == {1: 0.0, 5: 1.0 / math.log2(3)}
+
+    @given(tied_scores)
+    @settings(max_examples=300, deadline=None)
+    def test_top_k_equals_full_stable_argsort(self, scores):
+        ranking = np.argsort(-scores, axis=1, kind="stable")
+        for k in range(1, scores.shape[1] + 1):
+            np.testing.assert_array_equal(_top_k(scores.copy(), k), ranking[:, :k])
+
+    @pytest.mark.parametrize("table", ["user_vectors", "item_vectors"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_vectors(self, synthetic_split, table, bad):
+        # a NaN user row used to be ranked with its training items on top
+        users, items = oracle_cluster_embeddings(synthetic_split)
+        (users if table == "user_vectors" else items)[0, 0] = bad
+        with pytest.raises(ValueError, match=f"{table} contains non-finite"):
+            evaluate(synthetic_split, users, items)
 
     def test_ties_across_kth_position_rank_by_ascending_index(self):
         # every item scores the same, so the top 2 are items 0 and 1

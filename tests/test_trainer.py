@@ -107,6 +107,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{field_name} must be of type"):
             TrainConfig(**{field_name: value})
 
+    @pytest.mark.parametrize("field_name, value", [("alpha", "0.5"), ("beta", True)])
+    def test_from_dict_rejects_mistyped_weight(self, field_name, value):
+        # float() used to turn "0.5" into 0.5 and True into 1.0
+        with pytest.raises(ValueError, match=f"{field_name} must be of type float"):
+            TrainConfig.from_dict({field_name: value})
+        # an int weight is still stored as the float it always was
+        assert TrainConfig.from_dict({"beta": 5}) == TrainConfig.from_dict({"beta": 5.0})
+
+    def test_from_dict_rejects_unknown_key(self):
+        # a misspelt "max_epoch" used to be dropped, training for the default 100 epochs
+        with pytest.raises(ValueError, match="max_epoch"):
+            TrainConfig.from_dict({"max_epoch": 3})
+        assert TrainConfig.from_dict({"max_epochs": 3, "dataset": "data.tsv"}).max_epochs == 3
+
     def test_int_accepted_for_float_field(self):
         # a JSON `"lr": 1` stays accepted and stays an int in the hashed dict
         lr = TrainConfig.from_dict({"lr": 1}).to_dict()["lr"]
