@@ -43,9 +43,6 @@ class InteractionDataset:
         """Sorted item indices this user interacted with."""
         return self.user_items[self.user_indptr[user]:self.user_indptr[user + 1]]
 
-    def interaction_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(i)) for u, i in self.interactions}
-
 
 @dataclass(eq=False, frozen=True)
 class SplitDataset:
@@ -71,9 +68,6 @@ class PositivePairBatch:
 
     user_indices: np.ndarray
     item_indices: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.user_indices.shape[0])
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

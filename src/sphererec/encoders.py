@@ -69,8 +69,8 @@ def build_norm_adjacency(train: InteractionDataset) -> NormalizedAdjacency:
 def mf_encode(table: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
     """Gather table rows by id; ids may repeat."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.rows):
-        raise ValueError(f"id out of range [0, {table.rows})")
+    if ids.size and (ids.min() < 0 or ids.max() >= len(table.values)):
+        raise ValueError(f"id out of range [0, {len(table.values)})")
     return table.values[ids]
 
 
@@ -87,12 +87,12 @@ def scatter_rows(grad_rows: np.ndarray, ids: np.ndarray, num_rows: int) -> np.nd
 
 def _check_adjacency(user_table: EmbeddingTable, item_table: EmbeddingTable,
                      adj: NormalizedAdjacency) -> None:
-    if user_table.rows != adj.num_users or item_table.rows != adj.num_items:
+    if len(user_table.values) != adj.num_users or len(item_table.values) != adj.num_items:
         raise ValueError(
             f"adjacency built for {adj.num_users} users / {adj.num_items} items, "
-            f"tables have {user_table.rows} / {item_table.rows}"
+            f"tables have {len(user_table.values)} / {len(item_table.values)}"
         )
-    if user_table.dim != item_table.dim:
+    if user_table.values.shape[1] != item_table.values.shape[1]:
         raise ValueError("user and item tables must share one dimensionality")
 
 

@@ -27,23 +27,20 @@ _ROLES = ("user", "item")
 
 @dataclass(eq=False)
 class EmbeddingTable:
-    """A rows x dim matrix of raw (unnormalized) embedding vectors."""
+    """A rows x dim matrix of raw (unnormalized) embedding vectors, `values`."""
 
-    rows: int
-    dim: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.rows, self.dim):
-            raise ValueError(f"values shape {self.values.shape} != ({self.rows}, {self.dim})")
+        if self.values.ndim != 2 or self.values.shape[1] < 2:
+            raise ValueError(f"values must be rows x dim with dim >= 2, "
+                             f"got shape {self.values.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("embedding table contains non-finite entries")
 
     def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.rows, self.dim, self.values.copy())
+        return EmbeddingTable(self.values.copy())
 
 
 def init_xavier(rows: int, dim: int, seed: int) -> EmbeddingTable:
@@ -58,7 +55,7 @@ def init_xavier(rows: int, dim: int, seed: int) -> EmbeddingTable:
         raise ValueError(f"dim must be >= 2, got {dim}")
     bound = np.sqrt(6.0 / (dim + dim))
     values = np.random.default_rng(seed).uniform(-bound, bound, size=(rows, dim))
-    return EmbeddingTable(rows=rows, dim=dim, values=values)
+    return EmbeddingTable(values)
 
 
 def normalize_with_norms(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +97,7 @@ def save_embedding_table(path, table: EmbeddingTable, role: str) -> None:
     """Write one table: header (magic, version, rows, dim, role) + f32 rows."""
     if role not in _ROLES:
         raise ValueError(f"role must be one of {_ROLES}, got {role!r}")
-    header = _HEADER.pack(_MAGIC, _VERSION, table.rows, table.dim, _ROLES.index(role))
+    header = _HEADER.pack(_MAGIC, _VERSION, *table.values.shape, _ROLES.index(role))
     payload = table.values.astype("<f4").tobytes(order="C")
     Path(path).write_bytes(header + payload)
 
@@ -120,7 +117,7 @@ def load_embedding_table(path) -> tuple[EmbeddingTable, str]:
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
     values = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(rows, dim)
-    return EmbeddingTable(rows=rows, dim=dim, values=values.astype(np.float64)), _ROLES[role_code]
+    return EmbeddingTable(values.astype(np.float64)), _ROLES[role_code]
 
 
 def save_checkpoint(directory, user_table: EmbeddingTable, item_table: EmbeddingTable,

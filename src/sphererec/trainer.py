@@ -78,9 +78,7 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.eval_k_for_stopping < 1:
             raise ValueError(f"eval_k_for_stopping must be >= 1, got {self.eval_k_for_stopping}")
-        if not 0 <= self.num_layers <= encoders.MAX_LAYERS:
-            raise ValueError(f"num_layers must be in [0, {encoders.MAX_LAYERS}], "
-                             f"got {self.num_layers}")
+        encoders.GraphEncoderConfig(num_layers=self.num_layers)  # raises when out of range
 
     @property
     def score_mode(self) -> str:
@@ -146,7 +144,7 @@ def adam_step(
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
-) -> tuple[np.ndarray, AdamState]:
+) -> None:
     """One bias-corrected Adam update, mutating params and state in place.
 
     Weight decay is decoupled: params shrink by (1 - lr * weight_decay)
@@ -168,7 +166,6 @@ def adam_step(
     m_hat = state.first_moment / correction1
     v_hat = state.second_moment / correction2
     params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return params, state
 
 
 @dataclass(frozen=True)
@@ -268,20 +265,6 @@ def _sample_negatives(batch_items: np.ndarray, split: SplitDataset, user_ids: np
     return negatives
 
 
-def _bpr_step(state: TrainState, split: SplitDataset, batch, rng) -> None:
-    cfg = state.cfg
-    negatives = _sample_negatives(batch.item_indices, split, batch.user_indices, rng,
-                                  cfg.bpr_full_history_rejection)
-    # positives and negatives form one item batch: one encode, one backward
-    item_ids = np.concatenate([batch.item_indices, negatives])
-    user_vecs, item_vecs = state.encoder.encode(state.user_table, state.item_table,
-                                                batch.user_indices, item_ids)
-    pos_vecs, neg_vecs = np.split(item_vecs, 2)
-    _, grad_u, grad_p, grad_n = losses.bpr_loss_and_gradient(user_vecs, pos_vecs, neg_vecs)
-    state.apply_gradients(*state.encoder.backward(
-        batch.user_indices, item_ids, grad_u, np.concatenate([grad_p, grad_n])))
-
-
 def _probe_diagnostics(state: TrainState, epoch: int, wall_time_s: float) -> EpochDiagnostics:
     all_users, all_items = state.encoder.encode_all(state.user_table, state.item_table)
     pair_users = l2_normalize(all_users[state.probe_pair_users])
@@ -301,25 +284,32 @@ def _probe_diagnostics(state: TrainState, epoch: int, wall_time_s: float) -> Epo
     )
 
 
-def train_epoch(split: SplitDataset, state: TrainState, cfg: TrainConfig,
-                epoch_index: int) -> EpochDiagnostics:
-    """Run one full pass over the training pairs and return probe diagnostics.
+def train_epoch(split: SplitDataset, state: TrainState, epoch_index: int) -> EpochDiagnostics:
+    """Run one full pass over the training pairs under `state.cfg`; return probe diagnostics.
 
     epoch_index is 1-based and seeds both the batch shuffle and (for the
-    ranking objective) the per-epoch negative draws.
+    ranking objective) the per-epoch negative draws. Every batch is one
+    encode, one loss, one backward and one Adam update.
     """
     started = time.perf_counter()
+    cfg = state.cfg
     weights = cfg.effective_weights()
     negative_rng = np.random.default_rng([state.negative_root, epoch_index])
     for batch in epoch_batches(split.train, cfg.batch_size, [state.shuffle_root, epoch_index]):
+        user_ids, item_ids = batch.user_indices, batch.item_indices
         if weights is None:
-            _bpr_step(state, split, batch, negative_rng)
-            continue
+            # bpr's drawn negatives join the positives as one item batch
+            item_ids = np.concatenate([item_ids, _sample_negatives(
+                item_ids, split, user_ids, negative_rng, cfg.bpr_full_history_rejection)])
         user_vecs, item_vecs = state.encoder.encode(state.user_table, state.item_table,
-                                                    batch.user_indices, batch.item_indices)
-        _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights)
-        state.apply_gradients(*state.encoder.backward(
-            batch.user_indices, batch.item_indices, grad_users, grad_items))
+                                                    user_ids, item_ids)
+        if weights is None:
+            _, grad_users, *grad_pos_neg = losses.bpr_loss_and_gradient(
+                user_vecs, *np.split(item_vecs, 2))
+            grad_items = np.concatenate(grad_pos_neg)
+        else:
+            _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights)
+        state.apply_gradients(*state.encoder.backward(user_ids, item_ids, grad_users, grad_items))
     return _probe_diagnostics(state, epoch_index, time.perf_counter() - started)
 
 
@@ -352,7 +342,7 @@ def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTa
     epochs_run = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        diagnostics.append(train_epoch(split, state, cfg, epoch))
+        diagnostics.append(train_epoch(split, state, epoch))
         epochs_run = epoch
         if cfg.fixed_epochs:
             continue

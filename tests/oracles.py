@@ -1,4 +1,4 @@
-"""Naive reference implementations for cross-checking the losses and the ranking.
+"""Naive reference implementations for cross-checking the losses, the ranking and the data parts.
 
 Everything here is pure Python over lists: explicit pair loops, explicit
 normalization, no numpy, no shared code with the package. Deliberately slow
@@ -23,6 +23,11 @@ def guarded_unit_rows(rows):
     """Rows scaled to unit length; a row shorter than NORM_FLOOR is divided by it."""
     return [[v / max(math.sqrt(sum(x * x for x in row)), NORM_FLOOR) for v in row]
             for row in rows]
+
+
+def interaction_set(dataset):
+    """An InteractionDataset's (user, item) pairs as a set of int tuples."""
+    return {(int(u), int(i)) for u, i in dataset.interactions}
 
 
 def sq_dist(x, y):

@@ -129,12 +129,12 @@ def test_criterion_2_gradient_correctness():
 
         def loss_from_tables(u_values, i_values):
             batch_u, batch_i = encoders.lightgcn_encode(
-                EmbeddingTable(2, 3, u_values), EmbeddingTable(3, 3, i_values),
+                EmbeddingTable(u_values), EmbeddingTable(i_values),
                 adjacency, graph_cfg, user_ids, item_ids)
             return losses.rau_loss_and_gradient(batch_u, batch_i, weights)[0].total
 
         batch_u, batch_i = encoders.lightgcn_encode(
-            EmbeddingTable(2, 3, user_values), EmbeddingTable(3, 3, item_values),
+            EmbeddingTable(user_values), EmbeddingTable(item_values),
             adjacency, graph_cfg, user_ids, item_ids)
         _, grad_u, grad_i = losses.rau_loss_and_gradient(batch_u, batch_i, weights)
         table_grad_u, table_grad_i = encoders.lightgcn_backward(

@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,7 @@ class TestLoadInteractions:
         path = write(tmp_path / "x.tsv", "z\tq\na\tb\nz\tb\n")
         ds = data.load_interactions(path)
         # z -> 0, a -> 1; q -> 0, b -> 1
-        assert ds.interaction_set() == {(0, 0), (1, 1), (0, 1)}
+        assert oracles.interaction_set(ds) == {(0, 0), (1, 1), (0, 1)}
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = write(tmp_path / "x.tsv", "a\tb\nonlyone\n")
@@ -94,11 +95,11 @@ class TestSplitPerUser:
 
     def test_parts_disjoint_and_union_is_source(self, synthetic_dataset):
         split = data.split_per_user(synthetic_dataset, seed=5)
-        train = split.train.interaction_set()
-        val = split.validation.interaction_set()
-        test = split.test.interaction_set()
+        train = oracles.interaction_set(split.train)
+        val = oracles.interaction_set(split.validation)
+        test = oracles.interaction_set(split.test)
         assert not (train & val) and not (train & test) and not (val & test)
-        assert train | val | test == synthetic_dataset.interaction_set()
+        assert train | val | test == oracles.interaction_set(synthetic_dataset)
 
     def test_val_test_users_have_train_interactions(self, synthetic_dataset):
         split = data.split_per_user(synthetic_dataset, seed=5)
@@ -113,9 +114,9 @@ class TestSplitPerUser:
     def test_union_property_on_random_datasets(self, pairs, seed):
         ds = data.dataset_from_pairs(15, 20, pairs)
         split = data.split_per_user(ds, seed=seed)
-        union = (split.train.interaction_set() | split.validation.interaction_set()
-                 | split.test.interaction_set())
-        assert union == ds.interaction_set()
+        union = (oracles.interaction_set(split.train) | oracles.interaction_set(split.validation)
+                 | oracles.interaction_set(split.test))
+        assert union == oracles.interaction_set(ds)
         total = (split.train.num_interactions + split.validation.num_interactions
                  + split.test.num_interactions)
         assert total == ds.num_interactions
@@ -124,14 +125,14 @@ class TestSplitPerUser:
 class TestEpochBatches:
     def test_batch_sizes_partition(self):
         ds = single_user_dataset(10)
-        sizes = [len(b) for b in data.epoch_batches(ds, 4, epoch_seed=0)]
+        sizes = [b.user_indices.size for b in data.epoch_batches(ds, 4, epoch_seed=0)]
         assert sizes == [4, 4, 2]
 
     def test_short_tail_dropped(self):
         ds = single_user_dataset(9)
         batches = list(data.epoch_batches(ds, 4, epoch_seed=0))
-        assert [len(b) for b in batches] == [4, 4]
-        assert sum(len(b) for b in batches) == 8
+        assert [b.user_indices.size for b in batches] == [4, 4]
+        assert sum(b.user_indices.size for b in batches) == 8
 
     def test_each_pair_seen_once(self, synthetic_split):
         train = synthetic_split.train
@@ -139,7 +140,7 @@ class TestEpochBatches:
         for batch in data.epoch_batches(train, 64, epoch_seed=1):
             seen.extend(zip(batch.user_indices.tolist(), batch.item_indices.tolist()))
         assert len(seen) == len(set(seen))
-        assert set(seen) <= train.interaction_set()
+        assert set(seen) <= oracles.interaction_set(train)
 
     def test_different_seeds_same_multiset_different_order(self):
         ds = single_user_dataset(12)
@@ -160,7 +161,7 @@ class TestEpochBatches:
         train = synthetic_split.train
         batch = next(data.epoch_batches(train, 32, epoch_seed=3))
         pairs = set(zip(batch.user_indices.tolist(), batch.item_indices.tolist()))
-        assert pairs <= train.interaction_set()
+        assert pairs <= oracles.interaction_set(train)
 
 
 class TestTwoClusterDataset:

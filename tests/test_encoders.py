@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from sphererec import data, encoders, losses
@@ -72,7 +73,7 @@ class TestBuildNormAdjacency:
         assert adj.matrix.nnz == 2 * split.train.num_interactions
         held_out = split.validation.interactions[0]
         user, item = int(held_out[0]), int(held_out[1])
-        if (user, item) not in split.train.interaction_set():
+        if (user, item) not in oracles.interaction_set(split.train):
             assert adj.matrix[user, adj.num_users + item] == 0.0
 
 
@@ -97,8 +98,8 @@ class TestLightgcnEncode:
     def test_single_edge_one_layer(self):
         ds = data.dataset_from_pairs(1, 1, [(0, 0)])
         adj = encoders.build_norm_adjacency(ds)
-        user_table = EmbeddingTable(1, 2, np.array([[1.0, 0.0]]))
-        item_table = EmbeddingTable(1, 2, np.array([[0.0, 1.0]]))
+        user_table = EmbeddingTable(np.array([[1.0, 0.0]]))
+        item_table = EmbeddingTable(np.array([[0.0, 1.0]]))
         cfg = encoders.GraphEncoderConfig(num_layers=1)
         got_u, got_i = encoders.lightgcn_encode(user_table, item_table, adj, cfg, [0], [0])
         np.testing.assert_allclose(got_u, [[0.5, 0.5]])
@@ -106,8 +107,8 @@ class TestLightgcnEncode:
 
     def test_zero_embeddings_stay_zero(self):
         ds, adj = toy_graph()
-        user_table = EmbeddingTable(2, 3, np.zeros((2, 3)))
-        item_table = EmbeddingTable(3, 3, np.zeros((3, 3)))
+        user_table = EmbeddingTable(np.zeros((2, 3)))
+        item_table = EmbeddingTable(np.zeros((3, 3)))
         for k in (0, 1, 3):
             cfg = encoders.GraphEncoderConfig(num_layers=k)
             got_u, got_i = encoders.lightgcn_encode(user_table, item_table, adj, cfg, [0], [1])
@@ -124,7 +125,7 @@ class TestLightgcnEncode:
 
         def encode(u_values, i_values):
             return encoders.lightgcn_encode(
-                EmbeddingTable(2, 4, u_values), EmbeddingTable(3, 4, i_values),
+                EmbeddingTable(u_values), EmbeddingTable(i_values),
                 adj, cfg, [0, 1], [0, 2],
             )
 
@@ -155,13 +156,13 @@ class TestLightgcnGradient:
 
         def loss_from_tables(u_values, i_values):
             batch_u, batch_i = encoders.lightgcn_encode(
-                EmbeddingTable(2, 3, u_values), EmbeddingTable(3, 3, i_values),
+                EmbeddingTable(u_values), EmbeddingTable(i_values),
                 adj, cfg, user_ids, item_ids,
             )
             return losses.rau_loss_and_gradient(batch_u, batch_i, weights)[0].total
 
         batch_u, batch_i = encoders.lightgcn_encode(
-            EmbeddingTable(2, 3, user_values), EmbeddingTable(3, 3, item_values),
+            EmbeddingTable(user_values), EmbeddingTable(item_values),
             adj, cfg, user_ids, item_ids,
         )
         _, grad_batch_u, grad_batch_i = losses.rau_loss_and_gradient(batch_u, batch_i, weights)

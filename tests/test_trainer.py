@@ -153,7 +153,7 @@ class TestTrainEpoch:
         state = TrainState(split, cfg)
         before = trainer._probe_diagnostics(state, epoch=0, wall_time_s=0.0)
         tables_before = (state.user_table.values.copy(), state.item_table.values.copy())
-        diag = trainer.train_epoch(split, state, cfg, epoch_index=1)
+        diag = trainer.train_epoch(split, state, epoch_index=1)
         np.testing.assert_array_equal(state.user_table.values, tables_before[0])
         np.testing.assert_array_equal(state.item_table.values, tables_before[1])
         assert diag.align == before.align
@@ -165,7 +165,7 @@ class TestTrainEpoch:
                           batch_size=256, max_epochs=1, patience=10, seed=5)
         state = TrainState(synthetic_split, cfg)
         before = trainer._probe_diagnostics(state, epoch=0, wall_time_s=0.0)
-        after = trainer.train_epoch(synthetic_split, state, cfg, epoch_index=1)
+        after = trainer.train_epoch(synthetic_split, state, epoch_index=1)
         assert after.align < before.align
 
     def test_rau_with_zero_regularizers_matches_directau(self):
@@ -175,7 +175,7 @@ class TestTrainEpoch:
             cfg = base_config(objective=objective,
                               weights=LossWeights(0.0, 0.0, 0.5, 0.5))
             state = TrainState(split, cfg)
-            diag = trainer.train_epoch(split, state, cfg, epoch_index=1)
+            diag = trainer.train_epoch(split, state, epoch_index=1)
             runs[objective] = (diag, state.user_table.values.copy())
         rau_diag, directau_diag = runs["rau"][0], runs["directau"][0]
         assert rau_diag == dataclasses.replace(directau_diag, wall_time_s=rau_diag.wall_time_s)
@@ -186,7 +186,7 @@ class TestTrainEpoch:
         cfg = base_config(objective="bpr", lr=5e-2)
         state = TrainState(split, cfg)
         before = state.user_table.values.copy()
-        trainer.train_epoch(split, state, cfg, epoch_index=1)
+        trainer.train_epoch(split, state, epoch_index=1)
         assert not np.array_equal(state.user_table.values, before)
 
     def test_lightgcn_encoder_trains(self):
@@ -194,14 +194,14 @@ class TestTrainEpoch:
         cfg = base_config(encoder="lightgcn", num_layers=2)
         state = TrainState(split, cfg)
         before = state.user_table.values.copy()
-        trainer.train_epoch(split, state, cfg, epoch_index=1)
+        trainer.train_epoch(split, state, epoch_index=1)
         assert not np.array_equal(state.user_table.values, before)
 
     def test_bpr_full_history_rejection_completes(self):
         split = small_split()
         cfg = base_config(objective="bpr", bpr_full_history_rejection=True)
         state = TrainState(split, cfg)
-        trainer.train_epoch(split, state, cfg, epoch_index=1)
+        trainer.train_epoch(split, state, epoch_index=1)
 
 
 def test_lightgcn_end_to_end_beats_chance(synthetic_split):
