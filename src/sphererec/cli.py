@@ -24,7 +24,10 @@ _THREAD_ENV_VARS = (
 
 
 def _apply_thread_cap(single_thread: bool) -> None:
-    cap = "1" if single_thread else os.environ.get("RAU_NUM_THREADS")
+    env_cap = os.environ.get("RAU_NUM_THREADS")  # checked even when --single-thread wins
+    if env_cap is not None and not (env_cap.isascii() and env_cap.isdigit() and int(env_cap) > 0):
+        raise ValueError(f"RAU_NUM_THREADS must be a positive integer, got {env_cap!r}")
+    cap = "1" if single_thread else env_cap
     if cap is None:
         return
     for name in _THREAD_ENV_VARS:
@@ -174,7 +177,7 @@ def cmd_sweep(args) -> int:
              in itertools.product(args.alpha_values, args.beta_values, gamma_pairs)]
     stopping_k = base_cfg.eval_k_for_stopping
 
-    env_cap = os.environ.get("RAU_NUM_THREADS")
+    env_cap = os.environ.get("RAU_NUM_THREADS")  # a positive integer, checked by main
     workers = min(args.workers, int(env_cap)) if env_cap else args.workers
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -303,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_thread_cap(args.single_thread)
     try:
+        _apply_thread_cap(args.single_thread)
         return args.func(args)
     except (ValueError, FileNotFoundError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

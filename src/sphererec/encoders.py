@@ -22,6 +22,7 @@ from .hypersphere import EmbeddingTable
 MAX_LAYERS = 8
 
 
+# perfbench/ builds this to encode a loaded checkpoint and reads its num_layers
 @dataclass(frozen=True)
 class GraphEncoderConfig:
     """Number of propagation rounds K (0 disables propagation)."""
@@ -46,7 +47,7 @@ class NormalizedAdjacency:
     matrix: sp.csr_matrix
 
     @property
-    def size(self) -> int:
+    def size(self) -> int:  # the node count perfbench/ reads; a scipy matrix's .size is its nnz
         return self.num_users + self.num_items
 
 

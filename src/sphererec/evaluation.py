@@ -113,7 +113,7 @@ def evaluate(
     part="test" (prevents validation leakage into test ranks).
     `user_vectors`/`item_vectors` are the ENCODED full tables; pass
     score_mode="dot" for models trained on raw dot products. Both tables
-    must be finite.
+    must be finite, and in dot mode so must the product of their largest row norms.
     """
     if part not in ("validation", "test"):
         raise ValueError(f"part must be 'validation' or 'test', got {part!r}")
@@ -139,6 +139,12 @@ def evaluate(
     if eval_users.size == 0:
         return MetricsReport(ks=tuple(ks), recall={k: 0.0 for k in ks},
                              ndcg={k: 0.0 for k in ks}, num_users_evaluated=0)
+
+    # |u . i| <= |u| |i| (Cauchy-Schwarz) bounds every dot score and each partial sum of one
+    if score_mode == "dot" and not np.isfinite(np.linalg.norm(user_vectors, axis=1).max()
+                                               * np.linalg.norm(item_vectors, axis=1).max()):
+        raise ValueError("dot-product scores can overflow: the largest user and item row "
+                         "norms multiply to more than float64 holds")
 
     # 1-based rank r is discounted by 1 / log2(r + 1); a user with m target
     # items has ideal DCG@K = the sum of the first min(m, K) discounts

@@ -93,6 +93,19 @@ def test_thread_cap_overrides_inherited_variables(monkeypatch, single_thread,
     assert [os.environ[name] for name in cli._THREAD_ENV_VARS] == [expected] * 4
 
 
+@pytest.mark.parametrize("rau_num_threads", ["abc", "0", ""])
+def test_bad_thread_cap_exits_2_before_the_command(monkeypatch, synthetic_tsv, tmp_path, capsys,
+                                                   rau_num_threads):
+    # each used to be copied into the BLAS variables; under "0" OpenBLAS took every core
+    for name in cli._THREAD_ENV_VARS:
+        monkeypatch.setenv(name, "4")
+    monkeypatch.setenv("RAU_NUM_THREADS", rau_num_threads)
+    assert cli.main(train_args(synthetic_tsv, tmp_path / "runs")) == 2
+    assert "RAU_NUM_THREADS must be a positive integer" in capsys.readouterr().err
+    assert [os.environ[name] for name in cli._THREAD_ENV_VARS] == ["4"] * 4
+    assert not (tmp_path / "runs").exists()
+
+
 class TestEvalCommand:
     @pytest.fixture()
     def checkpoint(self, synthetic_tsv, tmp_path):

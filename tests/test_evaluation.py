@@ -213,6 +213,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"{table} contains non-finite"):
             evaluate(synthetic_split, users, items)
 
+    def test_rejects_dot_scores_that_overflow(self):
+        # finite rows used to be ranked on overflowed scores: item 0 scored
+        # 1e400 - 1e400 = NaN and ranked last, so recall@1 read 0
+        split = one_user_split(2, [], [], [0])
+        users = np.array([[1e200, 1e200]])
+        items = np.array([[1e200, -1e200], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="overflow"):
+            evaluate(split, users, items, ks=(1,), score_mode="dot")
+
     def test_ties_across_kth_position_rank_by_ascending_index(self):
         # every item scores the same, so the top 2 are items 0 and 1
         items = np.ones((4, 1))

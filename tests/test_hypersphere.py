@@ -43,6 +43,18 @@ class TestInitXavier:
             hs.init_xavier(4, 1, seed=0)
 
 
+
+class TestEmbeddingTable:
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros(4), "rows x dim"), (np.zeros((2, 2, 2)), "rows x dim"),
+        (np.zeros((3, 1)), "dim >= 2"), (np.array([[1.0, np.nan]]), "non-finite"),
+    ])
+    def test_rejects_bad_values(self, values, message):
+        # the shape is read from the values, so they carry every check
+        with pytest.raises(ValueError, match=message):
+            hs.EmbeddingTable(values)
+
+
 class TestL2Normalize:
     def test_three_four_five(self):
         out = hs.l2_normalize(np.array([[3.0, 4.0]]))

@@ -97,6 +97,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field_name):
             TrainConfig(**{field_name: value})
 
+    @pytest.mark.parametrize("field_name, value", [("dim", 1), ("dim", 0), ("seed", -1)])
+    def test_rejects_dim_below_two_and_negative_seed(self, field_name, value):
+        # caught when the config is built: train used to load and split the data
+        # first, and sweep passed such a dim through its check of every grid point
+        with pytest.raises(ValueError, match=f"{field_name} must be >= "):
+            TrainConfig(**{field_name: value})
+
     @pytest.mark.parametrize("field_name, value", [
         ("fixed_epochs", "false"), ("dim", "16"), ("lr", "0.01"), ("max_epochs", 1.5),
         ("batch_size", 64.0), ("seed", True), ("lr", True), ("objective", 1),
