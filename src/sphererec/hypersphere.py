@@ -27,7 +27,7 @@ _ROLES = ("user", "item")
 
 @dataclass(eq=False)
 class EmbeddingTable:
-    """A rows x dim matrix of raw (unnormalized) embedding vectors, `values`."""
+    """Raw (unnormalized) embedding vectors, one row each; the shape is `values.shape`."""
 
     values: np.ndarray
 

@@ -89,19 +89,13 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("field_name, value", [
         ("max_epochs", -3), ("weight_decay", -5.0), ("weight_decay", float("inf")),
-        ("lr", -1e-3), ("lr", float("nan")),
+        ("lr", -1e-3), ("lr", float("nan")), ("dim", 1), ("dim", 0), ("seed", -1),
     ])
     def test_rejects_values_that_train_silently_wrong(self, field_name, value):
         # caught before fit: a negative epoch count or decay trains silently
-        # wrong, and a NaN lr used to fail only after the first step
+        # wrong, a NaN lr used to fail only after the first step, and dim < 2
+        # or a negative seed only after train had loaded and split the data
         with pytest.raises(ValueError, match=field_name):
-            TrainConfig(**{field_name: value})
-
-    @pytest.mark.parametrize("field_name, value", [("dim", 1), ("dim", 0), ("seed", -1)])
-    def test_rejects_dim_below_two_and_negative_seed(self, field_name, value):
-        # caught when the config is built: train used to load and split the data
-        # first, and sweep passed such a dim through its check of every grid point
-        with pytest.raises(ValueError, match=f"{field_name} must be >= "):
             TrainConfig(**{field_name: value})
 
     @pytest.mark.parametrize("field_name, value", [
