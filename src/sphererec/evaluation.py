@@ -77,9 +77,24 @@ def _csr_cells(part: InteractionDataset, users: np.ndarray) -> tuple[np.ndarray,
     return rows, part.user_items[np.arange(rows.size) + offsets]
 
 
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a finite matrix; inf only where the true norm is.
+
+    np.linalg.norm squares the entries, which overflows above about 1.3e154.
+    Only the rows it returns inf for are recomputed, as s * |row / s| with
+    s = max|row|, so every other row keeps its exact bits.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=1)
+    big = np.flatnonzero(~np.isfinite(norms))
+    if big.size:
+        scale = np.abs(matrix[big]).max(axis=1)
+        norms[big] = scale * np.linalg.norm(matrix[big] / scale[:, None], axis=1)
+    return norms
+
+
 def _guarded_unit_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return matrix / np.maximum(norms, 1e-12)
+    return matrix / np.maximum(_row_norms(matrix), 1e-12)[:, None]
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -141,10 +156,12 @@ def evaluate(
                              ndcg={k: 0.0 for k in ks}, num_users_evaluated=0)
 
     # |u . i| <= |u| |i| (Cauchy-Schwarz) bounds every dot score and each partial sum of one
-    if score_mode == "dot" and not np.isfinite(np.linalg.norm(user_vectors, axis=1).max()
-                                               * np.linalg.norm(item_vectors, axis=1).max()):
-        raise ValueError("dot-product scores can overflow: the largest user and item row "
-                         "norms multiply to more than float64 holds")
+    if score_mode == "dot":
+        with np.errstate(over="ignore"):  # an overflow here is what the check looks for
+            bound = _row_norms(user_vectors).max() * _row_norms(item_vectors).max()
+        if not np.isfinite(bound):
+            raise ValueError("dot-product scores can overflow: the largest user and item row "
+                             "norms multiply to more than float64 holds")
 
     # 1-based rank r is discounted by 1 / log2(r + 1); a user with m target
     # items has ideal DCG@K = the sum of the first min(m, K) discounts

@@ -23,6 +23,9 @@ from .losses import LossWeights
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# adam_step updates blocks of rows holding this many entries (at least one row), so
+# the two halves of a float64 scratch take 256 KiB and a block's work stays in cache
+ADAM_BLOCK_ENTRIES = 16384
 
 OBJECTIVES = ("rau", "directau", "bpr")
 ENCODERS = ("mf", "lightgcn")
@@ -123,11 +126,22 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class AdamState:
-    """Per-parameter Adam moments plus the shared step counter."""
+    """Per-parameter Adam moments plus the shared step counter.
+
+    `scratch` is a work buffer for `adam_step`'s intermediates, not optimizer
+    state: its contents mean nothing between steps, so saving or restoring a
+    state carries only the two moments and `step_count`.
+    """
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dim = self.first_moment.shape[1]
+        rows = max(1, ADAM_BLOCK_ENTRIES // dim)
+        self.scratch = np.empty((2, rows, dim), dtype=self.first_moment.dtype)
 
     @classmethod
     def like(cls, params: np.ndarray) -> "AdamState":
@@ -145,24 +159,37 @@ def adam_step(
     """One bias-corrected Adam update, mutating params and state in place.
 
     Weight decay is decoupled: params shrink by (1 - lr * weight_decay)
-    before the moment update. Raises on non-finite gradients.
+    before the moment update. Raises on non-finite gradients, before
+    anything changes.
+
+    The update runs over blocks of rows, each block's intermediates written
+    into `state.scratch`, so no array the size of the table is allocated.
+    Every entry goes through the same IEEE operations in the same order as
+    the whole-table formula, so the result is the same to the bit.
     """
     if params.shape != grads.shape:
         raise ValueError(f"shape mismatch: params {params.shape} vs grads {grads.shape}")
     if not np.all(np.isfinite(grads)):
         raise FloatingPointError("non-finite gradient; aborting the update")
-    if weight_decay:
-        params *= 1.0 - lr * weight_decay
     state.step_count += 1
-    state.first_moment *= ADAM_BETA1
-    state.first_moment += (1.0 - ADAM_BETA1) * grads
-    state.second_moment *= ADAM_BETA2
-    state.second_moment += (1.0 - ADAM_BETA2) * np.square(grads)
     correction1 = 1.0 - ADAM_BETA1 ** state.step_count
     correction2 = 1.0 - ADAM_BETA2 ** state.step_count
-    m_hat = state.first_moment / correction1
-    v_hat = state.second_moment / correction2
-    params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    decay = 1.0 - lr * weight_decay
+    block = state.scratch.shape[1]
+    for start in range(0, params.shape[0], block):
+        rows = slice(start, start + block)
+        p, g = params[rows], grads[rows]
+        m, v = state.first_moment[rows], state.second_moment[rows]
+        step, denom = state.scratch[:, :p.shape[0]]
+        if weight_decay:
+            p *= decay
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
+        v *= ADAM_BETA2
+        v += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=step), out=step)
+        np.multiply(lr, np.divide(m, correction1, out=step), out=step)
+        np.add(np.sqrt(np.divide(v, correction2, out=denom), out=denom), ADAM_EPS, out=denom)
+        p -= np.divide(step, denom, out=step)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
-"""Naive reference implementations for cross-checking the losses, the ranking and the data parts.
+"""Naive reference implementations for cross-checking the losses, the ranking, the data parts
+and the optimizer.
 
-Everything here is pure Python over lists: explicit pair loops, explicit
-normalization, no numpy, no shared code with the package. Deliberately slow
-and obvious.
+Everything here but `reference_adam_step` is pure Python over lists:
+explicit pair loops, explicit normalization, no numpy, no shared code with
+the package. Deliberately slow and obvious.
 """
 
 import math
+
+import numpy as np
 
 EPS = 1e-12
 NORM_FLOOR = 1e-12
@@ -131,3 +134,22 @@ def ranking_metrics(user_rows, item_rows, train, validation, target, ks, score_m
             ndcg_sums[k] += dcg / ideal
     n = len(users)
     return {k: recall_sums[k] / n for k in ks}, {k: ndcg_sums[k] / n for k in ks}, n
+
+
+def reference_adam_step(params, grads, state, lr, weight_decay=0.0):
+    """The whole-table Adam formula `trainer.adam_step` must match bit for bit.
+
+    `state` is a `trainer.AdamState`; only its moments and `step_count` are
+    used. Its hyperparameters are written out rather than imported.
+    """
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    if weight_decay:
+        params *= 1.0 - lr * weight_decay
+    state.step_count += 1
+    state.first_moment *= beta1
+    state.first_moment += (1.0 - beta1) * grads
+    state.second_moment *= beta2
+    state.second_moment += (1.0 - beta2) * np.square(grads)
+    m_hat = state.first_moment / (1.0 - beta1 ** state.step_count)
+    v_hat = state.second_moment / (1.0 - beta2 ** state.step_count)
+    params -= lr * m_hat / (np.sqrt(v_hat) + eps)

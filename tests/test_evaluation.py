@@ -222,6 +222,23 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="overflow"):
             evaluate(split, users, items, ks=(1,), score_mode="dot")
 
+    def test_cosine_normalizes_rows_whose_plain_norm_overflows(self):
+        # the squared norm of [1e200, 1e200] overflows: the user became a zero
+        # row, every item scored 0 and item 0 took the top slot by index
+        split = one_user_split(2, [], [], [1])
+        items = np.array([[-1.0, -1.0], [1.0, 1.0]])
+        for users in (np.array([[1.0, 1.0]]), np.array([[1e200, 1e200]])):
+            report = evaluate(split, users, items, ks=(1,), score_mode="cosine")
+            assert report.recall[1] == 1.0
+
+    def test_dot_accepts_finite_scores_of_rows_whose_plain_norm_overflows(self):
+        # scores are 1 and -1, but the overflow guard saw an infinite user norm
+        split = one_user_split(2, [], [], [0])
+        users = np.array([[1e200, 0.0]])
+        items = np.array([[1e-200, 0.0], [-1e-200, 0.0]])
+        report = evaluate(split, users, items, ks=(1,), score_mode="dot")
+        assert report.recall[1] == 1.0
+
     def test_ties_across_kth_position_rank_by_ascending_index(self):
         # every item scores the same, so the top 2 are items 0 and 1
         items = np.ones((4, 1))

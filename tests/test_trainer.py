@@ -1,11 +1,23 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from sphererec import data, trainer
 from sphererec.losses import LossWeights
-from sphererec.trainer import AdamState, TrainConfig, TrainState, adam_step
+from sphererec.trainer import ADAM_BLOCK_ENTRIES, AdamState, TrainConfig, TrainState, adam_step
+
+# rows per adam_step block at dim 7, so shapes can sit on and around block edges
+BLOCK_7 = ADAM_BLOCK_ENTRIES // 7
+
+
+def sparse_gradient(rng, shape, touched=0.3):
+    """A gradient that is zero outside a random subset of rows, as a batch scatter gives."""
+    grads = rng.standard_normal(shape)
+    grads[rng.random(shape[0]) >= touched] = 0.0
+    return grads
 
 
 class TestAdamStep:
@@ -51,6 +63,55 @@ class TestAdamStep:
         grads = np.array([[np.nan, 0.0], [0.0, 0.0]])
         with pytest.raises(FloatingPointError, match="non-finite"):
             adam_step(params, grads, AdamState.like(params), lr=0.1)
+
+    @pytest.mark.parametrize("lr", [1e-3, 0.0])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-6])
+    @pytest.mark.parametrize("shape", [(1, 2), (BLOCK_7 - 1, 7), (BLOCK_7, 7), (BLOCK_7 + 1, 7),
+                                       (3 * BLOCK_7 + 5, 7)])
+    def test_blocked_update_is_bit_identical_to_whole_table_formula(self, shape, weight_decay,
+                                                                    lr):
+        rng = np.random.default_rng(shape[0])
+        params = rng.standard_normal(shape)
+        expected = params.copy()
+        state, expected_state = AdamState.like(params), AdamState.like(params)
+        for _ in range(20):
+            grads = sparse_gradient(rng, shape)
+            adam_step(params, grads, state, lr, weight_decay)
+            oracles.reference_adam_step(expected, grads, expected_state, lr, weight_decay)
+        assert np.array_equal(params, expected)
+        assert np.array_equal(state.first_moment, expected_state.first_moment)
+        assert np.array_equal(state.second_moment, expected_state.second_moment)
+        assert state.step_count == expected_state.step_count == 20
+
+    def test_non_finite_gradient_in_last_block_changes_nothing(self):
+        rng = np.random.default_rng(3)
+        shape = (3 * BLOCK_7 + 5, 7)
+        params = rng.standard_normal(shape)
+        state = AdamState.like(params)
+        adam_step(params, sparse_gradient(rng, shape), state, lr=0.1, weight_decay=0.5)
+        before = (params.copy(), state.first_moment.copy(), state.second_moment.copy())
+        grads = rng.standard_normal(shape)
+        grads[-1, -1] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            adam_step(params, grads, state, lr=0.1, weight_decay=0.5)
+        for now, then in zip((params, state.first_moment, state.second_moment), before):
+            assert np.array_equal(now, then)
+        assert state.step_count == 1
+
+    def test_allocates_no_full_table_temporaries(self):
+        # only the finiteness mask (an eighth of params.nbytes) may scale with the table
+        rng = np.random.default_rng(0)
+        params = rng.standard_normal((11200, 64))
+        state = AdamState.like(params)
+        adam_step(params, sparse_gradient(rng, params.shape), state, lr=1e-3, weight_decay=1e-6)
+        grads = sparse_gradient(rng, params.shape)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, lr=1e-3, weight_decay=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.nbytes / 4
 
 
 class TestTrainConfig:
