@@ -39,6 +39,7 @@ class InteractionDataset:
     def num_interactions(self) -> int:
         return int(self.interactions.shape[0])
 
+    # perfbench/ calls this in its hand-ranked metric check; the package itself does not
     def items_for_user(self, user: int) -> np.ndarray:
         """Sorted item indices this user interacted with."""
         return self.user_items[self.user_indptr[user]:self.user_indptr[user + 1]]

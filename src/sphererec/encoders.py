@@ -99,8 +99,11 @@ def _check_adjacency(user_table: EmbeddingTable, item_table: EmbeddingTable,
 
 def _layer_mean(adj: NormalizedAdjacency, cfg: GraphEncoderConfig,
                 state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of layers 0..K of a node matrix, split into user and item rows."""
-    acc = state.copy()
+    """Mean of layers 0..K of a node matrix, split into user and item rows.
+
+    Takes ownership of `state`: the layers are summed into it in place.
+    """
+    acc = state
     for _ in range(cfg.num_layers):
         state = adj.matrix @ state
         acc += state

@@ -77,6 +77,12 @@ def _csr_cells(part: InteractionDataset, users: np.ndarray) -> tuple[np.ndarray,
     return rows, part.user_items[np.arange(rows.size) + offsets]
 
 
+def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, rows / s) with s = max|row| per row, so the scaled rows' norms cannot overflow."""
+    scale = np.abs(rows).max(axis=1, keepdims=True)
+    return scale, rows / scale
+
+
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a finite matrix; inf only where the true norm is.
 
@@ -86,15 +92,21 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(matrix, axis=1)
-    big = np.flatnonzero(~np.isfinite(norms))
-    if big.size:
-        scale = np.abs(matrix[big]).max(axis=1)
-        norms[big] = scale * np.linalg.norm(matrix[big] / scale[:, None], axis=1)
+        big = np.flatnonzero(~np.isfinite(norms))
+        if big.size:
+            scale, scaled = _scaled_rows(matrix[big])
+            norms[big] = scale[:, 0] * np.linalg.norm(scaled, axis=1)
     return norms
 
 
 def _guarded_unit_rows(matrix: np.ndarray) -> np.ndarray:
-    return matrix / np.maximum(_row_norms(matrix), 1e-12)[:, None]
+    norms = _row_norms(matrix)
+    unit = matrix / np.maximum(norms, 1e-12)[:, None]
+    big = np.flatnonzero(np.isinf(norms))  # the true norm overflows: (row / s) / |row / s|
+    if big.size:
+        scaled = _scaled_rows(matrix[big])[1]
+        unit[big] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
+    return unit
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:

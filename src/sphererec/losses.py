@@ -158,9 +158,9 @@ def rau_loss_and_gradient(
     """Combined objective and its gradient in one pass.
 
     Shares the pairwise kernel matrices between the loss value and the
-    gradient. Gradient terms with a zero coefficient are skipped, so runs
-    with alpha = beta = 0 perform bit-identical arithmetic to the plain
-    alignment + uniformity objective.
+    gradient. A gradient term whose coefficient is zero is skipped, so it is
+    not computed only to be multiplied by zero (with beta = 0, the two B x B
+    variance gradients are never formed).
     """
     users_raw = np.asarray(users_raw, dtype=np.float64)
     items_raw = np.asarray(items_raw, dtype=np.float64)

@@ -246,15 +246,6 @@ class TrainState:
             probe_rng.permutation(split.num_items)[:min(PROBE_LIMIT, split.num_items)]
         )
 
-    def apply_gradients(self, user_grad: np.ndarray, item_grad: np.ndarray) -> None:
-        adam_step(self.user_table.values, user_grad, self.user_adam,
-                  self.cfg.lr, self.cfg.weight_decay)
-        adam_step(self.item_table.values, item_grad, self.item_adam,
-                  self.cfg.lr, self.cfg.weight_decay)
-
-    def snapshot(self) -> tuple[EmbeddingTable, EmbeddingTable]:
-        return self.user_table.copy(), self.item_table.copy()
-
 
 def _check_negatives_exist(split: SplitDataset, full_history: bool) -> None:
     """Raise where _sample_negatives could never accept a draw."""
@@ -269,24 +260,24 @@ def _check_negatives_exist(split: SplitDataset, full_history: bool) -> None:
 
 def _sample_negatives(batch_items: np.ndarray, split: SplitDataset, user_ids: np.ndarray,
                       rng: np.random.Generator, full_history: bool) -> np.ndarray:
+    """One uniform negative per pair, redrawn while it is the positive or (`full_history`) any
+    training item of the user; values and final rng state equal drawing pair by pair."""
     num_items = split.num_items
-    negatives = np.empty_like(batch_items)
-    for idx in range(batch_items.shape[0]):
+    pairs = split.train.interactions  # sorted, so their user * num_items + item keys are too
+    train_keys = pairs[:, 0] * num_items + pairs[:, 1] if full_history else None
+    negatives = rng.integers(num_items, size=batch_items.shape[0])
+    first = 0
+    while True:
+        rejected = negatives[first:] == batch_items[first:]
         if full_history:
-            history = split.train.items_for_user(int(user_ids[idx]))
-            while True:
-                neg = int(rng.integers(num_items))
-                pos = int(np.searchsorted(history, neg))
-                if pos >= history.size or history[pos] != neg:
-                    break
-        else:
-            positive = int(batch_items[idx])
-            while True:
-                neg = int(rng.integers(num_items))
-                if neg != positive:
-                    break
-        negatives[idx] = neg
-    return negatives
+            keys = user_ids[first:] * num_items + negatives[first:]
+            found = np.minimum(np.searchsorted(train_keys, keys), train_keys.size - 1)
+            rejected |= train_keys[found] == keys
+        if not rejected.any():
+            return negatives
+        first += int(np.argmax(rejected))  # it and every later pair move on by one draw
+        negatives[first:-1] = negatives[first + 1:]
+        negatives[-1] = rng.integers(num_items)
 
 
 def _probe_diagnostics(state: TrainState, epoch: int, wall_time_s: float) -> EpochDiagnostics:
@@ -333,17 +324,19 @@ def train_epoch(split: SplitDataset, state: TrainState, epoch_index: int) -> Epo
             grad_items = np.concatenate(grad_pos_neg)
         else:
             _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights)
-        state.apply_gradients(*state.encoder.backward(user_ids, item_ids, grad_users, grad_items))
+        user_grad, item_grad = state.encoder.backward(user_ids, item_ids, grad_users, grad_items)
+        adam_step(state.user_table.values, user_grad, state.user_adam, cfg.lr, cfg.weight_decay)
+        adam_step(state.item_table.values, item_grad, state.item_adam, cfg.lr, cfg.weight_decay)
     return _probe_diagnostics(state, epoch_index, time.perf_counter() - started)
 
 
 def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTable, EmbeddingTable]:
     """Train until max_epochs or until validation NDCG@K stops improving.
 
-    "Stops improving" means no new best value for `patience` consecutive
-    validation evaluations (run once per epoch). Returns the report plus the
-    best-epoch tables; with fixed_epochs the validation part is ignored and
-    the final tables are returned.
+    "Stops improving" means no new best value (a tie is none) for `patience`
+    consecutive validation evaluations (run once per epoch). Returns the
+    report plus the best-epoch tables; with fixed_epochs the validation part
+    is ignored and the final tables are returned.
     """
     if not cfg.fixed_epochs and split.validation.num_interactions == 0:
         raise ValueError(
@@ -355,20 +348,15 @@ def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTa
     started = time.perf_counter()
     state = TrainState(split, cfg)
     stopping_k = cfg.eval_k_for_stopping
+    ndcg_key = f"ndcg@{stopping_k}"
 
     diagnostics: list[EpochDiagnostics] = []
     val_history: list[dict] = []
-    best_val: dict | None = None
-    best_metric = -np.inf
-    best_epoch = 0
-    best_tables = state.snapshot()
-    epochs_without_improvement = 0
-    epochs_run = 0
-
+    best_epoch, best_val, best_tables = 0, None, None
     for epoch in range(1, cfg.max_epochs + 1):
         diagnostics.append(train_epoch(split, state, epoch))
-        epochs_run = epoch
         if cfg.fixed_epochs:
+            best_epoch = epoch
             continue
         all_users, all_items = state.encoder.encode_all(state.user_table, state.item_table)
         report = evaluate(split, all_users, all_items, ks=(stopping_k,),
@@ -376,34 +364,25 @@ def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTa
         entry = {
             "epoch": epoch,
             f"recall@{stopping_k}": report.recall[stopping_k],
-            f"ndcg@{stopping_k}": report.ndcg[stopping_k],
+            ndcg_key: report.ndcg[stopping_k],
         }
         val_history.append(entry)
-        metric = report.ndcg[stopping_k]
-        if metric > best_metric:
-            best_metric = metric
-            best_epoch = epoch
-            best_val = entry
-            best_tables = state.snapshot()
-            epochs_without_improvement = 0
-        else:
-            epochs_without_improvement += 1
-            if epochs_without_improvement >= cfg.patience:
-                break
+        if entry[ndcg_key] > (best_val[ndcg_key] if best_val else -np.inf):
+            best_epoch, best_val = epoch, entry
+            best_tables = state.user_table.copy(), state.item_table.copy()
+        elif epoch - best_epoch >= cfg.patience:
+            break
 
-    if cfg.fixed_epochs:
-        best_epoch = epochs_run
-        best_tables = state.snapshot()
-
-    report = TrainReport(
+    # with fixed_epochs or max_epochs = 0 no epoch was kept: copy() re-checks finiteness
+    user_table, item_table = best_tables or (state.user_table.copy(), state.item_table.copy())
+    return TrainReport(
         best_epoch=best_epoch,
-        epochs_run=epochs_run,
+        epochs_run=len(diagnostics),
         diagnostics=diagnostics,
         val_history=val_history,
         best_val=best_val,
         total_time_s=time.perf_counter() - started,
-    )
-    return report, best_tables[0], best_tables[1]
+    ), user_table, item_table
 
 
 def write_diagnostics_csv(report: TrainReport, path, stopping_k: int) -> None:

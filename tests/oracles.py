@@ -1,9 +1,9 @@
-"""Naive reference implementations for cross-checking the losses, the ranking, the data parts
-and the optimizer.
+"""Naive reference implementations for cross-checking the losses, the ranking, the data parts,
+the optimizer and the negative sampler.
 
-Everything here but `reference_adam_step` is pure Python over lists:
-explicit pair loops, explicit normalization, no numpy, no shared code with
-the package. Deliberately slow and obvious.
+Everything here but `reference_adam_step` and `reference_negatives` is pure
+Python over lists: explicit pair loops, explicit normalization, no numpy, no
+shared code with the package. Deliberately slow and obvious.
 """
 
 import math
@@ -153,3 +153,29 @@ def reference_adam_step(params, grads, state, lr, weight_decay=0.0):
     m_hat = state.first_moment / (1.0 - beta1 ** state.step_count)
     v_hat = state.second_moment / (1.0 - beta2 ** state.step_count)
     params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def reference_negatives(batch_items, split, user_ids, rng, full_history):
+    """The pair-by-pair BPR sampler `trainer._sample_negatives` must match, draws included.
+
+    Each pair makes one scalar `rng.integers` draw at a time until one is
+    accepted, so the generator's final state is part of what is compared.
+    """
+    num_items = split.num_items
+    negatives = np.empty_like(batch_items)
+    for idx in range(batch_items.shape[0]):
+        if full_history:
+            history = split.train.items_for_user(int(user_ids[idx]))
+            while True:
+                neg = int(rng.integers(num_items))
+                pos = int(np.searchsorted(history, neg))
+                if pos >= history.size or history[pos] != neg:
+                    break
+        else:
+            positive = int(batch_items[idx])
+            while True:
+                neg = int(rng.integers(num_items))
+                if neg != positive:
+                    break
+        negatives[idx] = neg
+    return negatives

@@ -223,11 +223,13 @@ class TestEvaluate:
             evaluate(split, users, items, ks=(1,), score_mode="dot")
 
     def test_cosine_normalizes_rows_whose_plain_norm_overflows(self):
-        # the squared norm of [1e200, 1e200] overflows: the user became a zero
-        # row, every item scored 0 and item 0 took the top slot by index
+        # the squared norm of [1e200, 1e200] overflows, and the true norm of
+        # [1.5e308, 1.5e308] too: the user became a zero row, every item
+        # scored 0 and item 0 took the top slot by index
         split = one_user_split(2, [], [], [1])
         items = np.array([[-1.0, -1.0], [1.0, 1.0]])
-        for users in (np.array([[1.0, 1.0]]), np.array([[1e200, 1e200]])):
+        for users in (np.array([[1.0, 1.0]]), np.array([[1e200, 1e200]]),
+                      np.array([[1.5e308, 1.5e308]])):
             report = evaluate(split, users, items, ks=(1,), score_mode="cosine")
             assert report.recall[1] == 1.0
 

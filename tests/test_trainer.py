@@ -282,22 +282,68 @@ def test_lightgcn_end_to_end_beats_chance(synthetic_split):
     assert metrics.recall[10] >= 0.6
 
 
+def two_item_split():
+    # every user has one of the 2 items, so half of all draws hit the positive
+    ds = data.dataset_from_pairs(20, 2, [(u, u % 2) for u in range(20)])
+    return data.split_per_user(ds, seed=0)
+
+
+def dense_split():
+    # 5 of 24 items per user: rejections are frequent, above all with the full history
+    return data.split_per_user(data.two_cluster_dataset(200, 24, 5, seed=3), seed=1)
+
+
+class TestSampleNegatives:
+    @pytest.mark.parametrize("full_history", [False, True])
+    @pytest.mark.parametrize("make_split", [small_split, dense_split, two_item_split])
+    @pytest.mark.parametrize("batch_size", [7, 256])  # both leave a short last batch
+    def test_matches_pair_by_pair_reference_and_its_generator_state(
+            self, make_split, full_history, batch_size):
+        split = make_split()
+        ours, reference = np.random.default_rng(11), np.random.default_rng(11)
+        sampled = 0
+        for batch in data.epoch_batches(split.train, batch_size, 3):
+            args = (batch.item_indices, split, batch.user_indices)
+            expected = oracles.reference_negatives(*args, reference, full_history)
+            negatives = trainer._sample_negatives(*args, ours, full_history)
+            assert negatives.dtype == expected.dtype
+            np.testing.assert_array_equal(negatives, expected)
+            sampled += negatives.size
+        assert ours.bit_generator.state == reference.bit_generator.state
+        assert ours.integers(2**40) == reference.integers(2**40)
+        unrejected = np.random.default_rng(11)
+        unrejected.integers(split.num_items, size=sampled)
+        assert unrejected.bit_generator.state != ours.bit_generator.state  # some were redrawn
+
+
 class TestFit:
-    def test_patience_one_with_decreasing_metric_stops_at_two(self, monkeypatch):
+    @pytest.mark.parametrize("scores, patience, epochs_run, best_epoch", [
+        ([0.9, 0.5, 0.4, 0.3], 1, 2, 1),
+        ([0.2, 0.5, 0.5, 0.6, 0.4, 0.4, 0.9], 2, 6, 4),  # a new best resets the count
+        ([0.3, 0.3, 0.3, 0.9], 2, 3, 1),  # a tie is not an improvement
+    ], ids=["decreasing", "new-best-resets", "tie-is-no-improvement"])
+    def test_stops_after_patience_evaluations_without_a_new_best(
+            self, monkeypatch, scores, patience, epochs_run, best_epoch):
+        from sphererec.evaluation import MetricsReport
+
         split = small_split()
-        cfg = base_config(patience=1, max_epochs=50)
-        fake_scores = iter([0.9, 0.5, 0.4, 0.3])
+        fake_scores = iter(scores)
 
         def fake_evaluate(*args, **kwargs):
-            from sphererec.evaluation import MetricsReport
             score = next(fake_scores)
             return MetricsReport(ks=(20,), recall={20: score}, ndcg={20: score},
                                  num_users_evaluated=1)
 
         monkeypatch.setattr(trainer, "evaluate", fake_evaluate)
-        report, *_ = trainer.fit(split, cfg)
-        assert report.epochs_run == 2
-        assert report.best_epoch == 1
+        report, user_table, item_table = trainer.fit(
+            split, base_config(patience=patience, max_epochs=50))
+        assert report.epochs_run == len(report.val_history) == epochs_run
+        assert report.best_epoch == best_epoch
+        assert report.best_val["ndcg@20"] == scores[best_epoch - 1]
+        _, fixed_users, fixed_items = trainer.fit(
+            split, base_config(max_epochs=best_epoch, fixed_epochs=True))
+        np.testing.assert_array_equal(user_table.values, fixed_users.values)
+        np.testing.assert_array_equal(item_table.values, fixed_items.values)
 
     def test_zero_epochs_returns_initial_checkpoint(self):
         split = small_split()
