@@ -2,11 +2,14 @@
 
 The graph encoder stacks both embedding tables into one node matrix, applies
 K rounds of symmetric-normalized neighborhood averaging over the training
-bipartite graph, and outputs the mean of layers 0..K. Propagation is linear,
-so the backward pass is the same propagation applied to the scattered output
-gradients (the adjacency is symmetric). With K = 0 the output is the raw
-tables, so the lookup ("mf") encoder is that case, served by a plain gather
-and scatter without building the adjacency.
+bipartite graph, and outputs the mean of layers 0..K. `encode_all` (probe and
+ranking) propagates the whole graph. A training batch needs layer k only on
+the (K - k)-hop ball around its nodes, so `lightgcn_encode` multiplies only
+those adjacency rows; propagation is linear and the adjacency symmetric, so
+`lightgcn_backward` runs the same hops transposed, outward from the batch.
+Both give the full-graph rows bit for bit (see `_frontiers`). With K = 0 the
+output is the raw tables, so the lookup ("mf") encoder is that case, served
+by a plain gather and scatter without building the adjacency.
 """
 
 from __future__ import annotations
@@ -67,12 +70,16 @@ def build_norm_adjacency(train: InteractionDataset) -> NormalizedAdjacency:
     return NormalizedAdjacency(num_users=train.num_users, num_items=train.num_items, matrix=matrix)
 
 
+def _checked_ids(ids, bound: int, what: str) -> np.ndarray:
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= bound):
+        raise ValueError(f"{what} out of range [0, {bound})")
+    return ids
+
+
 def mf_encode(table: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
     """Gather table rows by id; ids may repeat."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= len(table.values)):
-        raise ValueError(f"id out of range [0, {len(table.values)})")
-    return table.values[ids]
+    return table.values[_checked_ids(ids, len(table.values), "id")]
 
 
 def scatter_rows(grad_rows: np.ndarray, ids: np.ndarray, num_rows: int) -> np.ndarray:
@@ -82,7 +89,7 @@ def scatter_rows(grad_rows: np.ndarray, ids: np.ndarray, num_rows: int) -> np.nd
     """
     grad_rows = np.asarray(grad_rows, dtype=np.float64)
     out = np.zeros((num_rows, grad_rows.shape[1]))
-    np.add.at(out, np.asarray(ids, dtype=np.int64), grad_rows)
+    np.add.at(out, _checked_ids(ids, num_rows, "id"), grad_rows)
     return out
 
 
@@ -97,13 +104,15 @@ def _check_adjacency(user_table: EmbeddingTable, item_table: EmbeddingTable,
         raise ValueError("user and item tables must share one dimensionality")
 
 
-def _layer_mean(adj: NormalizedAdjacency, cfg: GraphEncoderConfig,
-                state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of layers 0..K of a node matrix, split into user and item rows.
-
-    Takes ownership of `state`: the layers are summed into it in place.
-    """
-    acc = state
+def lightgcn_propagate(
+    user_table: EmbeddingTable,
+    item_table: EmbeddingTable,
+    adj: NormalizedAdjacency,
+    cfg: GraphEncoderConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate the stacked tables over the whole graph; return per-node layer means."""
+    _check_adjacency(user_table, item_table, adj)
+    acc = state = np.vstack([user_table.values, item_table.values])
     for _ in range(cfg.num_layers):
         state = adj.matrix @ state
         acc += state
@@ -111,15 +120,39 @@ def _layer_mean(adj: NormalizedAdjacency, cfg: GraphEncoderConfig,
     return acc[:adj.num_users], acc[adj.num_users:]
 
 
-def lightgcn_propagate(
-    user_table: EmbeddingTable,
-    item_table: EmbeddingTable,
-    adj: NormalizedAdjacency,
-    cfg: GraphEncoderConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate the stacked tables and return per-node layer-mean outputs."""
-    _check_adjacency(user_table, item_table, adj)
-    return _layer_mean(adj, cfg, np.vstack([user_table.values, item_table.values]))
+def _batch_nodes(adj: NormalizedAdjacency, user_ids, item_ids):
+    """Checked ids, the batch's sorted unique nodes and each id's position among them."""
+    user_ids = _checked_ids(user_ids, adj.num_users, "user id")
+    item_ids = _checked_ids(item_ids, adj.num_items, "item id")
+    nodes, where = np.unique(np.concatenate([user_ids, adj.num_users + item_ids]),
+                             return_inverse=True)
+    return nodes, where[:user_ids.size], where[user_ids.size:]
+
+
+def _frontiers(adj: NormalizedAdjacency, nodes: np.ndarray,
+               depth: int) -> tuple[list[np.ndarray], list[sp.csr_matrix]]:
+    """Growing node sets around `nodes` and the adjacency rows that link them.
+
+    balls[0] is `nodes` and balls[j] adds the neighbours of balls[j - 1].
+    hops[j] is the adjacency's rows balls[j] with each column renumbered to
+    its position in balls[j + 1], which holds every non-zero of those rows.
+    A row subset keeps each row's non-zeros in their stored (ascending
+    column) order, so a product through hops[j], or through its transpose
+    over ascending rows, adds the full product's terms in the same order and
+    skips only +0.0 terms. Those leave a sum that starts at +0.0 unchanged, so
+    every row it computes has the full product's bits.
+    """
+    balls, hops = [nodes], []
+    reached = np.zeros(adj.size, dtype=bool)
+    reached[nodes] = True
+    for _ in range(depth):
+        rows = adj.matrix[balls[-1]]
+        reached[rows.indices] = True
+        position = np.cumsum(reached) - 1
+        balls.append(np.flatnonzero(reached))
+        hops.append(sp.csr_matrix((rows.data, position[rows.indices], rows.indptr),
+                                  shape=(rows.shape[0], balls[-1].size)))
+    return balls, hops
 
 
 def lightgcn_encode(
@@ -130,15 +163,25 @@ def lightgcn_encode(
     user_ids: np.ndarray,
     item_ids: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagated representations for the requested user and item ids."""
-    all_users, all_items = lightgcn_propagate(user_table, item_table, adj, cfg)
-    user_ids = np.asarray(user_ids, dtype=np.int64)
-    item_ids = np.asarray(item_ids, dtype=np.int64)
-    if user_ids.size and (user_ids.min() < 0 or user_ids.max() >= adj.num_users):
-        raise ValueError(f"user id out of range [0, {adj.num_users})")
-    if item_ids.size and (item_ids.min() < 0 or item_ids.max() >= adj.num_items):
-        raise ValueError(f"item id out of range [0, {adj.num_items})")
-    return all_users[user_ids], all_items[item_ids]
+    """Propagated representations for the requested user and item ids.
+
+    Layer K is computed only at the batch's nodes and layer k < K only on
+    the (K - k)-hop ball around them, so each output row has the bits of
+    `lightgcn_propagate`'s row for that node.
+    """
+    _check_adjacency(user_table, item_table, adj)
+    nodes, user_pos, item_pos = _batch_nodes(adj, user_ids, item_ids)
+    balls, hops = _frontiers(adj, nodes, cfg.num_layers)
+    outer = balls[-1]
+    first_item = np.searchsorted(outer, adj.num_users)
+    layer = np.concatenate([user_table.values[outer[:first_item]],
+                            item_table.values[outer[first_item:] - adj.num_users]])
+    acc = layer[np.searchsorted(outer, nodes)]
+    for ball, hop in zip(balls[-2::-1], hops[::-1]):
+        layer = hop @ layer
+        acc += layer[np.searchsorted(ball, nodes)]
+    acc /= cfg.num_layers + 1
+    return acc[user_pos], acc[item_pos]
 
 
 def lightgcn_backward(
@@ -151,15 +194,29 @@ def lightgcn_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of lightgcn_encode outputs back to the raw tables.
 
-    Scatters the batch gradients onto the node matrix (repeated ids add),
-    then applies the transpose propagation; the adjacency is symmetric so
-    this reuses the forward loop.
+    Sums the batch gradients onto the batch's nodes (repeated ids add, users
+    before items), then applies the transpose propagation. The adjacency is
+    symmetric, so round j is the transposed product through the forward's
+    hop j - 1: it reads only the (j - 1)-hop ball, outside which the
+    gradient is zero, and writes the j-hop ball. Each round is then added
+    into the next, inner balls into outer ones; addition commutes, so every
+    node sums its rounds in the full-graph order and gets the same bits.
     """
-    dim = grad_users.shape[1]
-    scattered = np.zeros((adj.size, dim))
-    np.add.at(scattered, np.asarray(user_ids, dtype=np.int64), grad_users)
-    np.add.at(scattered, adj.num_users + np.asarray(item_ids, dtype=np.int64), grad_items)
-    return _layer_mean(adj, cfg, scattered)
+    nodes, user_pos, item_pos = _batch_nodes(adj, user_ids, item_ids)
+    grad = np.zeros((nodes.size, grad_users.shape[1]))
+    np.add.at(grad, user_pos, grad_users)
+    np.add.at(grad, item_pos, grad_items)
+    balls, hops = _frontiers(adj, nodes, cfg.num_layers)
+    rounds = [grad]
+    for hop in hops:
+        rounds.append(hop.T @ rounds[-1])
+    for j in range(1, len(rounds)):
+        rounds[j][np.searchsorted(balls[j], balls[j - 1])] += rounds[j - 1]
+    acc = rounds[-1]
+    acc /= cfg.num_layers + 1
+    out = np.zeros((adj.size, acc.shape[1]))
+    out[balls[-1]] = acc
+    return out[:adj.num_users], out[adj.num_users:]
 
 
 class Encoder:

@@ -232,6 +232,9 @@ class TrainState:
         self.shuffle_root = shuffle_root
         self.negative_root = negative_root
         self.encoder = encoders.Encoder(cfg.encoder, cfg.num_layers, split.train)
+        # the full-history negative sampler looks its draws up here; built once per fit
+        full_history = cfg.objective == "bpr" and cfg.bpr_full_history_rejection
+        self.train_keys = _train_keys(split) if full_history else None
 
         probe_rng = np.random.default_rng(probe_seed)
         n_pairs = split.train.num_interactions
@@ -258,18 +261,23 @@ def _check_negatives_exist(split: SplitDataset, full_history: bool) -> None:
                          "so bpr_full_history_rejection can draw no negative for it")
 
 
+def _train_keys(split: SplitDataset) -> np.ndarray:
+    """`user * num_items + item` of every training pair; sorted, as the pairs are."""
+    pairs = split.train.interactions
+    return pairs[:, 0] * split.num_items + pairs[:, 1]
+
+
 def _sample_negatives(batch_items: np.ndarray, split: SplitDataset, user_ids: np.ndarray,
-                      rng: np.random.Generator, full_history: bool) -> np.ndarray:
-    """One uniform negative per pair, redrawn while it is the positive or (`full_history`) any
-    training item of the user; values and final rng state equal drawing pair by pair."""
+                      rng: np.random.Generator, train_keys: np.ndarray | None) -> np.ndarray:
+    """One uniform negative per pair, redrawn while it is the positive or (given `train_keys`,
+    from `_train_keys`) any training item of the user; values and final rng state equal
+    drawing pair by pair."""
     num_items = split.num_items
-    pairs = split.train.interactions  # sorted, so their user * num_items + item keys are too
-    train_keys = pairs[:, 0] * num_items + pairs[:, 1] if full_history else None
     negatives = rng.integers(num_items, size=batch_items.shape[0])
     first = 0
     while True:
         rejected = negatives[first:] == batch_items[first:]
-        if full_history:
+        if train_keys is not None:
             keys = user_ids[first:] * num_items + negatives[first:]
             found = np.minimum(np.searchsorted(train_keys, keys), train_keys.size - 1)
             rejected |= train_keys[found] == keys
@@ -315,7 +323,7 @@ def train_epoch(split: SplitDataset, state: TrainState, epoch_index: int) -> Epo
         if weights is None:
             # bpr's drawn negatives join the positives as one item batch
             item_ids = np.concatenate([item_ids, _sample_negatives(
-                item_ids, split, user_ids, negative_rng, cfg.bpr_full_history_rejection)])
+                item_ids, split, user_ids, negative_rng, state.train_keys)])
         user_vecs, item_vecs = state.encoder.encode(state.user_table, state.item_table,
                                                     user_ids, item_ids)
         if weights is None:

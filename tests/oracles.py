@@ -1,9 +1,10 @@
 """Naive reference implementations for cross-checking the losses, the ranking, the data parts,
-the optimizer and the negative sampler.
+the optimizer, the negative sampler and the graph encoder.
 
-Everything here but `reference_adam_step` and `reference_negatives` is pure
-Python over lists: explicit pair loops, explicit normalization, no numpy, no
-shared code with the package. Deliberately slow and obvious.
+Everything here but `reference_adam_step`, `reference_negatives` and the
+`reference_lightgcn_*` functions is pure Python over lists: explicit pair
+loops, explicit normalization, no numpy, no shared code with the package.
+Deliberately slow and obvious.
 """
 
 import math
@@ -179,3 +180,35 @@ def reference_negatives(batch_items, split, user_ids, rng, full_history):
                     break
         negatives[idx] = neg
     return negatives
+
+
+def reference_layer_mean(adj, cfg, state):
+    """Mean of layers 0..K of a whole node matrix, split into user and item rows.
+
+    This and the two functions below are the full-graph encoder that
+    `encoders.lightgcn_encode` and `encoders.lightgcn_backward` must match
+    bit for bit: every round multiplies the whole node matrix. Input checks
+    are left out.
+    """
+    acc = state
+    for _ in range(cfg.num_layers):
+        state = adj.matrix @ state
+        acc += state
+    acc /= cfg.num_layers + 1
+    return acc[:adj.num_users], acc[adj.num_users:]
+
+
+def reference_lightgcn_encode(user_table, item_table, adj, cfg, user_ids, item_ids):
+    all_users, all_items = reference_layer_mean(
+        adj, cfg, np.vstack([user_table.values, item_table.values]))
+    user_ids = np.asarray(user_ids, dtype=np.int64)
+    item_ids = np.asarray(item_ids, dtype=np.int64)
+    return all_users[user_ids], all_items[item_ids]
+
+
+def reference_lightgcn_backward(adj, cfg, user_ids, item_ids, grad_users, grad_items):
+    dim = grad_users.shape[1]
+    scattered = np.zeros((adj.size, dim))
+    np.add.at(scattered, np.asarray(user_ids, dtype=np.int64), grad_users)
+    np.add.at(scattered, adj.num_users + np.asarray(item_ids, dtype=np.int64), grad_items)
+    return reference_layer_mean(adj, cfg, scattered)

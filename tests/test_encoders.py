@@ -39,6 +39,11 @@ class TestMfEncode:
         expected[2] = 3.0
         np.testing.assert_array_equal(grad, expected)
 
+    @pytest.mark.parametrize("ids", [[-1], [4]])
+    def test_scatter_rejects_out_of_range_ids(self, ids):
+        with pytest.raises(ValueError, match=r"^id out of range \[0, 4\)$"):
+            encoders.scatter_rows(np.ones((1, 3)), ids, num_rows=4)
+
 
 class TestBuildNormAdjacency:
     def test_single_interaction_unit_weights(self):
@@ -173,6 +178,65 @@ class TestLightgcnGradient:
         fd_item = central_differences(lambda i: loss_from_tables(user_values, i), item_values)
         assert max_relative_error(grad_user_table, fd_user) <= 1e-4
         assert max_relative_error(grad_item_table, fd_item) <= 1e-4
+
+
+class TestLightgcnBackward:
+    @pytest.mark.parametrize("user_ids, item_ids, message", [
+        ([2], [0], r"^user id out of range \[0, 2\)$"),  # would land on item 0's node
+        ([-1], [0], r"^user id out of range \[0, 2\)$"),
+        ([0], [-1], r"^item id out of range \[0, 3\)$"),  # would land on the last user's node
+        ([0], [3], r"^item id out of range \[0, 3\)$"),
+    ], ids=["user-past-end", "negative-user", "negative-item", "item-past-end"])
+    def test_rejects_out_of_range_ids(self, user_ids, item_ids, message):
+        _, adj = toy_graph()
+        grad = np.ones((1, 4))
+        with pytest.raises(ValueError, match=message):
+            encoders.lightgcn_backward(adj, encoders.GraphEncoderConfig(num_layers=2),
+                                       user_ids, item_ids, grad, grad)
+
+
+def random_graph(num_users, num_items, num_pairs, seed):
+    """A seeded bipartite graph whose last 3 users and last 2 items have no edges."""
+    rng = np.random.default_rng(seed)
+    pairs = np.column_stack([rng.integers(num_users - 3, size=num_pairs),
+                             rng.integers(num_items - 2, size=num_pairs)])
+    train = data.dataset_from_pairs(num_users, num_items, pairs)
+    return train, encoders.build_norm_adjacency(train)
+
+
+class TestBatchRestrictedPropagation:
+    """The batch-restricted encoder against the full-graph one, bit for bit."""
+
+    @pytest.mark.parametrize("num_layers", range(4))
+    @pytest.mark.parametrize("shape", [(40, 30, 150, 12), (400, 300, 900, 16)],
+                             ids=["dense-batch", "sparse-batch"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_same_bits_as_full_graph(self, seed, shape, num_layers):
+        num_users, num_items, num_pairs, batch = shape
+        train, adj = random_graph(num_users, num_items, num_pairs, seed)
+        cfg = encoders.GraphEncoderConfig(num_layers=num_layers)
+        rng = np.random.default_rng([seed, num_layers])
+        user_table = EmbeddingTable(rng.normal(size=(num_users, 8)))
+        item_table = EmbeddingTable(rng.normal(size=(num_items, 8)))
+        # bpr's shape: B users, then B positives and B negatives; every id
+        # list repeats an id and holds an isolated node
+        user_ids = rng.integers(num_users, size=batch)
+        user_ids[:2] = num_users - 1
+        item_ids = rng.integers(num_items, size=2 * batch)
+        item_ids[[0, batch]] = num_items - 1
+        item_ids[-1] = item_ids[1]
+        grads = rng.normal(size=(batch, 8)), rng.normal(size=(2 * batch, 8))
+        pairs = [
+            (encoders.lightgcn_encode(user_table, item_table, adj, cfg, user_ids, item_ids),
+             oracles.reference_lightgcn_encode(user_table, item_table, adj, cfg,
+                                               user_ids, item_ids)),
+            (encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads),
+             oracles.reference_lightgcn_backward(adj, cfg, user_ids, item_ids, *grads)),
+        ]
+        for got, expected in pairs:
+            for got_part, expected_part in zip(got, expected):
+                assert got_part.shape == expected_part.shape
+                assert got_part.tobytes() == expected_part.tobytes()
 
 
 class TestEncoder:

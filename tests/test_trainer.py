@@ -301,11 +301,12 @@ class TestSampleNegatives:
             self, make_split, full_history, batch_size):
         split = make_split()
         ours, reference = np.random.default_rng(11), np.random.default_rng(11)
+        train_keys = trainer._train_keys(split) if full_history else None
         sampled = 0
         for batch in data.epoch_batches(split.train, batch_size, 3):
             args = (batch.item_indices, split, batch.user_indices)
             expected = oracles.reference_negatives(*args, reference, full_history)
-            negatives = trainer._sample_negatives(*args, ours, full_history)
+            negatives = trainer._sample_negatives(*args, ours, train_keys)
             assert negatives.dtype == expected.dtype
             np.testing.assert_array_equal(negatives, expected)
             sampled += negatives.size
