@@ -1,0 +1,162 @@
+"""Hash every artifact of a fixed matrix of CLI runs, so two checkouts can be compared byte for byte.
+
+    python3 scripts/run_matrix.py --out digests.json [--reduced]
+    python3 scripts/run_matrix.py --compare a.json b.json
+
+The matrix runs on a seeded synthetic TSV with BLAS on one thread:
+
+- `train` for `mf` and `lightgcn` under `rau`, `directau` and `bpr`, each
+  with early stopping, with `--fixed-epochs` and with `--max-epochs 0`, plus
+  `bpr` with full-history rejection;
+- `eval` of every trained checkpoint on both parts in both score modes;
+- `sweep`, `geometry` and `inspect`.
+
+Every file the runs write, and each command's standard output, gets a
+SHA-256; `report.json`'s wall times are zeroed before hashing. `--reduced`
+keeps the early-stopping run of each encoder and objective and its test
+`eval`. `--compare` prints "N of N byte-identical" and exits 1 on any
+difference.
+
+BLAS kernels differ by CPU, so compare two checkouts on one machine: put
+this script in each checkout's `scripts/` and run it there. It imports the
+package from the checkout's `src/`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+DATASET = "data.tsv"
+COMMON = ["--dataset", DATASET, "--dim", "8", "--lr", "0.05", "--batch-size", "64", "--seed", "3"]
+STOPPING = {
+    "early": ["--max-epochs", "30", "--patience", "2"],
+    "fixed": ["--max-epochs", "3", "--fixed-epochs"],
+    "zero": ["--max-epochs", "0"],
+}
+
+
+def write_dataset(path: Path) -> None:
+    from sphererec import data
+
+    ds = data.two_cluster_dataset(80, 40, 8, seed=5)
+    path.write_text("".join(f"u{u}\ti{i}\n" for u, i in ds.interactions), encoding="utf-8")
+
+
+def run(label: str, argv: list[str]) -> None:
+    """Run one CLI command, keeping its standard output as the artifact `stdout/<label>.txt`."""
+    from sphererec import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--single-thread", *argv])
+    if code != 0:
+        raise SystemExit(f"{label}: exit code {code}\n{err.getvalue()}")
+    Path("stdout").mkdir(exist_ok=True)
+    Path("stdout", f"{label}.txt").write_text(out.getvalue(), encoding="utf-8")
+
+
+def run_matrix(reduced: bool) -> None:
+    """Run the matrix in the current directory."""
+    write_dataset(Path(DATASET))
+    Path("bpr-full-history.json").write_text('{"bpr_full_history_rejection": true}\n',
+                                             encoding="utf-8")
+    trains = [(f"{encoder}-{objective}-{stopping}", ["--encoder", encoder,
+                                                     "--objective", objective, *flags])
+              for encoder in ("mf", "lightgcn") for objective in ("rau", "directau", "bpr")
+              for stopping, flags in STOPPING.items() if stopping == "early" or not reduced]
+    if not reduced:
+        trains += [(f"{encoder}-bpr-full-history", ["--encoder", encoder, "--objective", "bpr",
+                                                    "--config", "bpr-full-history.json",
+                                                    *STOPPING["early"]])
+                   for encoder in ("mf", "lightgcn")]
+    evals = [("test", "cosine")] if reduced else [
+        (part, mode) for part in ("validation", "test") for mode in ("cosine", "dot")]
+    Path("eval").mkdir()
+    for label, flags in trains:
+        out_dir = Path("train", label)
+        run(f"train-{label}", ["train", *COMMON, *flags, "--out-dir", str(out_dir)])
+        (checkpoint,) = out_dir.iterdir()
+        for part, mode in evals:
+            name = f"{label}-{part}-{mode}"
+            run(f"eval-{name}", ["eval", "--checkpoint", str(checkpoint), "--part", part,
+                                 "--score-mode", mode, "--k", "5", "20",
+                                 "--out", f"eval/{name}.json", "--out-csv", f"eval/{name}.csv"])
+    if reduced:
+        return
+    run("sweep", ["sweep", *COMMON, *STOPPING["early"], "--alpha-values", "0", "0.5",
+                  "--beta-values", "0", "1", "--gamma-ratios", "0.5/0.5", "0.7/0.3",
+                  "--k", "5", "20", "--out", "sweep/sweep.csv"])
+    run("geometry", ["geometry", "--step", "5", "--case", "0", "90", "200",
+                     "--out-dir", "geometry"])
+    run("inspect", ["inspect", "--dataset", DATASET, "--split-seed", "3",
+                    "--manifest", "inspect-manifest.json"])
+
+
+def artifact_bytes(path: Path) -> bytes:
+    """The file's bytes; for report.json, as written but with every wall time set to 0."""
+    if path.name != "report.json":
+        return path.read_bytes()
+    report = json.loads(path.read_text(encoding="utf-8"))
+    report["total_time_s"] = 0.0
+    for entry in report["diagnostics"]:
+        entry["wall_time_s"] = 0.0
+    return (json.dumps(report, indent=2) + "\n").encode("utf-8")
+
+
+def digests(work_dir: Path, reduced: bool) -> dict[str, str]:
+    """Run the matrix in the empty `work_dir`; return {relative path: SHA-256} of every file."""
+    previous = Path.cwd()
+    os.chdir(work_dir)  # relative paths keep the checkpoint sidecars and stdout comparable
+    try:
+        run_matrix(reduced)
+        return {path.as_posix(): hashlib.sha256(artifact_bytes(path)).hexdigest()
+                for path in sorted(Path(".").rglob("*")) if path.is_file()}
+    finally:
+        os.chdir(previous)
+
+
+def compare(path_a: Path, path_b: Path) -> int:
+    a, b = (json.loads(p.read_text(encoding="utf-8"))["files"] for p in (path_a, path_b))
+    names = sorted(a.keys() | b.keys())
+    differing = [name for name in names if a.get(name) != b.get(name)]
+    for name in differing:
+        where = "differs" if name in a and name in b else f"only in {path_a if name in a else path_b}"
+        print(f"{where}: {name}")
+    print(f"{len(names) - len(differing)} of {len(names)} byte-identical")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, help="write the digests here as JSON")
+    parser.add_argument("--reduced", action="store_true",
+                        help="one early-stopping run per encoder and objective")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                        help="compare two digest files instead of running")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.out is None:
+        parser.error("--out is required unless --compare is given")
+    for name in THREAD_VARS:
+        os.environ[name] = "1"  # only takes effect before numpy is first imported
+    sys.path.insert(0, str(SRC))
+    with tempfile.TemporaryDirectory() as work_dir:
+        files = digests(Path(work_dir), args.reduced)
+    args.out.write_text(json.dumps({"files": files}, indent=2) + "\n", encoding="utf-8")
+    print(f"{len(files)} artifacts hashed into {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

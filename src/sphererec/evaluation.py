@@ -77,38 +77,6 @@ def _csr_cells(part: InteractionDataset, users: np.ndarray) -> tuple[np.ndarray,
     return rows, part.user_items[np.arange(rows.size) + offsets]
 
 
-def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, rows / s) with s = max|row| per row, so the scaled rows' norms cannot overflow."""
-    scale = np.abs(rows).max(axis=1, keepdims=True)
-    return scale, rows / scale
-
-
-def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a finite matrix; inf only where the true norm is.
-
-    np.linalg.norm squares the entries, which overflows above about 1.3e154.
-    Only the rows it returns inf for are recomputed, as s * |row / s| with
-    s = max|row|, so every other row keeps its exact bits.
-    """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(matrix, axis=1)
-        big = np.flatnonzero(~np.isfinite(norms))
-        if big.size:
-            scale, scaled = _scaled_rows(matrix[big])
-            norms[big] = scale[:, 0] * np.linalg.norm(scaled, axis=1)
-    return norms
-
-
-def _guarded_unit_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = _row_norms(matrix)
-    unit = matrix / np.maximum(norms, 1e-12)[:, None]
-    big = np.flatnonzero(np.isinf(norms))  # the true norm overflows: (row / s) / |row / s|
-    if big.size:
-        scaled = _scaled_rows(matrix[big])[1]
-        unit[big] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
-    return unit
-
-
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """np.argsort(-scores, axis=1, kind="stable")[:, :k], sorting only the candidates.
 
@@ -139,8 +107,10 @@ def evaluate(
     Exclusion per user: training items always; validation items too when
     part="test" (prevents validation leakage into test ranks).
     `user_vectors`/`item_vectors` are the ENCODED full tables; pass
-    score_mode="dot" for models trained on raw dot products. Both tables
-    must be finite, and in dot mode so must the product of their largest row norms.
+    score_mode="dot" for models trained on raw dot products. A table with a
+    non-finite entry, or with a row whose norm is beyond float64, is rejected
+    with ValueError; so, in dot mode, are tables whose largest row norms
+    multiply to more than float64 holds.
     """
     if part not in ("validation", "test"):
         raise ValueError(f"part must be 'validation' or 'test', got {part!r}")
@@ -154,12 +124,18 @@ def evaluate(
             f"checkpoint covers {user_vectors.shape[0]} users / {item_vectors.shape[0]} items, "
             f"split has {split.num_users} / {split.num_items}"
         )
-    for name, vectors in (("user_vectors", user_vectors), ("item_vectors", item_vectors)):
-        if not np.isfinite(vectors).all():
-            raise ValueError(f"{name} contains non-finite entries")
+    # each row's norm, taken once, decides finiteness, scales cosine rows and bounds dot
+    # scores; a NaN or inf entry, or squares beyond float64 (entries from about 1.3e154 up),
+    # make it non-finite
+    with np.errstate(over="ignore"):
+        user_norms, item_norms = (np.linalg.norm(v, axis=1) for v in (user_vectors, item_vectors))
+    for name, norms in (("user_vectors", user_norms), ("item_vectors", item_norms)):
+        if not np.isfinite(norms).all():
+            raise ValueError(f"{name} contains non-finite entries or a row whose norm "
+                             "overflows float64")
     if score_mode == "cosine":
-        user_vectors = _guarded_unit_rows(user_vectors)
-        item_vectors = _guarded_unit_rows(item_vectors)
+        user_vectors = user_vectors / np.maximum(user_norms, 1e-12)[:, None]
+        item_vectors = item_vectors / np.maximum(item_norms, 1e-12)[:, None]
 
     target = split.test if part == "test" else split.validation
     eval_users = np.flatnonzero(np.diff(target.user_indptr) > 0)
@@ -170,7 +146,7 @@ def evaluate(
     # |u . i| <= |u| |i| (Cauchy-Schwarz) bounds every dot score and each partial sum of one
     if score_mode == "dot":
         with np.errstate(over="ignore"):  # an overflow here is what the check looks for
-            bound = _row_norms(user_vectors).max() * _row_norms(item_vectors).max()
+            bound = user_norms.max() * item_norms.max()
         if not np.isfinite(bound):
             raise ValueError("dot-product scores can overflow: the largest user and item row "
                              "norms multiply to more than float64 holds")

@@ -59,12 +59,17 @@ def init_xavier(rows: int, dim: int, seed: int) -> EmbeddingTable:
 
 
 def normalize_with_norms(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (unit rows, original norms); raises on any near-zero row."""
+    """Return (unit rows, original norms); raises on any near-zero or non-finite row norm."""
     vectors = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(vectors, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vectors, axis=1)
     bad = np.flatnonzero(norms < MIN_ROW_NORM)
     if bad.size:
         raise ValueError(f"cannot normalize zero-norm row {int(bad[0])}")
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(f"cannot normalize row {int(bad[0])}: its norm is non-finite "
+                         "(a NaN or inf entry, or one whose square overflows float64)")
     return vectors / norms[:, None], norms
 
 

@@ -250,13 +250,10 @@ class TrainState:
         )
 
 
-def _check_negatives_exist(split: SplitDataset, full_history: bool) -> None:
-    """Raise where _sample_negatives could never accept a draw."""
-    if split.num_items < 2:
-        raise ValueError("the bpr objective needs at least 2 items to draw a negative, "
-                         f"the catalog has {split.num_items}")
+def _check_negatives_exist(split: SplitDataset) -> None:
+    """Raise where full-history _sample_negatives could never accept a draw."""
     saturated = np.flatnonzero(np.diff(split.train.user_indptr) >= split.num_items)
-    if full_history and saturated.size:
+    if saturated.size:
         raise ValueError(f"user {int(saturated[0])} has every item in its training history, "
                          "so bpr_full_history_rejection can draw no negative for it")
 
@@ -288,8 +285,10 @@ def _sample_negatives(batch_items: np.ndarray, split: SplitDataset, user_ids: np
         negatives[-1] = rng.integers(num_items)
 
 
-def _probe_diagnostics(state: TrainState, epoch: int, wall_time_s: float) -> EpochDiagnostics:
-    all_users, all_items = state.encoder.encode_all(state.user_table, state.item_table)
+def _probe_diagnostics(state: TrainState, encoded: tuple[np.ndarray, np.ndarray], epoch: int,
+                       wall_time_s: float) -> EpochDiagnostics:
+    """Diagnostics of the probe sample, read from `encoded`, the tables' `encode_all`."""
+    all_users, all_items = encoded
     pair_users = l2_normalize(all_users[state.probe_pair_users])
     pair_items = l2_normalize(all_items[state.probe_pair_items])
     uniform_user, variance_user = losses.uniformity_and_variance(
@@ -307,8 +306,12 @@ def _probe_diagnostics(state: TrainState, epoch: int, wall_time_s: float) -> Epo
     )
 
 
-def train_epoch(split: SplitDataset, state: TrainState, epoch_index: int) -> EpochDiagnostics:
-    """Run one full pass over the training pairs under `state.cfg`; return probe diagnostics.
+def train_epoch(split: SplitDataset, state: TrainState,
+                epoch_index: int) -> tuple[EpochDiagnostics, tuple[np.ndarray, np.ndarray]]:
+    """Run one full pass over the training pairs under `state.cfg`.
+
+    Returns the probe diagnostics and the encoded full tables after the pass,
+    which `fit` ranks for validation; `wall_time_s` times the pass alone.
 
     epoch_index is 1-based and seeds both the batch shuffle and (for the
     ranking objective) the per-epoch negative draws. Every batch is one
@@ -335,7 +338,9 @@ def train_epoch(split: SplitDataset, state: TrainState, epoch_index: int) -> Epo
         user_grad, item_grad = state.encoder.backward(user_ids, item_ids, grad_users, grad_items)
         adam_step(state.user_table.values, user_grad, state.user_adam, cfg.lr, cfg.weight_decay)
         adam_step(state.item_table.values, item_grad, state.item_adam, cfg.lr, cfg.weight_decay)
-    return _probe_diagnostics(state, epoch_index, time.perf_counter() - started)
+    wall_time_s = time.perf_counter() - started
+    encoded = state.encoder.encode_all(state.user_table, state.item_table)
+    return _probe_diagnostics(state, encoded, epoch_index, wall_time_s), encoded
 
 
 def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTable, EmbeddingTable]:
@@ -351,8 +356,12 @@ def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTa
             "validation split is empty so early stopping is impossible; "
             "set fixed_epochs=True (CLI: --fixed-epochs) to train for max_epochs"
         )
-    if cfg.objective == "bpr":
-        _check_negatives_exist(split, cfg.bpr_full_history_rejection)
+    if split.num_users < 2 or split.num_items < 2:
+        raise ValueError("training needs at least 2 users and at least 2 items (the probe "
+                         "compares distinct rows of each table, bpr draws a negative item), "
+                         f"the split has {split.num_users} users and {split.num_items} items")
+    if cfg.objective == "bpr" and cfg.bpr_full_history_rejection:
+        _check_negatives_exist(split)
     started = time.perf_counter()
     state = TrainState(split, cfg)
     stopping_k = cfg.eval_k_for_stopping
@@ -362,12 +371,12 @@ def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTa
     val_history: list[dict] = []
     best_epoch, best_val, best_tables = 0, None, None
     for epoch in range(1, cfg.max_epochs + 1):
-        diagnostics.append(train_epoch(split, state, epoch))
+        diag, encoded = train_epoch(split, state, epoch)
+        diagnostics.append(diag)
         if cfg.fixed_epochs:
             best_epoch = epoch
             continue
-        all_users, all_items = state.encoder.encode_all(state.user_table, state.item_table)
-        report = evaluate(split, all_users, all_items, ks=(stopping_k,),
+        report = evaluate(split, *encoded, ks=(stopping_k,),
                           part="validation", score_mode=cfg.score_mode)
         entry = {
             "epoch": epoch,

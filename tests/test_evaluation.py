@@ -222,24 +222,26 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="overflow"):
             evaluate(split, users, items, ks=(1,), score_mode="dot")
 
-    def test_cosine_normalizes_rows_whose_plain_norm_overflows(self):
+    def test_cosine_rejects_rows_whose_norm_overflows(self):
         # the squared norm of [1e200, 1e200] overflows, and the true norm of
-        # [1.5e308, 1.5e308] too: the user became a zero row, every item
-        # scored 0 and item 0 took the top slot by index
+        # [1.5e308, 1.5e308] too: such a row is rejected, not rescued, in either table
         split = one_user_split(2, [], [], [1])
         items = np.array([[-1.0, -1.0], [1.0, 1.0]])
-        for users in (np.array([[1.0, 1.0]]), np.array([[1e200, 1e200]]),
-                      np.array([[1.5e308, 1.5e308]])):
-            report = evaluate(split, users, items, ks=(1,), score_mode="cosine")
-            assert report.recall[1] == 1.0
+        assert evaluate(split, np.array([[1.0, 1.0]]), items, ks=(1,)).recall[1] == 1.0
+        for big in (np.array([[1e200, 1e200]]), np.array([[1.5e308, 1.5e308]])):
+            with pytest.raises(ValueError, match="user_vectors .* norm overflows"):
+                evaluate(split, big, items, ks=(1,), score_mode="cosine")
+            with pytest.raises(ValueError, match="item_vectors .* norm overflows"):
+                evaluate(split, np.array([[1.0, 1.0]]), np.concatenate([items[:1], big]),
+                         ks=(1,), score_mode="cosine")
 
-    def test_dot_accepts_finite_scores_of_rows_whose_plain_norm_overflows(self):
-        # scores are 1 and -1, but the overflow guard saw an infinite user norm
+    def test_dot_rejects_rows_whose_norm_overflows(self):
+        # the scores would be 1 and -1, but the user row's norm is beyond float64
         split = one_user_split(2, [], [], [0])
         users = np.array([[1e200, 0.0]])
         items = np.array([[1e-200, 0.0], [-1e-200, 0.0]])
-        report = evaluate(split, users, items, ks=(1,), score_mode="dot")
-        assert report.recall[1] == 1.0
+        with pytest.raises(ValueError, match="user_vectors .* norm overflows"):
+            evaluate(split, users, items, ks=(1,), score_mode="dot")
 
     def test_ties_across_kth_position_rank_by_ascending_index(self):
         # every item scores the same, so the top 2 are items 0 and 1

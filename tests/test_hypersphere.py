@@ -69,6 +69,13 @@ class TestL2Normalize:
         with pytest.raises(ValueError, match="row 1"):
             hs.l2_normalize(vectors)
 
+    @pytest.mark.parametrize("bad_row", [[1e200, 1e200], [1.5e308, 1.5e308], [np.nan, 1.0],
+                                         [np.inf, 0.0]])
+    def test_non_finite_norm_error_names_row(self, bad_row):
+        # a row whose squares overflow used to become a zero "unit" row with norm inf
+        with pytest.raises(ValueError, match="row 0: its norm is non-finite"):
+            hs.normalize_with_norms(np.array([bad_row, [1.0, 0.0]]))
+
     @given(finite_rows)
     @settings(max_examples=50, deadline=None)
     def test_idempotent_and_unit(self, rows):

@@ -208,14 +208,20 @@ def base_config(**overrides):
     return TrainConfig(**defaults)
 
 
+def probe(state):
+    """Probe diagnostics of the tables as they stand, before any epoch."""
+    encoded = state.encoder.encode_all(state.user_table, state.item_table)
+    return trainer._probe_diagnostics(state, encoded, epoch=0, wall_time_s=0.0)
+
+
 class TestTrainEpoch:
     def test_lr_zero_leaves_tables_and_diagnostics_unchanged(self):
         split = small_split()
         cfg = base_config(lr=0.0)
         state = TrainState(split, cfg)
-        before = trainer._probe_diagnostics(state, epoch=0, wall_time_s=0.0)
+        before = probe(state)
         tables_before = (state.user_table.values.copy(), state.item_table.values.copy())
-        diag = trainer.train_epoch(split, state, epoch_index=1)
+        diag, _ = trainer.train_epoch(split, state, epoch_index=1)
         np.testing.assert_array_equal(state.user_table.values, tables_before[0])
         np.testing.assert_array_equal(state.item_table.values, tables_before[1])
         assert diag.align == before.align
@@ -226,8 +232,8 @@ class TestTrainEpoch:
         cfg = TrainConfig(objective="directau", encoder="mf", dim=16, lr=1e-2,
                           batch_size=256, max_epochs=1, patience=10, seed=5)
         state = TrainState(synthetic_split, cfg)
-        before = trainer._probe_diagnostics(state, epoch=0, wall_time_s=0.0)
-        after = trainer.train_epoch(synthetic_split, state, epoch_index=1)
+        before = probe(state)
+        after, _ = trainer.train_epoch(synthetic_split, state, epoch_index=1)
         assert after.align < before.align
 
     def test_rau_with_zero_regularizers_matches_directau(self):
@@ -237,7 +243,7 @@ class TestTrainEpoch:
             cfg = base_config(objective=objective,
                               weights=LossWeights(0.0, 0.0, 0.5, 0.5))
             state = TrainState(split, cfg)
-            diag = trainer.train_epoch(split, state, epoch_index=1)
+            diag, _ = trainer.train_epoch(split, state, epoch_index=1)
             runs[objective] = (diag, state.user_table.values.copy())
         rau_diag, directau_diag = runs["rau"][0], runs["directau"][0]
         assert rau_diag == dataclasses.replace(directau_diag, wall_time_s=rau_diag.wall_time_s)
@@ -371,6 +377,30 @@ class TestFit:
         split = data.split_per_user(ds, seed=0)
         with pytest.raises(ValueError, match="at least 2 items"):
             trainer.fit(split, base_config(objective="bpr", fixed_epochs=True))
+
+    @pytest.mark.parametrize("objective, num_users, num_items", [
+        ("rau", 6, 1), ("directau", 6, 1), ("rau", 1, 8)])
+    def test_fewer_than_two_users_or_items_rejected_before_training(
+            self, monkeypatch, objective, num_users, num_items):
+        # the probe compares 2 distinct rows per table: these trained a whole epoch, then
+        # failed with "need at least 2 vectors, got 1"
+        pairs = [(u, i) for u in range(num_users) for i in range(num_items)]
+        split = data.split_per_user(data.dataset_from_pairs(num_users, num_items, pairs), seed=0)
+        monkeypatch.setattr(trainer, "train_epoch", None)  # an epoch would raise TypeError
+        with pytest.raises(ValueError, match="at least 2 users and at least 2 items"):
+            trainer.fit(split, base_config(objective=objective, fixed_epochs=True))
+
+    def test_lightgcn_fit_propagates_the_full_graph_once_per_epoch(self, monkeypatch):
+        # the probe and validation ranking share one encode of the tables
+        from sphererec import encoders
+
+        propagate = encoders.lightgcn_propagate
+        calls = []
+        monkeypatch.setattr(encoders, "lightgcn_propagate",
+                            lambda *args, **kwargs: calls.append(1) or propagate(*args, **kwargs))
+        report, *_ = trainer.fit(small_split(), base_config(encoder="lightgcn", max_epochs=4))
+        assert len(report.val_history) == report.epochs_run == 4
+        assert len(calls) == 4
 
     def test_full_history_rejection_with_saturated_user_rejected(self):
         # user 0 has both items, so no item can be its negative
