@@ -7,9 +7,10 @@ ranking) propagates the whole graph. A training batch needs layer k only on
 the (K - k)-hop ball around its nodes, so `lightgcn_encode` multiplies only
 those adjacency rows; propagation is linear and the adjacency symmetric, so
 `lightgcn_backward` runs the same hops transposed, outward from the batch.
-Both give the full-graph rows bit for bit (see `_frontiers`). With K = 0 the
-output is the raw tables, so the lookup ("mf") encoder is that case, served
-by a plain gather and scatter without building the adjacency.
+Both give the full-graph rows bit for bit (see `_frontiers`), and a training
+step builds the balls and hops they walk once (`batch_frontiers`). With K = 0
+the output is the raw tables, so the lookup ("mf") encoder is that case,
+served by a plain gather and scatter without building the adjacency.
 """
 
 from __future__ import annotations
@@ -155,6 +156,18 @@ def _frontiers(adj: NormalizedAdjacency, nodes: np.ndarray,
     return balls, hops
 
 
+def batch_frontiers(adj: NormalizedAdjacency, cfg: GraphEncoderConfig, user_ids, item_ids):
+    """What `lightgcn_encode` and `lightgcn_backward` both build for one batch.
+
+    Returns (nodes, user_pos, item_pos, balls, hops): the checked batch's
+    sorted unique nodes, each id's position among them, and `_frontiers`
+    around them to depth K. A training step builds them once and passes
+    them to both; neither function writes to them.
+    """
+    nodes, user_pos, item_pos = _batch_nodes(adj, user_ids, item_ids)
+    return (nodes, user_pos, item_pos, *_frontiers(adj, nodes, cfg.num_layers))
+
+
 def lightgcn_encode(
     user_table: EmbeddingTable,
     item_table: EmbeddingTable,
@@ -162,16 +175,19 @@ def lightgcn_encode(
     cfg: GraphEncoderConfig,
     user_ids: np.ndarray,
     item_ids: np.ndarray,
+    frontiers: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagated representations for the requested user and item ids.
 
     Layer K is computed only at the batch's nodes and layer k < K only on
     the (K - k)-hop ball around them, so each output row has the bits of
-    `lightgcn_propagate`'s row for that node.
+    `lightgcn_propagate`'s row for that node. `frontiers`, the
+    `batch_frontiers` of the same ids, is built here when not given.
     """
     _check_adjacency(user_table, item_table, adj)
-    nodes, user_pos, item_pos = _batch_nodes(adj, user_ids, item_ids)
-    balls, hops = _frontiers(adj, nodes, cfg.num_layers)
+    if frontiers is None:
+        frontiers = batch_frontiers(adj, cfg, user_ids, item_ids)
+    nodes, user_pos, item_pos, balls, hops = frontiers
     outer = balls[-1]
     first_item = np.searchsorted(outer, adj.num_users)
     layer = np.concatenate([user_table.values[outer[:first_item]],
@@ -184,6 +200,7 @@ def lightgcn_encode(
     return acc[user_pos], acc[item_pos]
 
 
+# perfbench/ reads `adj`, `cfg` and `grad_users` at positions 0, 1 and 4
 def lightgcn_backward(
     adj: NormalizedAdjacency,
     cfg: GraphEncoderConfig,
@@ -191,6 +208,7 @@ def lightgcn_backward(
     item_ids: np.ndarray,
     grad_users: np.ndarray,
     grad_items: np.ndarray,
+    frontiers: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of lightgcn_encode outputs back to the raw tables.
 
@@ -201,12 +219,14 @@ def lightgcn_backward(
     gradient is zero, and writes the j-hop ball. Each round is then added
     into the next, inner balls into outer ones; addition commutes, so every
     node sums its rounds in the full-graph order and gets the same bits.
+    `frontiers` is as in `lightgcn_encode`.
     """
-    nodes, user_pos, item_pos = _batch_nodes(adj, user_ids, item_ids)
+    if frontiers is None:
+        frontiers = batch_frontiers(adj, cfg, user_ids, item_ids)
+    nodes, user_pos, item_pos, balls, hops = frontiers
     grad = np.zeros((nodes.size, grad_users.shape[1]))
     np.add.at(grad, user_pos, grad_users)
     np.add.at(grad, item_pos, grad_items)
-    balls, hops = _frontiers(adj, nodes, cfg.num_layers)
     rounds = [grad]
     for hop in hops:
         rounds.append(hop.T @ rounds[-1])
@@ -241,19 +261,27 @@ class Encoder:
             return user_table.values, item_table.values
         return lightgcn_propagate(user_table, item_table, self.adjacency, self.cfg)
 
+    def frontiers(self, user_ids: np.ndarray, item_ids: np.ndarray) -> tuple | None:
+        """The batch's `batch_frontiers`, for one `encode` and `backward` pair; None for K = 0."""
+        if self.adjacency is None:
+            return None
+        return batch_frontiers(self.adjacency, self.cfg, user_ids, item_ids)
+
     def encode(self, user_table: EmbeddingTable, item_table: EmbeddingTable,
-               user_ids: np.ndarray, item_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               user_ids: np.ndarray, item_ids: np.ndarray,
+               frontiers: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Representations of the requested user and item ids (ids may repeat)."""
         if self.adjacency is None:
             return mf_encode(user_table, user_ids), mf_encode(item_table, item_ids)
         return lightgcn_encode(user_table, item_table, self.adjacency, self.cfg,
-                               user_ids, item_ids)
+                               user_ids, item_ids, frontiers)
 
     def backward(self, user_ids: np.ndarray, item_ids: np.ndarray, grad_users: np.ndarray,
-                 grad_items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 grad_items: np.ndarray,
+                 frontiers: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Full-table gradients from the gradients of an `encode` output."""
         if self.adjacency is None:
             return (scatter_rows(grad_users, user_ids, self.num_users),
                     scatter_rows(grad_items, item_ids, self.num_items))
         return lightgcn_backward(self.adjacency, self.cfg, user_ids, item_ids,
-                                 grad_users, grad_items)
+                                 grad_users, grad_items, frontiers)

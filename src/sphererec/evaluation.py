@@ -77,15 +77,18 @@ def _csr_cells(part: InteractionDataset, users: np.ndarray) -> tuple[np.ndarray,
     return rows, part.user_items[np.arange(rows.size) + offsets]
 
 
-def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+def _top_k(scores: np.ndarray, k: int, work: np.ndarray) -> np.ndarray:
     """np.argsort(-scores, axis=1, kind="stable")[:, :k], sorting only the candidates.
 
-    `scores` is negated in place. A row's candidates are the cells not
+    `scores` is negated in place and copied into `work`, a buffer of its
+    shape, to be partitioned there. A row's candidates are the cells not
     ranked below its k-th best, which keeps every tie of the k-th score (and
     NaN cells, which argsort ranks last), so each row has at least k.
     """
     neg = np.negative(scores, out=scores)
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
+    np.copyto(work, neg)
+    work.partition(k - 1, axis=1)
+    kth = work[:, k - 1, None]
     candidates = ~(neg > kth)
     rows, columns = np.nonzero(candidates)  # row-major: columns ascend within a row
     order = np.lexsort((neg[candidates], rows))  # stable: equal scores keep column order
@@ -159,12 +162,15 @@ def evaluate(
     last_column = np.minimum(ks, ranked_columns) - 1
     excluded_parts = (split.train, split.validation) if part == "test" else (split.train,)
     per_user = []  # recall@K then ndcg@K for each K, one row per user in user order
+    # every chunk scores into, and partitions in, the same two buffers, so no chunk
+    # maps and faults in fresh chunk x catalog arrays
+    score_buffer, work_buffer = np.empty((2, min(_CHUNK, eval_users.size), split.num_items))
     for start in range(0, eval_users.size, _CHUNK):
         chunk = eval_users[start:start + _CHUNK]
-        scores = user_vectors[chunk] @ item_vectors.T
+        scores = np.matmul(user_vectors[chunk], item_vectors.T, out=score_buffer[:chunk.size])
         for excluded in excluded_parts:
             scores[_csr_cells(excluded, chunk)] = -np.inf
-        ranked = _top_k(scores, ranked_columns)
+        ranked = _top_k(scores, ranked_columns, work_buffer[:chunk.size])
         # a ranked cell is a hit when its row * num_items + item key is a target key
         rows, items = _csr_cells(target, chunk)
         target_keys = rows * split.num_items + items
@@ -176,7 +182,7 @@ def evaluate(
         dcg = np.cumsum(hits * discounts, axis=1)[:, last_column]
         ndcg = dcg / ideal_dcg[np.minimum(num_relevant, ks) - 1]
         per_user.append(np.concatenate([recall, ndcg], axis=1))
-        del scores, ranked, ranked_keys, found, hits  # freed before the next chunk allocates
+        del ranked, ranked_keys, found, hits  # freed before the next chunk allocates
 
     # cumsum adds one user at a time in user order, as a running total does;
     # np.sum's pairwise order could change the last digits of the means

@@ -20,6 +20,13 @@ configurations that trade a few huge gaps for many collapsed pairs.
 Gradients are with respect to the RAW (pre-normalization) batch rows and
 include the normalization Jacobian (I - uu^T)/||e||, so they have no radial
 component along each raw row.
+
+The kernel is symmetric, so it is built over the upper pairs of row blocks
+only, KERNEL_BLOCK_ROWS rows a side, and no B x B array is allocated. Its
+two gradient terms share one coefficient block per block pair, and a term
+whose weight is zero is not formed: with beta = 0 there is no variance
+coefficient, and a side whose uniformity weight is zero too forms no kernel
+gradient.
 """
 
 from __future__ import annotations
@@ -34,6 +41,9 @@ from .hypersphere import normalize_with_norms
 
 UNIFORM_EPS = 1e-12
 GAMMA_SUM_TOL = 1e-9
+# the kernel is built in square blocks of this many rows (512 KiB of float64), so a
+# batch of B rows never allocates a B x B array and each block's passes stay in cache
+KERNEL_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -94,31 +104,79 @@ def align_loss(users: np.ndarray, items: np.ndarray) -> float:
     return float(np.einsum("ij,ij->i", diff, diff).mean())
 
 
-def _kernel_matrix(vectors: np.ndarray) -> tuple[np.ndarray, float, int, float]:
-    """Gaussian kernel exp(-2 d) over all row pairs.
+def _kernel_terms(unit: np.ndarray, gamma: float,
+                  beta: float) -> tuple[float, float, np.ndarray | None]:
+    """Kernel statistics of unit rows and the gradient of their weighted loss terms.
 
-    Returns (W, m, P, V): the B x B kernel matrix with zeroed diagonal, the
-    mean kernel value over the P = B(B-1)/2 condensed pairs, P itself, and
-    the population variance V of the condensed kernel values.
+    Returns (m, V, grad): the mean m and population variance V of the
+    Gaussian kernel exp(-2 d) over the P = B(B-1)/2 condensed pairs, and the
+    gradient of gamma * log(m + eps) + beta * V with respect to the rows
+    (None when both weights are zero).
+
+    The kernel is built one pair of row blocks I <= J at a time, in place;
+    an off-diagonal block stands for itself and its transpose, so it counts
+    twice in every sum. With B <= KERNEL_BLOCK_ROWS there is one block, which
+    gives the bits of the whole-matrix formula. Both gradient terms are sums
+    of C_jk (x_j - x_k), so each block is turned into one coefficient block
+    C = W * (c_u + c_v (W - m)) and adds its row sums and products to rows I
+    and, off the diagonal, its column sums and transposed products to rows J.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    b = vectors.shape[0]
+    unit = np.asarray(unit, dtype=np.float64)
+    b = unit.shape[0]
     if b < 2:
         raise ValueError(f"need at least 2 vectors, got {b}")
-    # squared distances turn into the kernel in place, so the variance below
-    # needs one more B x B buffer, not two
-    kernel = 2.0 - 2.0 * (vectors @ vectors.T)
-    np.clip(kernel, 0.0, None, out=kernel)
-    kernel *= -2.0
-    np.exp(kernel, out=kernel)
-    np.fill_diagonal(kernel, 0.0)
+    spans = [slice(start, start + KERNEL_BLOCK_ROWS) for start in range(0, b, KERNEL_BLOCK_ROWS)]
+    blocks = []
+    for n, rows in enumerate(spans):
+        for cols in spans[n:]:
+            # squared distance 2 - 2<x, y>, clipped at 0, turned into exp(-2 d) in place
+            kernel = unit[rows] @ unit[cols].T
+            kernel *= -2.0
+            kernel += 2.0
+            np.clip(kernel, 0.0, None, out=kernel)
+            kernel *= -2.0
+            np.exp(kernel, out=kernel)
+            if rows == cols:
+                np.fill_diagonal(kernel, 0.0)
+            blocks.append((rows, cols, kernel))
     pair_count = b * (b - 1) // 2
-    mean = float(kernel.sum() / (2 * pair_count))
-    dev = kernel - mean
-    np.fill_diagonal(dev, 0.0)
-    dev *= dev
-    variance = float(dev.sum() / (2 * pair_count))
-    return kernel, mean, pair_count, variance
+    # two passes: the variance's deviations are taken from the finished mean
+    mean = float(sum(kernel.sum() * (1 if rows == cols else 2)
+                     for rows, cols, kernel in blocks) / (2 * pair_count))
+    scratch = np.empty(min(b, KERNEL_BLOCK_ROWS) ** 2)
+    squares = 0.0
+    for rows, cols, kernel in blocks:
+        dev = np.subtract(kernel, mean, out=scratch[:kernel.size].reshape(kernel.shape))
+        if rows == cols:
+            np.fill_diagonal(dev, 0.0)
+        dev *= dev
+        squares += dev.sum() * (1 if rows == cols else 2)
+    variance = float(squares / (2 * pair_count))
+    if gamma == 0.0 and beta == 0.0:
+        return mean, variance, None
+
+    # d/dx_j log(m + eps) = -4/(P (m + eps)) * sum_k w_jk (x_j - x_k)
+    # d/dx_j Var = -8/P * sum_k (w_jk - m) w_jk (x_j - x_k)
+    c_u = -4.0 * gamma / (pair_count * (mean + UNIFORM_EPS))
+    c_v = -8.0 * beta / pair_count
+    row_sums = np.zeros(b)
+    products = np.zeros_like(unit)
+    for rows, cols, kernel in blocks:
+        if beta != 0.0:
+            coef = np.subtract(kernel, mean, out=scratch[:kernel.size].reshape(kernel.shape))
+            coef *= c_v
+            coef += c_u
+            kernel *= coef
+        else:
+            kernel *= c_u
+        row_sums[rows] += kernel.sum(axis=1)
+        products[rows] += kernel @ unit[cols]
+        if rows != cols:
+            row_sums[cols] += kernel.sum(axis=0)
+            products[cols] += kernel.T @ unit[rows]
+    grad = row_sums[:, None] * unit
+    grad -= products
+    return mean, variance, grad
 
 
 def uniformity_and_variance(vectors: np.ndarray) -> tuple[float, float]:
@@ -128,21 +186,8 @@ def uniformity_and_variance(vectors: np.ndarray) -> tuple[float, float]:
     all points coincide (up to eps), lower the more evenly they spread. The
     kernel variance is the population variance of the same kernel values.
     """
-    _, mean, _, variance = _kernel_matrix(vectors)
+    mean, variance, _ = _kernel_terms(vectors, 0.0, 0.0)
     return float(np.log(mean + UNIFORM_EPS)), variance
-
-
-def _uniform_grad(kernel: np.ndarray, mean: float, pair_count: int, unit: np.ndarray) -> np.ndarray:
-    # d/dx_j log(m + eps) = -4/(P (m + eps)) * sum_k w_jk (x_j - x_k)
-    coef = -4.0 / (pair_count * (mean + UNIFORM_EPS))
-    return coef * (kernel.sum(axis=1)[:, None] * unit - kernel @ unit)
-
-
-def _variance_grad(kernel: np.ndarray, mean: float, pair_count: int, unit: np.ndarray) -> np.ndarray:
-    # d/dx_j Var = -8/P * sum_k (w_jk - m) w_jk (x_j - x_k)
-    weighted = kernel * (kernel - mean)
-    np.fill_diagonal(weighted, 0.0)
-    return (-8.0 / pair_count) * (weighted.sum(axis=1)[:, None] * unit - weighted @ unit)
 
 
 def _normalization_backward(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -157,10 +202,10 @@ def rau_loss_and_gradient(
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Combined objective and its gradient in one pass.
 
-    Shares the pairwise kernel matrices between the loss value and the
-    gradient. A gradient term whose coefficient is zero is skipped, so it is
-    not computed only to be multiplied by zero (with beta = 0, the two B x B
-    variance gradients are never formed).
+    Each side's kernel blocks serve both its loss values and its gradient.
+    A kernel term whose weight is zero is left out of the coefficient
+    blocks: with beta = 0 no variance coefficient is formed, and a side
+    whose gamma and beta are both zero forms no kernel gradient at all.
     """
     users_raw = np.asarray(users_raw, dtype=np.float64)
     items_raw = np.asarray(items_raw, dtype=np.float64)
@@ -177,8 +222,8 @@ def rau_loss_and_gradient(
     center = diff.mean(axis=0)
     ra = float(center @ center)
 
-    kernel_u, mean_u, pairs_u, variance_u = _kernel_matrix(users)
-    kernel_i, mean_i, pairs_i, variance_i = _kernel_matrix(items)
+    mean_u, variance_u, kernel_grad_u = _kernel_terms(users, weights.gamma_user, weights.beta)
+    mean_i, variance_i, kernel_grad_i = _kernel_terms(items, weights.gamma_item, weights.beta)
     uniform_u = float(np.log(mean_u + UNIFORM_EPS))
     uniform_i = float(np.log(mean_i + UNIFORM_EPS))
     weighted_uniform = weights.gamma_user * uniform_u + weights.gamma_item * uniform_i
@@ -190,17 +235,14 @@ def rau_loss_and_gradient(
 
     grad_users = (2.0 / batch) * diff
     grad_items = (-2.0 / batch) * diff
-    if weights.gamma_user != 0.0:
-        grad_users += weights.gamma_user * _uniform_grad(kernel_u, mean_u, pairs_u, users)
-    if weights.gamma_item != 0.0:
-        grad_items += weights.gamma_item * _uniform_grad(kernel_i, mean_i, pairs_i, items)
+    if kernel_grad_u is not None:
+        grad_users += kernel_grad_u
+    if kernel_grad_i is not None:
+        grad_items += kernel_grad_i
     if weights.alpha != 0.0:
         center_grad = (2.0 * weights.alpha / batch) * center
         grad_users += center_grad
         grad_items -= center_grad
-    if weights.beta != 0.0:
-        grad_users += weights.beta * _variance_grad(kernel_u, mean_u, pairs_u, users)
-        grad_items += weights.beta * _variance_grad(kernel_i, mean_i, pairs_i, items)
 
     grad_users = _normalization_backward(grad_users, users, user_norms)
     grad_items = _normalization_backward(grad_items, items, item_norms)

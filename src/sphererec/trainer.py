@@ -327,15 +327,17 @@ def train_epoch(split: SplitDataset, state: TrainState,
             # bpr's drawn negatives join the positives as one item batch
             item_ids = np.concatenate([item_ids, _sample_negatives(
                 item_ids, split, user_ids, negative_rng, state.train_keys)])
+        frontiers = state.encoder.frontiers(user_ids, item_ids)
         user_vecs, item_vecs = state.encoder.encode(state.user_table, state.item_table,
-                                                    user_ids, item_ids)
+                                                    user_ids, item_ids, frontiers)
         if weights is None:
             _, grad_users, *grad_pos_neg = losses.bpr_loss_and_gradient(
                 user_vecs, *np.split(item_vecs, 2))
             grad_items = np.concatenate(grad_pos_neg)
         else:
             _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights)
-        user_grad, item_grad = state.encoder.backward(user_ids, item_ids, grad_users, grad_items)
+        user_grad, item_grad = state.encoder.backward(user_ids, item_ids, grad_users, grad_items,
+                                                      frontiers)
         adam_step(state.user_table.values, user_grad, state.user_adam, cfg.lr, cfg.weight_decay)
         adam_step(state.item_table.values, item_grad, state.item_adam, cfg.lr, cfg.weight_decay)
     wall_time_s = time.perf_counter() - started

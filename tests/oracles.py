@@ -1,10 +1,10 @@
 """Naive reference implementations for cross-checking the losses, the ranking, the data parts,
 the optimizer, the negative sampler and the graph encoder.
 
-Everything here but `reference_adam_step`, `reference_negatives` and the
-`reference_lightgcn_*` functions is pure Python over lists: explicit pair
-loops, explicit normalization, no numpy, no shared code with the package.
-Deliberately slow and obvious.
+Everything here but the `dense_kernel*` functions, `reference_adam_step`,
+`reference_negatives` and the `reference_lightgcn_*` functions is pure
+Python over lists: explicit pair loops, explicit normalization, no numpy, no
+shared code with the package. Deliberately slow and obvious.
 """
 
 import math
@@ -88,6 +88,41 @@ def rau_total(users_raw, items_raw, alpha, beta, gamma_user, gamma_item):
         + alpha * ra(users, items)
         + beta * ru(users, items)
     )
+
+
+def dense_kernel(unit):
+    """(W, m, P, V) from the whole B x B kernel matrix, the blocked kernel's numpy reference.
+
+    W is exp(-2 d) with a zeroed diagonal, m the mean kernel value over the
+    P = B(B-1)/2 condensed pairs and V their population variance. For
+    B <= `losses.KERNEL_BLOCK_ROWS` the blocked kernel must give m and V to
+    the bit.
+    """
+    b = unit.shape[0]
+    kernel = 2.0 - 2.0 * (unit @ unit.T)
+    np.clip(kernel, 0.0, None, out=kernel)
+    kernel *= -2.0
+    np.exp(kernel, out=kernel)
+    np.fill_diagonal(kernel, 0.0)
+    pair_count = b * (b - 1) // 2
+    mean = float(kernel.sum() / (2 * pair_count))
+    dev = kernel - mean
+    np.fill_diagonal(dev, 0.0)
+    dev *= dev
+    return kernel, mean, pair_count, float(dev.sum() / (2 * pair_count))
+
+
+def dense_kernel_grad(unit, gamma, beta):
+    """Gradient of gamma * log(m + eps) + beta * V w.r.t. unit rows, from the whole matrix."""
+    kernel, mean, pair_count, _ = dense_kernel(unit)
+    # d/dx_j log(m + eps) = -4/(P (m + eps)) * sum_k w_jk (x_j - x_k)
+    uniform = (-4.0 / (pair_count * (mean + EPS))) * (
+        kernel.sum(axis=1)[:, None] * unit - kernel @ unit)
+    # d/dx_j Var = -8/P * sum_k (w_jk - m) w_jk (x_j - x_k)
+    weighted = kernel * (kernel - mean)
+    np.fill_diagonal(weighted, 0.0)
+    variance = (-8.0 / pair_count) * (weighted.sum(axis=1)[:, None] * unit - weighted @ unit)
+    return gamma * uniform + beta * variance
 
 
 def bpr(pos_scores, neg_scores):

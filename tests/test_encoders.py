@@ -226,12 +226,21 @@ class TestBatchRestrictedPropagation:
         item_ids[[0, batch]] = num_items - 1
         item_ids[-1] = item_ids[1]
         grads = rng.normal(size=(batch, 8)), rng.normal(size=(2 * batch, 8))
+        expected_encode = oracles.reference_lightgcn_encode(user_table, item_table, adj, cfg,
+                                                            user_ids, item_ids)
+        expected_backward = oracles.reference_lightgcn_backward(adj, cfg, user_ids, item_ids,
+                                                                *grads)
+        # a training step's one set of frontiers serves the forward, then the backward
+        frontiers = encoders.batch_frontiers(adj, cfg, user_ids, item_ids)
         pairs = [
             (encoders.lightgcn_encode(user_table, item_table, adj, cfg, user_ids, item_ids),
-             oracles.reference_lightgcn_encode(user_table, item_table, adj, cfg,
-                                               user_ids, item_ids)),
+             expected_encode),
             (encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads),
-             oracles.reference_lightgcn_backward(adj, cfg, user_ids, item_ids, *grads)),
+             expected_backward),
+            (encoders.lightgcn_encode(user_table, item_table, adj, cfg, user_ids, item_ids,
+                                      frontiers), expected_encode),
+            (encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads, frontiers),
+             expected_backward),
         ]
         for got, expected in pairs:
             for got_part, expected_part in zip(got, expected):

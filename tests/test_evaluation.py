@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sphererec import data
+from sphererec import data, evaluation
 from sphererec.evaluation import MetricsReport, _top_k, evaluate
 
 # heavy ties, excluded (-inf) cells, and the NaN and +inf that overflowing dot products give
@@ -173,6 +173,15 @@ class TestEvaluate:
         report = evaluate(split, users, items, ks=ks, part=part, score_mode=score_mode)
         assert report == MetricsReport(ks, recall, ndcg, num_users)
 
+    @pytest.mark.parametrize("score_mode", ["cosine", "dot"])
+    def test_chunks_sharing_buffers_match_one_chunk(self, monkeypatch, score_mode):
+        # 7-user chunks leave a 5-user last chunk in views of buffers the earlier chunks filled
+        split, users, items = tie_heavy_fixture()
+        whole = evaluate(split, users, items, ks=(1, 3, 40), score_mode=score_mode)
+        monkeypatch.setattr(evaluation, "_CHUNK", 7)
+        assert evaluate(split, users, items, ks=(1, 3, 40), score_mode=score_mode) == whole
+        assert whole.num_users_evaluated % 7 != 0
+
     @pytest.mark.parametrize("ks", [(1, 3, 10), (2, 7), (25,), (29,)])
     @pytest.mark.parametrize("part", ["test", "validation"])
     @pytest.mark.parametrize("score_mode", ["cosine", "dot"])
@@ -201,8 +210,9 @@ class TestEvaluate:
     @settings(max_examples=300, deadline=None)
     def test_top_k_equals_full_stable_argsort(self, scores):
         ranking = np.argsort(-scores, axis=1, kind="stable")
+        work = np.full_like(scores, np.nan)  # one buffer for every call: leftovers must not matter
         for k in range(1, scores.shape[1] + 1):
-            np.testing.assert_array_equal(_top_k(scores.copy(), k), ranking[:, :k])
+            np.testing.assert_array_equal(_top_k(scores.copy(), k, work), ranking[:, :k])
 
     @pytest.mark.parametrize("table", ["user_vectors", "item_vectors"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -43,6 +43,20 @@ class TestRauGradient:
         assert max_relative_error(grad_users, fd_users) <= 1e-4
         assert max_relative_error(grad_items, fd_items) <= 1e-4
 
+    def test_matches_finite_differences_across_kernel_blocks(self):
+        # 300 rows make two kernel blocks; every entry is checked, so the rows of the
+        # off-diagonal block's transposed half are too
+        rng = np.random.default_rng(300)
+        users = rng.normal(size=(300, 2))
+        items = rng.normal(size=(300, 2))
+        _, grad_users, grad_items = losses.rau_loss_and_gradient(users, items, FULL_WEIGHTS)
+        fd_users = central_differences(
+            lambda u: losses.rau_loss_and_gradient(u, items, FULL_WEIGHTS)[0].total, users)
+        fd_items = central_differences(
+            lambda i: losses.rau_loss_and_gradient(users, i, FULL_WEIGHTS)[0].total, items)
+        assert max_relative_error(grad_users, fd_users) <= 1e-4
+        assert max_relative_error(grad_items, fd_items) <= 1e-4
+
     def test_no_radial_component(self):
         rng = np.random.default_rng(11)
         users = rng.normal(size=(6, 5))

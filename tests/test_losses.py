@@ -220,6 +220,99 @@ class TestOracleEquivalence:
         assert value == pytest.approx(oracles.bpr(pos.tolist(), neg.tolist()), abs=1e-10)
 
 
+# batches on, around and across KERNEL_BLOCK_ROWS = 256: one block, then two, three, four
+BLOCK_EDGE_BATCHES = (2, 3, 255, 256, 257, 600, 1024)
+ALL_WEIGHTS = LossWeights(alpha=0.4, beta=2.5, gamma_user=0.6, gamma_item=0.4)
+
+
+def rows_across_blocks(rng, batch, dim):
+    """Raw rows in which, past one kernel block, rows of the first block repeat in later ones."""
+    rows = rng.normal(size=(batch, dim))
+    if batch > losses.KERNEL_BLOCK_ROWS:
+        rows[-1] = rows[0]
+        rows[losses.KERNEL_BLOCK_ROWS] = 3.0 * rows[1]  # the same unit row
+    return rows
+
+
+def relative_error(got, expected):
+    return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+
+
+def dense_rau_gradients(users_raw, items_raw, weights):
+    """rau_loss_and_gradient's gradients with the kernel terms from the whole matrix."""
+    batch = users_raw.shape[0]
+    grads = []
+    for raw, gamma, sign in ((users_raw, weights.gamma_user, 1.0),
+                             (items_raw, weights.gamma_item, -1.0)):
+        unit = l2_normalize(raw)
+        diff = l2_normalize(users_raw) - l2_normalize(items_raw)
+        grad = (sign * 2.0 / batch) * (diff + weights.alpha * diff.mean(axis=0))
+        grad += oracles.dense_kernel_grad(unit, gamma, weights.beta)
+        radial = np.einsum("ij,ij->i", grad, unit)
+        grads.append((grad - radial[:, None] * unit) / np.linalg.norm(raw, axis=1)[:, None])
+    return grads
+
+
+class TestBlockedKernel:
+    """The blocked kernel against the whole-matrix reference in `oracles`."""
+
+    @pytest.mark.parametrize("batch", BLOCK_EDGE_BATCHES)
+    def test_statistics_and_gradient_match_dense_kernel(self, batch):
+        unit = l2_normalize(rows_across_blocks(np.random.default_rng(batch), batch, 6))
+        _, mean, _, variance = oracles.dense_kernel(unit)
+        got_mean, got_variance, grad = losses._kernel_terms(unit, 0.6, 2.5)
+        assert got_mean == pytest.approx(mean, rel=1e-12)
+        assert got_variance == pytest.approx(variance, rel=1e-12)
+        assert relative_error(grad, oracles.dense_kernel_grad(unit, 0.6, 2.5)) <= 1e-12
+        uniform, kernel_variance = losses.uniformity_and_variance(unit)
+        assert uniform == pytest.approx(math.log(mean + oracles.EPS), rel=1e-12)
+        assert kernel_variance == pytest.approx(variance, rel=1e-12)
+
+    @pytest.mark.parametrize("batch", BLOCK_EDGE_BATCHES)
+    def test_loss_and_gradients_match_dense_kernel(self, batch):
+        rng = np.random.default_rng([batch, 1])
+        users_raw, items_raw = rows_across_blocks(rng, batch, 6), rows_across_blocks(rng, batch, 6)
+        out, grad_users, grad_items = losses.rau_loss_and_gradient(users_raw, items_raw,
+                                                                   ALL_WEIGHTS)
+        (_, mean_u, _, var_u), (_, mean_i, _, var_i) = (
+            oracles.dense_kernel(l2_normalize(raw)) for raw in (users_raw, items_raw))
+        expected_uniform = (ALL_WEIGHTS.gamma_user * math.log(mean_u + oracles.EPS)
+                            + ALL_WEIGHTS.gamma_item * math.log(mean_i + oracles.EPS))
+        assert out.weighted_uniform == pytest.approx(expected_uniform, rel=1e-12)
+        assert out.ru == pytest.approx(var_u + var_i, rel=1e-12)
+        expected_users, expected_items = dense_rau_gradients(users_raw, items_raw, ALL_WEIGHTS)
+        assert relative_error(grad_users, expected_users) <= 1e-12
+        assert relative_error(grad_items, expected_items) <= 1e-12
+
+    @pytest.mark.parametrize("batch", [b for b in BLOCK_EDGE_BATCHES
+                                       if b <= losses.KERNEL_BLOCK_ROWS])
+    def test_one_block_keeps_the_dense_bits(self, batch):
+        unit = l2_normalize(np.random.default_rng(batch).normal(size=(batch, 6)))
+        _, mean, _, variance = oracles.dense_kernel(unit)
+        uniform, kernel_variance = losses.uniformity_and_variance(unit)
+        assert np.float64(uniform).tobytes() == np.log(mean + oracles.EPS).tobytes()
+        assert np.float64(kernel_variance).tobytes() == np.float64(variance).tobytes()
+
+    def test_zero_weights_form_no_kernel_gradient(self):
+        unit = l2_normalize(np.random.default_rng(5).normal(size=(300, 4)))
+        assert losses._kernel_terms(unit, 0.0, 0.0)[2] is None
+        assert losses._kernel_terms(unit, 0.0, 1.0)[2] is not None
+        assert losses._kernel_terms(unit, 1.0, 0.0)[2] is not None
+
+    def test_zero_beta_forms_no_variance_coefficients(self, monkeypatch):
+        # 600 rows make 6 block pairs; the variance pass subtracts the mean from each
+        # once, and only a non-zero beta subtracts it again for the coefficient blocks
+        unit = l2_normalize(np.random.default_rng(6).normal(size=(600, 4)))
+        subtract = np.subtract
+        calls = []
+        monkeypatch.setattr(np, "subtract",
+                            lambda *args, **kwargs: calls.append(1) or subtract(*args, **kwargs))
+        losses._kernel_terms(unit, 0.5, 0.0)
+        assert len(calls) == 6
+        losses._kernel_terms(unit, 0.5, 1.0)
+        assert len(calls) == 6 + 12
+
+
 class TestBprLoss:
     """Scores as one-column vectors against a unit user: each score is its own margin term."""
 

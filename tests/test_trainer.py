@@ -402,6 +402,22 @@ class TestFit:
         assert len(report.val_history) == report.epochs_run == 4
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("objective", ["rau", "bpr"])
+    def test_lightgcn_step_builds_its_frontiers_once(self, monkeypatch, objective):
+        # the batch forward and backward share one build of the balls and hops
+        from sphererec import encoders
+
+        frontiers = encoders._frontiers
+        calls = []
+        monkeypatch.setattr(encoders, "_frontiers",
+                            lambda *args, **kwargs: calls.append(1) or frontiers(*args, **kwargs))
+        split = small_split()
+        cfg = base_config(objective=objective, encoder="lightgcn", max_epochs=2,
+                          fixed_epochs=True)
+        trainer.fit(split, cfg)
+        steps = -(-split.train.num_interactions // cfg.batch_size)
+        assert len(calls) == 2 * steps
+
     def test_full_history_rejection_with_saturated_user_rejected(self):
         # user 0 has both items, so no item can be its negative
         ds = data.dataset_from_pairs(2, 2, [(0, 0), (0, 1), (1, 0)])
