@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -175,7 +176,7 @@ def cmd_sweep(args) -> int:
                                                 objective="rau")), ks)
              for alpha, beta, (gamma_user, gamma_item)
              in itertools.product(args.alpha_values, args.beta_values, gamma_pairs)]
-    stopping_k = base_cfg.eval_k_for_stopping
+    metric = f"best_val_ndcg@{base_cfg.eval_k_for_stopping}"
 
     env_cap = os.environ.get("RAU_NUM_THREADS")  # a positive integer, checked by main
     workers = min(args.workers, int(env_cap)) if env_cap else args.workers
@@ -187,16 +188,16 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_point(task) for task in tasks]
 
-    # fixed-epoch fits never score the validation part, so no row can be best
-    best_index = None if base_cfg.fixed_epochs else max(
-        range(len(rows)), key=lambda i: rows[i][f"best_val_ndcg@{stopping_k}"])
+    # a fit that scored no validation epoch (--fixed-epochs, --max-epochs 0) cannot be best
+    scored = [i for i, row in enumerate(rows) if math.isfinite(row[metric])]
+    best_index = max(scored, key=lambda i: rows[i][metric], default=None)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     csv_text = write_csv(args.out, [*rows[0], "best"],
                          [[*row.values(), "*" if index == best_index else None]
                           for index, row in enumerate(rows)])
     print(csv_text, end="")
     if best_index is None:
-        print("best grid point: none (--fixed-epochs trains without a validation metric)")
+        print("best grid point: none (no fit scored a validation epoch)")
     else:
         print(f"best grid point: {rows[best_index]}")
     return 0

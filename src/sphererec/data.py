@@ -219,16 +219,12 @@ def two_cluster_dataset(
     half_items = num_items // 2
     if items_per_user > half_items:
         raise ValueError("items_per_user cannot exceed the per-cluster item count")
-    rng = np.random.default_rng(seed)
-    pairs = np.empty((num_users * items_per_user, 2), dtype=np.int64)
+    users = np.arange(num_users)
+    cluster = (users >= num_users // 2).astype(np.int64)
+    starts = np.random.default_rng(seed).integers(half_items, size=num_users)
     offsets = np.arange(items_per_user)
-    for user in range(num_users):
-        cluster = 0 if user < num_users // 2 else 1
-        start = rng.integers(half_items)
-        items = cluster * half_items + (start + offsets) % half_items
-        rows = slice(user * items_per_user, (user + 1) * items_per_user)
-        pairs[rows, 0] = user
-        pairs[rows, 1] = items
+    items = cluster[:, None] * half_items + (starts[:, None] + offsets) % half_items
+    pairs = np.stack([np.repeat(users, items_per_user), items.ravel()], axis=1)
     return dataset_from_pairs(num_users, num_items, pairs)
 
 

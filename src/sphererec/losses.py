@@ -19,13 +19,13 @@ configurations that trade a few huge gaps for many collapsed pairs.
 
 Gradients are with respect to the RAW (pre-normalization) batch rows and
 include the normalization Jacobian (I - uu^T)/||e||, so they have no radial
-component along each raw row.
+component along each raw row, and the unit-row gradients it is applied to
+are formed only up to one.
 
 The kernel is symmetric, so it is built over the upper pairs of row blocks
 only, KERNEL_BLOCK_ROWS rows a side, and no B x B array is allocated. Its
-two gradient terms share one coefficient block per block pair, and a term
-whose weight is zero is not formed: with beta = 0 there is no variance
-coefficient, and a side whose uniformity weight is zero too forms no kernel
+two gradient terms share one coefficient block per block pair, and a side
+whose uniformity and variance weights are both zero forms no kernel
 gradient.
 """
 
@@ -108,18 +108,20 @@ def _kernel_terms(unit: np.ndarray, gamma: float,
                   beta: float) -> tuple[float, float, np.ndarray | None]:
     """Kernel statistics of unit rows and the gradient of their weighted loss terms.
 
-    Returns (m, V, grad): the mean m and population variance V of the
-    Gaussian kernel exp(-2 d) over the P = B(B-1)/2 condensed pairs, and the
-    gradient of gamma * log(m + eps) + beta * V with respect to the rows
-    (None when both weights are zero).
+    Returns (u, V, grad): the uniformity u = log(m + eps) of the mean m and
+    the population variance V of the Gaussian kernel exp(-2 d) over the
+    P = B(B-1)/2 condensed pairs, and the gradient of gamma * u + beta * V
+    with respect to the rows up to a radial component per row (None when
+    both weights are zero), which the normalization backward discards.
 
     The kernel is built one pair of row blocks I <= J at a time, in place;
     an off-diagonal block stands for itself and its transpose, so it counts
     twice in every sum. With B <= KERNEL_BLOCK_ROWS there is one block, which
     gives the bits of the whole-matrix formula. Both gradient terms are sums
-    of C_jk (x_j - x_k), so each block is turned into one coefficient block
-    C = W * (c_u + c_v (W - m)) and adds its row sums and products to rows I
-    and, off the diagonal, its column sums and transposed products to rows J.
+    of C_jk (x_j - x_k), whose x_j part is radial, so each block is turned
+    into one coefficient block C = W * (c_u + c_v (W - m)) and subtracts its
+    products with the rows J from rows I and, off the diagonal, its
+    transposed products with the rows I from rows J.
     """
     unit = np.asarray(unit, dtype=np.float64)
     b = unit.shape[0]
@@ -143,6 +145,7 @@ def _kernel_terms(unit: np.ndarray, gamma: float,
     # two passes: the variance's deviations are taken from the finished mean
     mean = float(sum(kernel.sum() * (1 if rows == cols else 2)
                      for rows, cols, kernel in blocks) / (2 * pair_count))
+    uniform = float(np.log(mean + UNIFORM_EPS))
     scratch = np.empty(min(b, KERNEL_BLOCK_ROWS) ** 2)
     squares = 0.0
     for rows, cols, kernel in blocks:
@@ -153,30 +156,22 @@ def _kernel_terms(unit: np.ndarray, gamma: float,
         squares += dev.sum() * (1 if rows == cols else 2)
     variance = float(squares / (2 * pair_count))
     if gamma == 0.0 and beta == 0.0:
-        return mean, variance, None
+        return uniform, variance, None
 
     # d/dx_j log(m + eps) = -4/(P (m + eps)) * sum_k w_jk (x_j - x_k)
     # d/dx_j Var = -8/P * sum_k (w_jk - m) w_jk (x_j - x_k)
     c_u = -4.0 * gamma / (pair_count * (mean + UNIFORM_EPS))
     c_v = -8.0 * beta / pair_count
-    row_sums = np.zeros(b)
-    products = np.zeros_like(unit)
+    grad = np.zeros_like(unit)
     for rows, cols, kernel in blocks:
-        if beta != 0.0:
-            coef = np.subtract(kernel, mean, out=scratch[:kernel.size].reshape(kernel.shape))
-            coef *= c_v
-            coef += c_u
-            kernel *= coef
-        else:
-            kernel *= c_u
-        row_sums[rows] += kernel.sum(axis=1)
-        products[rows] += kernel @ unit[cols]
+        coef = np.subtract(kernel, mean, out=scratch[:kernel.size].reshape(kernel.shape))
+        coef *= c_v
+        coef += c_u
+        kernel *= coef
+        grad[rows] -= kernel @ unit[cols]
         if rows != cols:
-            row_sums[cols] += kernel.sum(axis=0)
-            products[cols] += kernel.T @ unit[rows]
-    grad = row_sums[:, None] * unit
-    grad -= products
-    return mean, variance, grad
+            grad[cols] -= kernel.T @ unit[rows]
+    return uniform, variance, grad
 
 
 def uniformity_and_variance(vectors: np.ndarray) -> tuple[float, float]:
@@ -186,8 +181,7 @@ def uniformity_and_variance(vectors: np.ndarray) -> tuple[float, float]:
     all points coincide (up to eps), lower the more evenly they spread. The
     kernel variance is the population variance of the same kernel values.
     """
-    mean, variance, _ = _kernel_terms(vectors, 0.0, 0.0)
-    return float(np.log(mean + UNIFORM_EPS)), variance
+    return _kernel_terms(vectors, 0.0, 0.0)[:2]
 
 
 def _normalization_backward(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -202,10 +196,10 @@ def rau_loss_and_gradient(
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Combined objective and its gradient in one pass.
 
-    Each side's kernel blocks serve both its loss values and its gradient.
-    A kernel term whose weight is zero is left out of the coefficient
-    blocks: with beta = 0 no variance coefficient is formed, and a side
-    whose gamma and beta are both zero forms no kernel gradient at all.
+    Each side's kernel blocks serve both its loss values and its gradient,
+    and a side whose gamma and beta are both zero forms no kernel gradient.
+    The unit-row gradients are summed up to a radial component per row,
+    which the normalization backward removes.
     """
     users_raw = np.asarray(users_raw, dtype=np.float64)
     items_raw = np.asarray(items_raw, dtype=np.float64)
@@ -222,10 +216,8 @@ def rau_loss_and_gradient(
     center = diff.mean(axis=0)
     ra = float(center @ center)
 
-    mean_u, variance_u, kernel_grad_u = _kernel_terms(users, weights.gamma_user, weights.beta)
-    mean_i, variance_i, kernel_grad_i = _kernel_terms(items, weights.gamma_item, weights.beta)
-    uniform_u = float(np.log(mean_u + UNIFORM_EPS))
-    uniform_i = float(np.log(mean_i + UNIFORM_EPS))
+    uniform_u, variance_u, kernel_grad_u = _kernel_terms(users, weights.gamma_user, weights.beta)
+    uniform_i, variance_i, kernel_grad_i = _kernel_terms(items, weights.gamma_item, weights.beta)
     weighted_uniform = weights.gamma_user * uniform_u + weights.gamma_item * uniform_i
     ru = variance_u + variance_i
 
@@ -239,10 +231,9 @@ def rau_loss_and_gradient(
         grad_users += kernel_grad_u
     if kernel_grad_i is not None:
         grad_items += kernel_grad_i
-    if weights.alpha != 0.0:
-        center_grad = (2.0 * weights.alpha / batch) * center
-        grad_users += center_grad
-        grad_items -= center_grad
+    center_grad = (2.0 * weights.alpha / batch) * center
+    grad_users += center_grad
+    grad_items -= center_grad
 
     grad_users = _normalization_backward(grad_users, users, user_norms)
     grad_items = _normalization_backward(grad_items, items, item_norms)

@@ -181,8 +181,7 @@ def adam_step(
         p, g = params[rows], grads[rows]
         m, v = state.first_moment[rows], state.second_moment[rows]
         step, denom = state.scratch[:, :p.shape[0]]
-        if weight_decay:
-            p *= decay
+        p *= decay
         m *= ADAM_BETA1
         m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
         v *= ADAM_BETA2

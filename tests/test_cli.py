@@ -212,11 +212,14 @@ class TestSweepCommand:
         assert cli.main(argv) == 2
         assert fits == []
 
-    def test_fixed_epochs_marks_no_best_row(self, synthetic_tsv, tmp_path, capsys):
+    @pytest.mark.parametrize("no_validation", [["--fixed-epochs"], ["--max-epochs", "0"]],
+                             ids=["fixed-epochs", "max-epochs-0"])
+    def test_fit_without_validation_marks_no_best_row(self, synthetic_tsv, tmp_path, capsys,
+                                                      no_validation):
         out_csv = tmp_path / "sweep.csv"
         argv = train_args(synthetic_tsv, tmp_path / "unused")
         argv[0] = "sweep"
-        argv += ["--fixed-epochs", "--alpha-values", "0.0", "0.5", "--k", "10",
+        argv += [*no_validation, "--alpha-values", "0.0", "0.5", "--k", "10",
                  "--out", str(out_csv)]
         assert cli.main(argv) == 0
         rows = out_csv.read_text().strip().split("\n")[1:]

@@ -223,6 +223,7 @@ class TestOracleEquivalence:
 # batches on, around and across KERNEL_BLOCK_ROWS = 256: one block, then two, three, four
 BLOCK_EDGE_BATCHES = (2, 3, 255, 256, 257, 600, 1024)
 ALL_WEIGHTS = LossWeights(alpha=0.4, beta=2.5, gamma_user=0.6, gamma_item=0.4)
+DIRECTAU_WEIGHTS = LossWeights(alpha=0.0, beta=0.0, gamma_user=0.5, gamma_item=0.5)
 
 
 def rows_across_blocks(rng, batch, dim):
@@ -238,6 +239,11 @@ def relative_error(got, expected):
     return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
 
 
+def tangent(grad, unit):
+    """grad without its radial component along each unit row."""
+    return grad - np.einsum("ij,ij->i", grad, unit)[:, None] * unit
+
+
 def dense_rau_gradients(users_raw, items_raw, weights):
     """rau_loss_and_gradient's gradients with the kernel terms from the whole matrix."""
     batch = users_raw.shape[0]
@@ -248,8 +254,7 @@ def dense_rau_gradients(users_raw, items_raw, weights):
         diff = l2_normalize(users_raw) - l2_normalize(items_raw)
         grad = (sign * 2.0 / batch) * (diff + weights.alpha * diff.mean(axis=0))
         grad += oracles.dense_kernel_grad(unit, gamma, weights.beta)
-        radial = np.einsum("ij,ij->i", grad, unit)
-        grads.append((grad - radial[:, None] * unit) / np.linalg.norm(raw, axis=1)[:, None])
+        grads.append(tangent(grad, unit) / np.linalg.norm(raw, axis=1)[:, None])
     return grads
 
 
@@ -260,27 +265,27 @@ class TestBlockedKernel:
     def test_statistics_and_gradient_match_dense_kernel(self, batch):
         unit = l2_normalize(rows_across_blocks(np.random.default_rng(batch), batch, 6))
         _, mean, _, variance = oracles.dense_kernel(unit)
-        got_mean, got_variance, grad = losses._kernel_terms(unit, 0.6, 2.5)
-        assert got_mean == pytest.approx(mean, rel=1e-12)
+        got_uniform, got_variance, grad = losses._kernel_terms(unit, 0.6, 2.5)
+        assert got_uniform == pytest.approx(math.log(mean + oracles.EPS), rel=1e-12)
         assert got_variance == pytest.approx(variance, rel=1e-12)
-        assert relative_error(grad, oracles.dense_kernel_grad(unit, 0.6, 2.5)) <= 1e-12
-        uniform, kernel_variance = losses.uniformity_and_variance(unit)
-        assert uniform == pytest.approx(math.log(mean + oracles.EPS), rel=1e-12)
-        assert kernel_variance == pytest.approx(variance, rel=1e-12)
+        # the helper's gradient is defined up to a radial component per row
+        expected = tangent(oracles.dense_kernel_grad(unit, 0.6, 2.5), unit)
+        assert relative_error(tangent(grad, unit), expected) <= 1e-12
+        assert losses.uniformity_and_variance(unit) == (got_uniform, got_variance)
 
+    @pytest.mark.parametrize("weights", [ALL_WEIGHTS, DIRECTAU_WEIGHTS], ids=["rau", "directau"])
     @pytest.mark.parametrize("batch", BLOCK_EDGE_BATCHES)
-    def test_loss_and_gradients_match_dense_kernel(self, batch):
+    def test_loss_and_gradients_match_dense_kernel(self, batch, weights):
         rng = np.random.default_rng([batch, 1])
         users_raw, items_raw = rows_across_blocks(rng, batch, 6), rows_across_blocks(rng, batch, 6)
-        out, grad_users, grad_items = losses.rau_loss_and_gradient(users_raw, items_raw,
-                                                                   ALL_WEIGHTS)
+        out, grad_users, grad_items = losses.rau_loss_and_gradient(users_raw, items_raw, weights)
         (_, mean_u, _, var_u), (_, mean_i, _, var_i) = (
             oracles.dense_kernel(l2_normalize(raw)) for raw in (users_raw, items_raw))
-        expected_uniform = (ALL_WEIGHTS.gamma_user * math.log(mean_u + oracles.EPS)
-                            + ALL_WEIGHTS.gamma_item * math.log(mean_i + oracles.EPS))
+        expected_uniform = (weights.gamma_user * math.log(mean_u + oracles.EPS)
+                            + weights.gamma_item * math.log(mean_i + oracles.EPS))
         assert out.weighted_uniform == pytest.approx(expected_uniform, rel=1e-12)
         assert out.ru == pytest.approx(var_u + var_i, rel=1e-12)
-        expected_users, expected_items = dense_rau_gradients(users_raw, items_raw, ALL_WEIGHTS)
+        expected_users, expected_items = dense_rau_gradients(users_raw, items_raw, weights)
         assert relative_error(grad_users, expected_users) <= 1e-12
         assert relative_error(grad_items, expected_items) <= 1e-12
 
@@ -298,19 +303,6 @@ class TestBlockedKernel:
         assert losses._kernel_terms(unit, 0.0, 0.0)[2] is None
         assert losses._kernel_terms(unit, 0.0, 1.0)[2] is not None
         assert losses._kernel_terms(unit, 1.0, 0.0)[2] is not None
-
-    def test_zero_beta_forms_no_variance_coefficients(self, monkeypatch):
-        # 600 rows make 6 block pairs; the variance pass subtracts the mean from each
-        # once, and only a non-zero beta subtracts it again for the coefficient blocks
-        unit = l2_normalize(np.random.default_rng(6).normal(size=(600, 4)))
-        subtract = np.subtract
-        calls = []
-        monkeypatch.setattr(np, "subtract",
-                            lambda *args, **kwargs: calls.append(1) or subtract(*args, **kwargs))
-        losses._kernel_terms(unit, 0.5, 0.0)
-        assert len(calls) == 6
-        losses._kernel_terms(unit, 0.5, 1.0)
-        assert len(calls) == 6 + 12
 
 
 class TestBprLoss:
