@@ -165,6 +165,8 @@ def cmd_sweep(args) -> int:
     from .hypersphere import write_csv
     from .trainer import TrainConfig
 
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     base_cfg, base_payload = _resolve_train_config(args)
     split, _ = _load_split(args, base_cfg, base_payload)
     ks = tuple(args.k)
@@ -236,6 +238,8 @@ def cmd_inspect(args) -> int:
 
     from .data import load_interactions, split_per_user, write_split_manifest
 
+    if args.manifest and args.split_seed is None:
+        raise ValueError("--manifest writes a split, so it needs --split-seed")
     ds = load_interactions(args.dataset, format=args.format)
     degrees = np.diff(ds.user_indptr)
     density = ds.num_interactions / (ds.num_users * ds.num_items)

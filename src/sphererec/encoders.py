@@ -10,7 +10,8 @@ those adjacency rows; propagation is linear and the adjacency symmetric, so
 Both give the full-graph rows bit for bit (see `_frontiers`), and a training
 step builds the balls and hops they walk once (`batch_frontiers`). With K = 0
 the output is the raw tables, so the lookup ("mf") encoder is that case,
-served by a plain gather and scatter without building the adjacency.
+served by a plain gather and a scatter onto the touched rows only, without
+building the adjacency.
 """
 
 from __future__ import annotations
@@ -83,15 +84,21 @@ def mf_encode(table: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
     return table.values[_checked_ids(ids, len(table.values), "id")]
 
 
-def scatter_rows(grad_rows: np.ndarray, ids: np.ndarray, num_rows: int) -> np.ndarray:
-    """Scatter batch-row gradients back into a full table gradient.
+# perfbench/ reads `grad_rows` and `num_rows` at positions 0 and 2
+def scatter_rows(grad_rows: np.ndarray, ids: np.ndarray,
+                 num_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table gradient of gathered rows, on the rows the ids touch only.
 
-    Repeated ids accumulate additively into the same row.
+    Returns (rows, summed): the sorted unique ids, checked against
+    `num_rows`, and one gradient row per id in `rows`. Repeated ids add into
+    the same row from +0.0 in occurrence order, so each summed row has the
+    bits of that row of a full-table scatter, whose other rows are zero.
     """
     grad_rows = np.asarray(grad_rows, dtype=np.float64)
-    out = np.zeros((num_rows, grad_rows.shape[1]))
-    np.add.at(out, _checked_ids(ids, num_rows, "id"), grad_rows)
-    return out
+    rows, where = np.unique(_checked_ids(ids, num_rows, "id"), return_inverse=True)
+    summed = np.zeros((rows.size, grad_rows.shape[1]))
+    np.add.at(summed, where, grad_rows)
+    return rows, summed
 
 
 def _check_adjacency(user_table: EmbeddingTable, item_table: EmbeddingTable,
@@ -277,11 +284,16 @@ class Encoder:
                                user_ids, item_ids, frontiers)
 
     def backward(self, user_ids: np.ndarray, item_ids: np.ndarray, grad_users: np.ndarray,
-                 grad_items: np.ndarray,
-                 frontiers: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Full-table gradients from the gradients of an `encode` output."""
+                 grad_items: np.ndarray, frontiers: tuple | None = None) -> tuple[tuple, tuple]:
+        """Table gradients from the gradients of an `encode` output, as (rows, grads) per side.
+
+        The lookup path gives `scatter_rows`' touched rows and their
+        gradient rows. The graph path gives rows None and full-table
+        gradients, since propagation reaches most of the table.
+        """
         if self.adjacency is None:
             return (scatter_rows(grad_users, user_ids, self.num_users),
                     scatter_rows(grad_items, item_ids, self.num_items))
-        return lightgcn_backward(self.adjacency, self.cfg, user_ids, item_ids,
-                                 grad_users, grad_items, frontiers)
+        user_grad, item_grad = lightgcn_backward(self.adjacency, self.cfg, user_ids, item_ids,
+                                                 grad_users, grad_items, frontiers)
+        return (None, user_grad), (None, item_grad)

@@ -148,15 +148,21 @@ class AdamState:
         return cls(np.zeros_like(params), np.zeros_like(params))
 
 
-# perfbench/ wraps this by name and counts rows from its `grads`, argument 1
+# perfbench/ wraps this by name and counts rows from its `grads`, argument 1, which holds
+# only the touched rows when `rows` is given
 def adam_step(
     params: np.ndarray,
     grads: np.ndarray,
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
+    rows: np.ndarray | None = None,
 ) -> None:
     """One bias-corrected Adam update, mutating params and state in place.
+
+    `grads` holds the gradient rows of `rows`, strictly increasing row ids
+    (`encoders.scatter_rows` gives both); rows None means every row. Every
+    other row's gradient is zero.
 
     Weight decay is decoupled: params shrink by (1 - lr * weight_decay)
     before the moment update. Raises on non-finite gradients, before
@@ -164,11 +170,23 @@ def adam_step(
 
     The update runs over blocks of rows, each block's intermediates written
     into `state.scratch`, so no array the size of the table is allocated.
-    Every entry goes through the same IEEE operations in the same order as
-    the whole-table formula, so the result is the same to the bit.
+    Decay, the moment decays and the step are dense; the gradient terms are
+    added on the given rows only. Every entry goes through the same IEEE
+    operations in the same order as the whole-table formula fed the
+    scattered gradient, so the result is the same to the bit. A row without
+    a gradient skips only `m + 0.0` and `v + 0.0`, which return m and v
+    unless they are -0.0. A moment that starts at +0.0 never becomes -0.0:
+    a sum is -0.0 only if both terms are, and `m * beta` with beta > 0.5 (0.9
+    and 0.999 here) never rounds a non-zero m to zero, since even the
+    smallest subnormal times beta rounds back to itself.
     """
-    if params.shape != grads.shape:
-        raise ValueError(f"shape mismatch: params {params.shape} vs grads {grads.shape}")
+    num_rows = params.shape[0]
+    if rows is not None and rows.size and (rows[0] < 0 or rows[-1] >= num_rows
+                                           or np.any(rows[1:] <= rows[:-1])):
+        raise ValueError(f"rows must be strictly increasing ids in [0, {num_rows})")
+    expected = params.shape if rows is None else (rows.size, params.shape[1])
+    if grads.shape != expected:
+        raise ValueError(f"shape mismatch: grads {grads.shape}, expected {expected}")
     if not np.all(np.isfinite(grads)):
         raise FloatingPointError("non-finite gradient; aborting the update")
     state.step_count += 1
@@ -176,16 +194,25 @@ def adam_step(
     correction2 = 1.0 - ADAM_BETA2 ** state.step_count
     decay = 1.0 - lr * weight_decay
     block = state.scratch.shape[1]
-    for start in range(0, params.shape[0], block):
-        rows = slice(start, start + block)
-        p, g = params[rows], grads[rows]
-        m, v = state.first_moment[rows], state.second_moment[rows]
+    if rows is not None:
+        edges = np.searchsorted(rows, range(0, num_rows + block, block)).tolist()
+        offsets = rows % block
+    for index, start in enumerate(range(0, num_rows, block)):
+        stop = start + block
+        if rows is None:
+            touched, g = slice(None), grads[start:stop]
+        else:
+            first, last = edges[index], edges[index + 1]
+            touched, g = offsets[first:last], grads[first:last]
+        p, m = params[start:stop], state.first_moment[start:stop]
+        v = state.second_moment[start:stop]
         step, denom = state.scratch[:, :p.shape[0]]
         p *= decay
         m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
         v *= ADAM_BETA2
-        v += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=step), out=step)
+        term = step[:g.shape[0]]
+        m[touched] += np.multiply(1.0 - ADAM_BETA1, g, out=term)
+        v[touched] += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=term), out=term)
         np.multiply(lr, np.divide(m, correction1, out=step), out=step)
         np.add(np.sqrt(np.divide(v, correction2, out=denom), out=denom), ADAM_EPS, out=denom)
         p -= np.divide(step, denom, out=step)
@@ -335,10 +362,12 @@ def train_epoch(split: SplitDataset, state: TrainState,
             grad_items = np.concatenate(grad_pos_neg)
         else:
             _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights)
-        user_grad, item_grad = state.encoder.backward(user_ids, item_ids, grad_users, grad_items,
-                                                      frontiers)
-        adam_step(state.user_table.values, user_grad, state.user_adam, cfg.lr, cfg.weight_decay)
-        adam_step(state.item_table.values, item_grad, state.item_adam, cfg.lr, cfg.weight_decay)
+        (user_rows, user_grad), (item_rows, item_grad) = state.encoder.backward(
+            user_ids, item_ids, grad_users, grad_items, frontiers)
+        adam_step(state.user_table.values, user_grad, state.user_adam, cfg.lr, cfg.weight_decay,
+                  user_rows)
+        adam_step(state.item_table.values, item_grad, state.item_adam, cfg.lr, cfg.weight_decay,
+                  item_rows)
     wall_time_s = time.perf_counter() - started
     encoded = state.encoder.encode_all(state.user_table, state.item_table)
     return _probe_diagnostics(state, encoded, epoch_index, wall_time_s), encoded

@@ -2,9 +2,10 @@
 the optimizer, the negative sampler and the graph encoder.
 
 Everything here but the `dense_kernel*` functions, `reference_adam_step`,
-`reference_negatives` and the `reference_lightgcn_*` functions is pure
-Python over lists: explicit pair loops, explicit normalization, no numpy, no
-shared code with the package. Deliberately slow and obvious.
+`reference_negatives`, the `reference_lightgcn_*` functions and
+`reference_train_epoch` is pure Python over lists: explicit pair loops,
+explicit normalization, no numpy, no shared code with the package.
+Deliberately slow and obvious.
 """
 
 import math
@@ -247,3 +248,70 @@ def reference_lightgcn_backward(adj, cfg, user_ids, item_ids, grad_users, grad_i
     np.add.at(scattered, np.asarray(user_ids, dtype=np.int64), grad_users)
     np.add.at(scattered, adj.num_users + np.asarray(item_ids, dtype=np.int64), grad_items)
     return reference_layer_mean(adj, cfg, scattered)
+
+
+def dense_adjacency(train):
+    """The normalized bipartite adjacency as a dense matrix, users first, built pair by pair."""
+    num_users = train.num_users
+    size = num_users + train.num_items
+    matrix = np.zeros((size, size))
+    for user, item in train.interactions:
+        matrix[user, num_users + item] = matrix[num_users + item, user] = 1.0
+    degree = matrix.sum(axis=1)
+    scale = np.divide(1.0, np.sqrt(degree), out=np.zeros(size), where=degree > 0)
+    return scale[:, None] * matrix * scale[None, :]
+
+
+def reference_train_epoch(split, state, epoch_index):
+    """One `trainer.train_epoch` pass written out on whole tables, mutating `state`.
+
+    `state` is a `trainer.TrainState`; its tables, Adam states, seeds and
+    config are used. Batches and negatives are drawn from `fit`'s seeds
+    (`reference_negatives` for bpr), the losses are the package's, and every
+    step scatters into full-table gradients with `np.add.at` and updates with
+    `reference_adam_step`. With `lightgcn` the whole node matrix is propagated
+    by a dense matrix product (`dense_adjacency`), which sums in another order
+    than the package's sparse rows, so only `mf` can match it to the bit.
+    """
+    from sphererec import losses
+
+    cfg = state.cfg
+    weights = cfg.effective_weights()
+    num_users = split.num_users
+    layers = cfg.num_layers if cfg.encoder == "lightgcn" else 0
+    adjacency = dense_adjacency(split.train) if layers else None
+
+    def layer_mean(nodes):
+        acc = nodes.copy()
+        for _ in range(layers):
+            nodes = adjacency @ nodes
+            acc += nodes
+        return acc / (layers + 1)
+
+    negative_rng = np.random.default_rng([state.negative_root, epoch_index])
+    pairs = split.train.interactions
+    order = np.random.default_rng([state.shuffle_root, epoch_index]).permutation(len(pairs))
+    for start in range(0, len(order), cfg.batch_size):
+        batch = pairs[order[start:start + cfg.batch_size]]
+        if len(batch) < 2:
+            break
+        user_ids, item_ids = batch[:, 0], batch[:, 1]
+        if weights is None:
+            item_ids = np.concatenate([item_ids, reference_negatives(
+                item_ids, split, user_ids, negative_rng, cfg.bpr_full_history_rejection)])
+        encoded = layer_mean(np.vstack([state.user_table.values, state.item_table.values]))
+        user_vecs, item_vecs = encoded[user_ids], encoded[num_users + item_ids]
+        if weights is None:
+            _, grad_users, grad_pos, grad_neg = losses.bpr_loss_and_gradient(
+                user_vecs, *np.split(item_vecs, 2))
+            grad_items = np.concatenate([grad_pos, grad_neg])
+        else:
+            _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights)
+        scattered = np.zeros_like(encoded)
+        np.add.at(scattered, user_ids, grad_users)
+        np.add.at(scattered, num_users + item_ids, grad_items)
+        grads = layer_mean(scattered)  # the adjacency is symmetric
+        reference_adam_step(state.user_table.values, grads[:num_users], state.user_adam,
+                            cfg.lr, cfg.weight_decay)
+        reference_adam_step(state.item_table.values, grads[num_users:], state.item_adam,
+                            cfg.lr, cfg.weight_decay)

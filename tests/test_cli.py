@@ -239,6 +239,19 @@ class TestSweepCommand:
 
         assert run("seq.csv", 1) == run("par.csv", 2)
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exits_2_before_any_fit(self, synthetic_tsv, tmp_path,
+                                                      monkeypatch, capsys, workers):
+        # these used to run the grid serially without a word
+        fits = []
+        monkeypatch.setattr(trainer, "fit", lambda *args: fits.append(args))
+        argv = train_args(synthetic_tsv, tmp_path / "unused")
+        argv[0] = "sweep"
+        argv += ["--workers", workers, "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 2
+        assert fits == []
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
 
 class TestGeometryCommand:
     def test_default_sweep(self, tmp_path, capsys):
@@ -277,3 +290,11 @@ class TestInspectCommand:
                          "--split-seed", "11", "--manifest", str(manifest)]) == 0
         assert manifest.exists()
         assert "train=" in capsys.readouterr().out
+
+    def test_manifest_without_split_seed_exits_2(self, synthetic_tsv, tmp_path, capsys):
+        # this used to exit 0 and write no manifest
+        manifest = tmp_path / "manifest.json"
+        assert cli.main(["inspect", "--dataset", str(synthetic_tsv),
+                         "--manifest", str(manifest)]) == 2
+        assert not manifest.exists()
+        assert "needs --split-seed" in capsys.readouterr().err

@@ -31,13 +31,24 @@ class TestMfEncode:
             encoders.mf_encode(table, [4])
 
     def test_scatter_counts_occurrences(self):
-        # gradient of sum(outputs) w.r.t. the table is the id-occurrence count matrix
-        ids = np.array([0, 2, 2, 2])
-        grad = encoders.scatter_rows(np.ones((4, 3)), ids, num_rows=4)
-        expected = np.zeros((4, 3))
-        expected[0] = 1.0
-        expected[2] = 3.0
-        np.testing.assert_array_equal(grad, expected)
+        # gradient of sum(outputs) w.r.t. the table is the id-occurrence count matrix,
+        # returned on its non-zero rows only
+        ids = np.array([2, 0, 2, 2])
+        rows, grad = encoders.scatter_rows(np.ones((4, 3)), ids, num_rows=4)
+        np.testing.assert_array_equal(rows, [0, 2])
+        np.testing.assert_array_equal(grad, [[1.0] * 3, [3.0] * 3])
+
+    @pytest.mark.parametrize("num_ids", [0, 1, 7, 300])
+    def test_scatter_rows_have_the_bits_of_a_full_table_scatter(self, num_ids):
+        rng = np.random.default_rng(num_ids)
+        ids = rng.integers(0, 40, size=num_ids)
+        grad_rows = rng.standard_normal((num_ids, 5))
+        full = np.zeros((40, 5))
+        np.add.at(full, ids, grad_rows)
+        rows, grad = encoders.scatter_rows(grad_rows, ids, num_rows=40)
+        assert rows.dtype == np.int64
+        assert rows.tobytes() == np.unique(ids).tobytes()
+        assert grad.tobytes() == full[rows].tobytes()
 
     @pytest.mark.parametrize("ids", [[-1], [4]])
     def test_scatter_rejects_out_of_range_ids(self, ids):
@@ -265,9 +276,14 @@ class TestEncoder:
                 (encoder.encode(user_table, item_table, user_ids, item_ids),
                  encoders.lightgcn_encode(user_table, item_table, adj, graph_cfg,
                                           user_ids, item_ids)),
-                (encoder.backward(user_ids, item_ids, *grads),
-                 encoders.lightgcn_backward(adj, graph_cfg, user_ids, item_ids, *grads)),
             ]
+            # the lookup backward returns its touched rows; every other row's gradient is zero
+            full_tables = (np.zeros((2, 4)), np.zeros((3, 4)))
+            for full, (rows, grad) in zip(full_tables,
+                                          encoder.backward(user_ids, item_ids, *grads)):
+                full[rows] = grad
+            pairs.append((full_tables, encoders.lightgcn_backward(adj, graph_cfg, user_ids,
+                                                                  item_ids, *grads)))
             for lookup, graph in pairs:
                 for lookup_part, graph_part in zip(lookup, graph):
                     np.testing.assert_array_equal(lookup_part, graph_part)

@@ -20,6 +20,20 @@ def sparse_gradient(rng, shape, touched=0.3):
     return grads
 
 
+def scattered(rows, grad_rows, shape):
+    """The full-table gradient whose non-zero rows are `grad_rows` at `rows`."""
+    full = np.zeros(shape)
+    full[rows] = grad_rows
+    return full
+
+
+def assert_same_bits(params, state, want, want_state):
+    """Params and both Adam moments hold the same bytes as the expected ones."""
+    for got, expected in ((params, want), (state.first_moment, want_state.first_moment),
+                          (state.second_moment, want_state.second_moment)):
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestAdamStep:
     def test_zero_gradient_zero_decay_is_identity(self):
         params = np.arange(6.0).reshape(2, 3)
@@ -82,6 +96,71 @@ class TestAdamStep:
         assert np.array_equal(state.first_moment, expected_state.first_moment)
         assert np.array_equal(state.second_moment, expected_state.second_moment)
         assert state.step_count == expected_state.step_count == 20
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-6])
+    @pytest.mark.parametrize("pick", [
+        lambda rng, n: np.array([0, BLOCK_7 - 1, BLOCK_7, BLOCK_7 + 1, 2 * BLOCK_7 - 1,
+                                 2 * BLOCK_7, 3 * BLOCK_7, n - 1]),
+        lambda rng, n: np.array([0, n - 1]),
+        lambda rng, n: np.array([], dtype=np.int64),
+        lambda rng, n: np.flatnonzero(rng.random(n) < 0.05),
+    ], ids=["block-edges", "first-and-last", "empty", "random"])
+    def test_row_sparse_update_is_bit_identical_to_whole_table_formula(self, pick,
+                                                                       weight_decay):
+        rng = np.random.default_rng(7)
+        shape = (3 * BLOCK_7 + 5, 7)
+        params = rng.standard_normal(shape)
+        expected = params.copy()
+        state, expected_state = AdamState.like(params), AdamState.like(params)
+        for _ in range(20):
+            rows = pick(rng, shape[0])
+            grads = rng.standard_normal((rows.size, shape[1]))
+            adam_step(params, grads, state, 1e-3, weight_decay, rows)
+            oracles.reference_adam_step(expected, scattered(rows, grads, shape), expected_state,
+                                        1e-3, weight_decay)
+        assert_same_bits(params, state, expected, expected_state)
+        assert state.step_count == expected_state.step_count == 20
+
+    def test_untouched_subnormal_moments_keep_their_bits(self):
+        # a row without a gradient skips `m + 0.0`; that is the same bits as long as
+        # `m * 0.9` never rounds a non-zero moment to a signed zero, even at the
+        # smallest subnormals
+        rng = np.random.default_rng(11)
+        shape = (2 * BLOCK_7 + 3, 7)
+        params = rng.standard_normal(shape)
+        tiny = np.array([5e-324, -5e-324, 1e-320, -1e-320])
+        untouched = np.arange(1, shape[0], 2)
+        state = AdamState.like(params)
+        state.first_moment[untouched] = np.resize(tiny, (untouched.size, shape[1]))
+        state.second_moment[untouched] = np.abs(state.first_moment[untouched])
+        expected = params.copy()
+        expected_state = AdamState(state.first_moment.copy(), state.second_moment.copy())
+        touched = np.arange(0, shape[0], 2)
+        for _ in range(30):
+            grads = rng.standard_normal((touched.size, shape[1]))
+            adam_step(params, grads, state, 1e-3, 1e-6, touched)
+            oracles.reference_adam_step(expected, scattered(touched, grads, shape),
+                                        expected_state, 1e-3, 1e-6)
+        assert_same_bits(params, state, expected, expected_state)
+        assert np.all(state.first_moment[untouched] != 0.0)
+        assert np.all(state.second_moment[untouched] != 0.0)
+
+    @pytest.mark.parametrize("rows", [[1, 0], [0, 0], [-1, 2], [0, 4]],
+                             ids=["unsorted", "repeated", "negative", "past-the-end"])
+    def test_rows_must_be_increasing_ids_of_the_table(self, rows):
+        params = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            adam_step(params, np.ones((2, 2)), AdamState.like(params), 0.1, rows=np.array(rows))
+        assert not params.any()
+
+    def test_row_gradients_must_match_the_rows_and_be_finite(self):
+        params = np.zeros((4, 2))
+        state = AdamState.like(params)
+        with pytest.raises(ValueError, match="shape"):
+            adam_step(params, np.ones((3, 2)), state, 0.1, rows=np.array([0, 2]))
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            adam_step(params, np.array([[1.0, np.inf]]), state, 0.1, rows=np.array([3]))
+        assert state.step_count == 0 and not state.first_moment.any()
 
     def test_non_finite_gradient_in_last_block_changes_nothing(self):
         rng = np.random.default_rng(3)
@@ -461,6 +540,32 @@ class TestFit:
             assert diag_a.align == diag_b.align
             assert diag_a.uniform_user == diag_b.uniform_user
         assert report_a.val_history == report_b.val_history
+
+
+class TestReferenceEpoch:
+    @pytest.mark.parametrize("encoder", trainer.ENCODERS)
+    @pytest.mark.parametrize("objective, full_history", [
+        ("rau", False), ("directau", False), ("bpr", False), ("bpr", True)])
+    def test_three_epochs_match_the_whole_table_reference(self, encoder, objective,
+                                                          full_history):
+        # the whole-step gate: batches, negatives, encoder, scatter and Adam together
+        split = small_split()
+        cfg = base_config(objective=objective, encoder=encoder, batch_size=24,
+                          weight_decay=1e-6, bpr_full_history_rejection=full_history,
+                          weights=LossWeights(alpha=0.5, beta=5.0, gamma_user=0.7,
+                                              gamma_item=0.3))
+        initial, state, expected = (TrainState(split, cfg) for _ in range(3))
+        for epoch in range(1, 4):
+            trainer.train_epoch(split, state, epoch)
+            oracles.reference_train_epoch(split, expected, epoch)
+        assert state.user_adam.step_count == expected.user_adam.step_count == 3 * 14
+        for table in ("user_table", "item_table"):
+            got, want = getattr(state, table).values, getattr(expected, table).values
+            assert not np.array_equal(want, getattr(initial, table).values)
+            if encoder == "mf":
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestDiagnosticsCsv:
