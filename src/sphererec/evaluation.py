@@ -6,10 +6,16 @@ ranking. Ties break by ascending item index so runs are reproducible across
 platforms. Scores are either raw dot products (ranking-loss geometry) or
 cosine similarities (hypersphere geometry).
 
-Only the top max(K) columns are ranked. A partition finds each user's K-th
-best score; every item scoring at least that much, ties included, is a
-candidate, and a stable sort of the candidates alone gives the same top K as
-a stable sort of the whole catalog.
+Users are ranked in chunks whose rows fit a byte budget: each chunk scores
+into one buffer and writes the negated scores into a second, both at most
+`_CHUNK_BYTES` and reused by every chunk, so a chunk's passes stay in cache
+and memory does not grow with the catalog times the user count. Only the
+top max(K) columns are ranked. A partition of the negated copy finds each
+user's K-th best score; the cells scoring at least that much, taken by flat
+(row-major) index, are the candidates, and of the cells tied with the K-th
+score only the first by item index are kept, so each user keeps exactly K.
+A stable sort of those K gives the same top K as a stable sort of the whole
+catalog.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from .data import InteractionDataset, SplitDataset
 from .hypersphere import write_csv
 
 DEFAULT_KS = (20, 50)
-_CHUNK = 1024
+# each of the two chunk buffers holds at most this many bytes (and at least one row)
+_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -78,23 +85,37 @@ def _csr_cells(part: InteractionDataset, users: np.ndarray) -> tuple[np.ndarray,
 
 
 def _top_k(scores: np.ndarray, k: int, work: np.ndarray) -> np.ndarray:
-    """np.argsort(-scores, axis=1, kind="stable")[:, :k], sorting only the candidates.
+    """np.argsort(-scores, axis=1, kind="stable")[:, :k], sorting only k candidates per row.
 
-    `scores` is negated in place and copied into `work`, a buffer of its
-    shape, to be partitioned there. A row's candidates are the cells not
-    ranked below its k-th best, which keeps every tie of the k-th score (and
-    NaN cells, which argsort ranks last), so each row has at least k.
+    `-scores` is written into `work`, a buffer of its shape, in one pass and
+    partitioned there; `scores` is left as it was. Negation is exact, so the
+    partition gives each row's k-th best score bit for bit, or NaN where
+    fewer than k scores are not NaN (argsort ranks NaN last). A row's
+    candidates are its cells at or above that score, or every cell when it
+    is NaN; their flat indices ascend, so columns ascend within a row. Cells
+    tied with the k-th score (the NaN cells, when it is NaN) rank by column,
+    so a row keeps the cells above it and then its first ties, k in all,
+    and a stable sort of those k by score is the full ranking's first k.
     """
-    neg = np.negative(scores, out=scores)
-    np.copyto(work, neg)
+    num_rows, num_columns = scores.shape
+    np.negative(scores, out=work)
     work.partition(k - 1, axis=1)
-    kth = work[:, k - 1, None]
-    candidates = ~(neg > kth)
-    rows, columns = np.nonzero(candidates)  # row-major: columns ascend within a row
-    order = np.lexsort((neg[candidates], rows))  # stable: equal scores keep column order
-    counts = np.bincount(rows, minlength=neg.shape[0])
-    starts = np.cumsum(counts) - counts  # where each row's candidates begin in `order`
-    return columns[order[starts[:, None] + np.arange(k)]]
+    kth = -work[:, k - 1]  # negation is exact: each row's k-th best score, or NaN
+    candidates = scores >= kth[:, None]
+    candidates[np.isnan(kth)] = True  # fewer than k scores are not NaN: NaN cells rank last
+    flat = np.flatnonzero(candidates)  # row-major, so columns ascend within a row
+    rows, columns = np.divmod(flat, num_columns)
+    values = scores.ravel()[flat]
+    tied = (values == kth[rows]) | np.isnan(values)
+    # a row keeps its cells above the k-th score and its first ties by column, k in all
+    counts = np.bincount(rows, minlength=num_rows)
+    starts = np.cumsum(counts) - counts
+    ties_before = np.cumsum(tied) - tied
+    ties_before -= ties_before[starts][rows]
+    num_above = counts - np.bincount(rows[tied], minlength=num_rows)
+    keep = ~tied | (num_above[rows] + ties_before < k)
+    order = np.argsort(-values[keep].reshape(num_rows, k), axis=1, kind="stable")
+    return np.take_along_axis(columns[keep].reshape(num_rows, k), order, axis=1)
 
 
 def evaluate(
@@ -162,11 +183,12 @@ def evaluate(
     last_column = np.minimum(ks, ranked_columns) - 1
     excluded_parts = (split.train, split.validation) if part == "test" else (split.train,)
     per_user = []  # recall@K then ndcg@K for each K, one row per user in user order
-    # every chunk scores into, and partitions in, the same two buffers, so no chunk
-    # maps and faults in fresh chunk x catalog arrays
-    score_buffer, work_buffer = np.empty((2, min(_CHUNK, eval_users.size), split.num_items))
-    for start in range(0, eval_users.size, _CHUNK):
-        chunk = eval_users[start:start + _CHUNK]
+    # every chunk scores into, and partitions in, the same two float64 buffers of at
+    # most _CHUNK_BYTES, so no chunk maps and faults in fresh chunk x catalog arrays
+    chunk_rows = max(1, _CHUNK_BYTES // (8 * split.num_items))
+    score_buffer, work_buffer = np.empty((2, min(chunk_rows, eval_users.size), split.num_items))
+    for start in range(0, eval_users.size, chunk_rows):
+        chunk = eval_users[start:start + chunk_rows]
         scores = np.matmul(user_vectors[chunk], item_vectors.T, out=score_buffer[:chunk.size])
         for excluded in excluded_parts:
             scores[_csr_cells(excluded, chunk)] = -np.inf

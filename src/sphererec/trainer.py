@@ -73,6 +73,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if self.lr * self.weight_decay >= 1:  # Adam's decay factor 1 - lr * weight_decay
+            raise ValueError(f"lr * weight_decay must be below 1, got {self.lr} * "
+                             f"{self.weight_decay}: the decoupled decay would zero or flip "
+                             "the tables")
         for name, least in (("dim", 2), ("seed", 0), ("max_epochs", 0), ("patience", 1),
                             ("batch_size", 2), ("eval_k_for_stopping", 1)):
             if getattr(self, name) < least:
@@ -284,31 +288,48 @@ def _check_negatives_exist(split: SplitDataset) -> None:
                          "so bpr_full_history_rejection can draw no negative for it")
 
 
-def _train_keys(split: SplitDataset) -> np.ndarray:
-    """`user * num_items + item` of every training pair; sorted, as the pairs are."""
+def _train_keys(split: SplitDataset) -> frozenset[int]:
+    """`user * num_items + item` of every training pair, as a set of Python ints."""
     pairs = split.train.interactions
-    return pairs[:, 0] * split.num_items + pairs[:, 1]
+    return frozenset((pairs[:, 0] * split.num_items + pairs[:, 1]).tolist())
 
 
 def _sample_negatives(batch_items: np.ndarray, split: SplitDataset, user_ids: np.ndarray,
-                      rng: np.random.Generator, train_keys: np.ndarray | None) -> np.ndarray:
+                      rng: np.random.Generator, train_keys: frozenset[int] | None) -> np.ndarray:
     """One uniform negative per pair, redrawn while it is the positive or (given `train_keys`,
     from `_train_keys`) any training item of the user; values and final rng state equal
-    drawing pair by pair."""
-    num_items = split.num_items
-    negatives = rng.integers(num_items, size=batch_items.shape[0])
-    first = 0
-    while True:
-        rejected = negatives[first:] == batch_items[first:]
-        if train_keys is not None:
-            keys = user_ids[first:] * num_items + negatives[first:]
-            found = np.minimum(np.searchsorted(train_keys, keys), train_keys.size - 1)
-            rejected |= train_keys[found] == keys
-        if not rejected.any():
-            return negatives
-        first += int(np.argmax(rejected))  # it and every later pair move on by one draw
-        negatives[first:-1] = negatives[first + 1:]
-        negatives[-1] = rng.integers(num_items)
+    drawing pair by pair.
+
+    Every pair's first draw comes from one call and is checked in one pass. The pairs
+    before the first rejected draw keep theirs; from that pair on, the pairs take the
+    remaining draws in order, one Python step per draw, and when the draws run out every
+    pair still open needs at least one more, so that many are drawn in one call. A
+    rejection thus costs one set lookup, not a pass over the rest of the batch.
+    """
+    num_items, size = split.num_items, batch_items.shape[0]
+    negatives = rng.integers(num_items, size=size)
+    rejected = negatives == batch_items
+    if train_keys is not None:
+        keys = (user_ids * num_items + negatives).tolist()
+        rejected |= np.fromiter(map(train_keys.__contains__, keys), dtype=bool, count=size)
+    if not rejected.any():
+        return negatives
+    first = int(np.argmax(rejected))
+    draws, next_draw = negatives[first:].tolist(), 0  # the unused draws, one per open pair
+    accepted = []
+    for pair, positive, user in zip(range(first, size), batch_items[first:].tolist(),
+                                    user_ids[first:].tolist()):
+        while True:
+            if next_draw == len(draws):
+                draws, next_draw = rng.integers(num_items, size=size - pair).tolist(), 0
+            negative = draws[next_draw]
+            next_draw += 1
+            if negative != positive and (train_keys is None
+                                         or user * num_items + negative not in train_keys):
+                break
+        accepted.append(negative)
+    negatives[first:] = accepted
+    return negatives
 
 
 def _probe_diagnostics(state: TrainState, encoded: tuple[np.ndarray, np.ndarray], epoch: int,

@@ -77,6 +77,16 @@ class TestTrainCommand:
         assert "fixed_epochs" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_weight_decay_that_zeroes_the_tables_exits_2(self, synthetic_tsv, tmp_path, capsys):
+        # lr 0.01 * weight decay 1e5 makes Adam's decay factor about -999; this used to train
+        # and exit 0
+        out_dir = tmp_path / "runs"
+        assert cli.main(train_args(synthetic_tsv, out_dir, **{"weight-decay": "1e5"})) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lr * weight_decay must be below 1")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+
 
 @pytest.mark.parametrize("single_thread, rau_num_threads, expected", [
     (True, None, "1"), (False, "2", "2"),

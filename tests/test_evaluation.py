@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -57,6 +58,32 @@ def one_user_split(num_items, train_items, validation_items, test_items):
         return data.dataset_from_pairs(1, num_items, [(0, item) for item in items])
     return data.SplitDataset(train=part(train_items), validation=part(validation_items),
                              test=part(test_items), split_seed=0)
+
+
+def oracle_report(split, users, items, ks, part, score_mode):
+    """The naive ranking oracle's report: every item ranked for one user at a time."""
+    def item_sets(part_data):
+        return {user: set(part_data.items_for_user(user).tolist())
+                for user in range(part_data.num_users)}
+
+    target = split.test if part == "test" else split.validation
+    return MetricsReport(ks, *oracles.ranking_metrics(
+        users.tolist(), items.tolist(), item_sets(split.train), item_sets(split.validation),
+        item_sets(target), ks, score_mode, part))
+
+
+def with_test_users(split, count):
+    """`split` with test items kept for only the first `count` users that have any."""
+    kept = np.flatnonzero(np.diff(split.test.user_indptr) > 0)[:count]
+    pairs = [(int(user), int(item)) for user, item in split.test.interactions if user in kept]
+    test = data.dataset_from_pairs(split.num_users, split.num_items, pairs)
+    return data.SplitDataset(train=split.train, validation=split.validation, test=test,
+                             split_seed=split.split_seed)
+
+
+def chunk_bytes_for_rows(split, rows):
+    """A `_CHUNK_BYTES` that gives `split` chunks of `rows` users."""
+    return rows * 8 * split.num_items
 
 
 def ranked_in_index_order(split, ks):
@@ -161,26 +188,65 @@ class TestEvaluate:
     def test_matches_naive_ranking_oracle(self, part, score_mode):
         split, users, items = tie_heavy_fixture()
         ks = (1, 3, 10, 40)  # 40 is more than the 30 items
-
-        def item_sets(part_data):
-            return {user: set(part_data.items_for_user(user).tolist())
-                    for user in range(part_data.num_users)}
-
-        target = split.test if part == "test" else split.validation
-        recall, ndcg, num_users = oracles.ranking_metrics(
-            users.tolist(), items.tolist(), item_sets(split.train), item_sets(split.validation),
-            item_sets(target), ks, score_mode, part)
         report = evaluate(split, users, items, ks=ks, part=part, score_mode=score_mode)
-        assert report == MetricsReport(ks, recall, ndcg, num_users)
+        assert report == oracle_report(split, users, items, ks, part, score_mode)
 
     @pytest.mark.parametrize("score_mode", ["cosine", "dot"])
     def test_chunks_sharing_buffers_match_one_chunk(self, monkeypatch, score_mode):
         # 7-user chunks leave a 5-user last chunk in views of buffers the earlier chunks filled
         split, users, items = tie_heavy_fixture()
         whole = evaluate(split, users, items, ks=(1, 3, 40), score_mode=score_mode)
-        monkeypatch.setattr(evaluation, "_CHUNK", 7)
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", chunk_bytes_for_rows(split, 7))
         assert evaluate(split, users, items, ks=(1, 3, 40), score_mode=score_mode) == whole
         assert whole.num_users_evaluated % 7 != 0
+
+    # chunk - 1, chunk and chunk + 1 users, then two full chunks and a one-user last chunk
+    @pytest.mark.parametrize("num_users, chunk_sizes", [
+        (7, [7]), (8, [8]), (9, [8, 1]), (17, [8, 8, 1])])
+    @pytest.mark.parametrize("score_mode", ["cosine", "dot"])
+    def test_user_counts_around_the_chunk_size_match_the_oracle(
+            self, monkeypatch, num_users, chunk_sizes, score_mode):
+        split, users, items = tie_heavy_fixture()
+        split = with_test_users(split, num_users)
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", chunk_bytes_for_rows(split, 8))
+        seen = []
+
+        def recording_top_k(scores, k, work):
+            seen.append(scores.shape[0])
+            return _top_k(scores, k, work)
+
+        monkeypatch.setattr(evaluation, "_top_k", recording_top_k)
+        ks = (1, 3, 10, 40)
+        report = evaluate(split, users, items, ks=ks, part="test", score_mode=score_mode)
+        assert seen == chunk_sizes
+        assert report.num_users_evaluated == num_users
+        assert report == oracle_report(split, users, items, ks, "test", score_mode)
+
+    def test_peak_memory_is_the_chunk_buffers_whatever_the_user_count(self, monkeypatch):
+        # 2,000 items in 64-user chunks, so each buffer is 1 MB; the tables and the split
+        # are made before tracing starts
+        rng = np.random.default_rng(5)
+        num_items, rows = 2000, 64
+        buffer_bytes = rows * 8 * num_items
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", buffer_bytes)
+        peaks = []
+        for num_users in (256, 2048):
+            pairs = [(user, int(item)) for user in range(num_users)
+                     for item in rng.choice(num_items, size=4, replace=False)]
+            split = data.split_per_user(data.dataset_from_pairs(num_users, num_items, pairs),
+                                        seed=1)
+            users, items = rng.normal(size=(num_users, 4)), rng.normal(size=(num_items, 4))
+            tracemalloc.start()
+            try:
+                report = evaluate(split, users, items)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.num_users_evaluated == num_users
+        # the two buffers, plus one buffer's worth of slack for the candidate mask, the
+        # comparison's broadcast buffer and the per-user arrays
+        assert max(peaks) < 3 * buffer_bytes
+        assert peaks[1] - peaks[0] < buffer_bytes / 4  # 8x the users, not 8x the memory
 
     @pytest.mark.parametrize("ks", [(1, 3, 10), (2, 7), (25,), (29,)])
     @pytest.mark.parametrize("part", ["test", "validation"])
@@ -188,17 +254,8 @@ class TestEvaluate:
     def test_matches_naive_ranking_oracle_below_catalog_size(self, ks, part, score_mode):
         # every K is below the 30 items, so each one cuts the ranking
         split, users, items = tie_heavy_fixture()
-
-        def item_sets(part_data):
-            return {user: set(part_data.items_for_user(user).tolist())
-                    for user in range(part_data.num_users)}
-
-        target = split.test if part == "test" else split.validation
-        recall, ndcg, num_users = oracles.ranking_metrics(
-            users.tolist(), items.tolist(), item_sets(split.train), item_sets(split.validation),
-            item_sets(target), ks, score_mode, part)
         report = evaluate(split, users, items, ks=ks, part=part, score_mode=score_mode)
-        assert report == MetricsReport(ks, recall, ndcg, num_users)
+        assert report == oracle_report(split, users, items, ks, part, score_mode)
 
     def test_excluded_items_fill_the_tail_when_fewer_than_k_remain(self):
         # 6 items, 4 excluded from the test ranking: K = 5 ranks 1, 4, then 0, 2, 3
@@ -211,8 +268,10 @@ class TestEvaluate:
     def test_top_k_equals_full_stable_argsort(self, scores):
         ranking = np.argsort(-scores, axis=1, kind="stable")
         work = np.full_like(scores, np.nan)  # one buffer for every call: leftovers must not matter
+        unchanged = scores.copy()
         for k in range(1, scores.shape[1] + 1):
-            np.testing.assert_array_equal(_top_k(scores.copy(), k, work), ranking[:, :k])
+            np.testing.assert_array_equal(_top_k(scores, k, work), ranking[:, :k])
+            assert scores.tobytes() == unchanged.tobytes()  # only `work` is written
 
     @pytest.mark.parametrize("table", ["user_vectors", "item_vectors"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

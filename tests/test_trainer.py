@@ -238,6 +238,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field_name):
             TrainConfig(**{field_name: value})
 
+    @pytest.mark.parametrize("lr, weight_decay", [(1e-3, 1e5), (0.5, 2.0), (1.0, 1.0)])
+    def test_rejects_decay_that_zeroes_or_flips_the_tables(self, lr, weight_decay):
+        # Adam's decoupled decay multiplies the tables by 1 - lr * weight_decay, which is
+        # zero or negative here; 1e-3 * 1e5 used to train and exit 0
+        with pytest.raises(ValueError, match=r"lr \* weight_decay must be below 1"):
+            TrainConfig(lr=lr, weight_decay=weight_decay)
+        TrainConfig(lr=lr, weight_decay=0.99 / lr)  # a factor above zero is fine
+        TrainConfig(lr=0.0, weight_decay=weight_decay)  # lr 0 freezes the tables
+
     @pytest.mark.parametrize("field_name, value", [
         ("fixed_epochs", "false"), ("dim", "16"), ("lr", "0.01"), ("max_epochs", 1.5),
         ("batch_size", 64.0), ("seed", True), ("lr", True), ("objective", 1),
@@ -384,7 +393,16 @@ class TestSampleNegatives:
     @pytest.mark.parametrize("batch_size", [7, 256])  # both leave a short last batch
     def test_matches_pair_by_pair_reference_and_its_generator_state(
             self, make_split, full_history, batch_size):
-        split = make_split()
+        self.assert_matches_reference(make_split(), full_history, batch_size)
+
+    def test_matches_reference_where_most_pairs_redraw(self):
+        # each user holds about a third of the 40 items in training, so with the full
+        # history a third of all draws are rejected, many of them several times in a row
+        split = data.split_per_user(data.two_cluster_dataset(2000, 40, 18, seed=1), seed=1)
+        self.assert_matches_reference(split, full_history=True, batch_size=1024)
+
+    @staticmethod
+    def assert_matches_reference(split, full_history, batch_size):
         ours, reference = np.random.default_rng(11), np.random.default_rng(11)
         train_keys = trainer._train_keys(split) if full_history else None
         sampled = 0
