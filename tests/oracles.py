@@ -1,14 +1,16 @@
 """Naive reference implementations for cross-checking the losses, the ranking, the data parts,
-the optimizer, the negative sampler and the graph encoder.
+the optimizer, the negative sampler, the graph encoder and the data loader.
 
 Everything here but the `dense_kernel*` functions, `reference_adam_step`,
-`reference_negatives`, the `reference_lightgcn_*` functions and
-`reference_train_epoch` is pure Python over lists: explicit pair loops,
-explicit normalization, no numpy, no shared code with the package.
-Deliberately slow and obvious.
+`reference_negatives`, the `reference_lightgcn_*` functions,
+`reference_train_epoch` and the `reference_*` data functions is pure Python
+over lists: explicit pair loops, explicit normalization, no numpy, no shared
+code with the package. Deliberately slow and obvious.
 """
 
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -315,3 +317,62 @@ def reference_train_epoch(split, state, epoch_index):
                             cfg.lr, cfg.weight_decay)
         reference_adam_step(state.item_table.values, grads[num_users:], state.item_adam,
                             cfg.lr, cfg.weight_decay)
+
+
+def reference_dataset(num_users, num_items, pairs):
+    """`data.dataset_from_pairs` as a namespace of arrays, de-duplicated by `np.unique(axis=0)`."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    interactions = np.unique(pairs, axis=0) if pairs.shape[0] else np.empty((0, 2), np.int64)
+    if interactions.shape[0]:
+        if interactions[:, 0].min() < 0 or interactions[:, 0].max() >= num_users:
+            raise ValueError("user index out of range [0, num_users)")
+        if interactions[:, 1].min() < 0 or interactions[:, 1].max() >= num_items:
+            raise ValueError("item index out of range [0, num_items)")
+    indptr = np.zeros(num_users + 1, dtype=np.int64)
+    np.cumsum(np.bincount(interactions[:, 0], minlength=num_users), out=indptr[1:])
+    return SimpleNamespace(num_users=num_users, num_items=num_items, interactions=interactions,
+                           user_indptr=indptr, user_items=interactions[:, 1].copy())
+
+
+def reference_load_interactions(path, format):
+    """`data.load_interactions` one line at a time: the documented input rules, written out."""
+    path = Path(path)
+    user_ids, item_ids, pairs = {}, {}, []
+    with path.open("r", encoding="utf-8-sig") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split(",") if format == "csv" else line.split()
+            if len(fields) < 2:
+                raise ValueError(f"{path}:{lineno}: expected at least 2 fields, got {len(fields)}")
+            raw_user, raw_item = fields[0].strip(), fields[1].strip()
+            if not raw_user or not raw_item:
+                raise ValueError(f"{path}:{lineno}: empty user or item id")
+            user = user_ids.setdefault(raw_user, len(user_ids))
+            item = item_ids.setdefault(raw_item, len(item_ids))
+            pairs.append((user, item))
+    if not pairs:
+        raise ValueError(f"{path}: no interactions found")
+    return reference_dataset(len(user_ids), len(item_ids), pairs)
+
+
+def reference_split(ds, seed):
+    """`data.split_per_user` one user at a time: (train, validation, test) reference datasets."""
+    rng = np.random.default_rng(seed)
+    part_of = np.zeros(ds.interactions.shape[0], dtype=np.int8)
+    for user in range(ds.num_users):
+        start = ds.user_indptr[user]
+        n = int(ds.user_indptr[user + 1] - start)
+        if n == 0:
+            continue
+        order = start + rng.permutation(n)
+        if n < 3:
+            n_train, n_val = n, 0
+        else:
+            n_train = min(max(round(n * 0.8), 1), n)
+            n_val = min(round(n * 0.1), n - n_train)
+        part_of[order[n_train:n_train + n_val]] = 1
+        part_of[order[n_train + n_val:]] = 2
+    return tuple(reference_dataset(ds.num_users, ds.num_items, ds.interactions[part_of == part])
+                 for part in range(3))

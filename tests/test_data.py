@@ -1,3 +1,8 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import oracles
 import pytest
@@ -57,6 +62,158 @@ class TestLoadInteractions:
         path = write(tmp_path / "x.tsv", "a\tb\n")
         with pytest.raises(ValueError, match="format"):
             data.load_interactions(path, format="parquet")
+
+    def test_byte_order_mark_is_not_part_of_the_first_user_id(self, tmp_path):
+        path = write(tmp_path / "x.csv", "\ufeffa,x\nb,y\na,y\n")
+        ds = data.load_interactions(path)
+        assert (ds.num_users, ds.num_items, ds.num_interactions) == (2, 2, 3)
+
+    def test_byte_order_mark_before_a_comment_header(self, tmp_path):
+        path = write(tmp_path / "x.tsv", "\ufeff# user\titem\na\tb\n")
+        ds = data.load_interactions(path)
+        assert (ds.num_users, ds.num_items, ds.num_interactions) == (1, 1, 1)
+
+    def test_peak_memory_grows_by_a_few_bytes_per_line(self, tmp_path):
+        # 2,000 users x 1,000 items, so the id dicts stay the same size while the lines grow;
+        # oracles.reference_load_interactions peaks at about 104 bytes a line, 21.7 MiB at 200K
+        rng = np.random.default_rng(3)
+        peaks = []
+        for num_lines in (50_000, 200_000):
+            users, items = rng.integers(2000, size=num_lines), rng.integers(1000, size=num_lines)
+            path = write(tmp_path / f"{num_lines}.tsv", "".join(
+                f"u{u}\ti{i}\n" for u, i in zip(users.tolist(), items.tolist())))
+            tracemalloc.start()
+            try:
+                data.load_interactions(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 150_000 < 48
+        assert peaks[1] < 12 << 20
+
+
+def outcome(load, path, format):
+    """What `load(path, format)` returns, or the type and message of what it raises."""
+    try:
+        return load(path, format)
+    except (ValueError, UnicodeError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_arrays(ds, reference):
+    assert (ds.num_users, ds.num_items) == (reference.num_users, reference.num_items)
+    for name in ("interactions", "user_indptr", "user_items"):
+        got, want = getattr(ds, name), getattr(reference, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def assert_same_split(split, reference_parts):
+    for part, reference in zip((split.train, split.validation, split.test), reference_parts):
+        assert_same_arrays(part, reference)
+
+
+# short ids from all of unicode bar surrogates, line breaks and spaces, commas and '#' included,
+# so that some lines split into extra fields or turn into comments
+IDS = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp", "Zs")),
+              min_size=1, max_size=3)
+SKIPPED_LINES = ("", " \t ", "\u3000", "# comment", "  #a\tb", "#,")
+MALFORMED_LINES = ("only", " ,x", "x, ", "a,\t")
+
+
+@st.composite
+def interaction_files(draw):
+    """(text, format) of an interaction file: shuffled lines of users with 0 to 10 items each,
+    padded and extra fields, skipped and malformed lines, mixed line endings and an optional
+    byte-order mark."""
+    format = draw(st.sampled_from(["tsv", "csv"]))
+    users = draw(st.lists(st.sampled_from(["a", "é", "用户", "a b"]) | IDS, min_size=1, max_size=6))
+    items = draw(st.lists(st.sampled_from(["x", "ñ1", "項目"]) | IDS, min_size=1, max_size=6))
+    pairs = [(user, item) for user in users
+             for item in draw(st.lists(st.sampled_from(items), max_size=10))]
+    lines = []
+    for user, item in draw(st.permutations(pairs)):
+        pad, extra = draw(st.sampled_from(["", " ", "\t "])), draw(st.sampled_from(["", "5", "3 17"]))
+        sep = "," if format == "csv" else draw(st.sampled_from(["\t", " ", " \t", "\u3000"]))
+        lines.append(pad + sep.join([f"{user}{pad}", f"{pad}{item}", extra][:3 if extra else 2])
+                     + pad)
+    junk = [draw(st.sampled_from(SKIPPED_LINES)) for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.integers(0, 3)) == 0:
+        junk.append(draw(st.sampled_from(MALFORMED_LINES)))
+    for line in junk:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line break
+    return ("\ufeff" if draw(st.booleans()) else "") + text, format
+
+
+@given(interaction_files(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_load_and_split_match_the_line_by_line_oracle(file, chunk_lines, seed):
+    # a chunk of a few lines puts ids, junk lines and malformed lines across chunk edges
+    text, format = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"interactions.{format}"
+        path.write_bytes(text.encode("utf-8"))
+        reference = outcome(oracles.reference_load_interactions, path, format)
+        with mock.patch.object(data, "_CHUNK_LINES", chunk_lines):
+            ds = outcome(data.load_interactions, path, format)
+    if isinstance(reference, tuple):
+        assert ds == reference
+        return
+    assert_same_arrays(ds, reference)
+    assert_same_split(data.split_per_user(ds, seed=seed), oracles.reference_split(reference, seed))
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_dataset_and_split_match_the_oracle_with_empty_users(num_users, num_items, draw, seed):
+    # unsorted pairs with duplicates, and users with no pairs at all
+    pairs = draw.draw(st.lists(st.tuples(st.integers(0, num_users - 1),
+                                         st.integers(0, num_items - 1)), max_size=60))
+    ds = data.dataset_from_pairs(num_users, num_items, pairs)
+    reference = oracles.reference_dataset(num_users, num_items, pairs)
+    assert_same_arrays(ds, reference)
+    assert_same_split(data.split_per_user(ds, seed=seed), oracles.reference_split(reference, seed))
+
+
+def test_every_builder_gives_read_only_int64_arrays(tmp_path):
+    loaded = data.load_interactions(write(tmp_path / "x.tsv", "a\tx\nb\ty\na\ty\na\tz\n"))
+    split = data.split_per_user(data.two_cluster_dataset(seed=2), seed=4)
+    for ds in (loaded, data.dataset_from_pairs(3, 4, [(2, 1), (0, 3), (2, 1)]),
+               data.dataset_from_pairs(3, 4, []), data.two_cluster_dataset(seed=2),
+               split.train, split.validation, split.test):
+        for arr in (ds.interactions, ds.user_indptr, ds.user_items):
+            assert arr.dtype == np.int64
+            assert not arr.flags.writeable
+
+
+class TestDatasetFromPairs:
+    def test_key_overflow_rejected_before_the_pairs_are_read(self):
+        class Untouchable:
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("the pairs were read")
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="does not fit in int64"):
+                data.dataset_from_pairs(2**32, 2**31, Untouchable())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    def test_largest_key_space_that_fits(self):
+        ds = data.dataset_from_pairs(1, 2**63 - 1, [(0, 2**63 - 2), (0, 5), (0, 2**63 - 2)])
+        assert ds.interactions.tolist() == [[0, 5], [0, 2**63 - 2]]
+        with pytest.raises(ValueError, match="int64"):
+            data.dataset_from_pairs(2, 2**62, [(1, 0)])
+
+    def test_caller_array_is_not_frozen(self):
+        pairs = np.array([[0, 1], [1, 0]])
+        ds = data.dataset_from_pairs(2, 2, pairs)
+        assert pairs.flags.writeable
+        assert not np.shares_memory(ds.interactions, pairs)
 
 
 def single_user_dataset(n):
