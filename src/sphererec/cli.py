@@ -62,9 +62,9 @@ def _resolve_train_config(args):
     """Config from the --config payload, overridden by any flag named like a config key."""
     from .trainer import TrainConfig
 
-    payload = {}
-    if args.config:
-        payload.update(json.loads(args.config.read_text(encoding="utf-8")))
+    payload = json.loads(args.config.read_text(encoding="utf-8")) if args.config else {}
+    if not isinstance(payload, dict):
+        raise ValueError(f"{args.config}: expected a JSON object, got {type(payload).__name__}")
     for name in TrainConfig().to_dict():
         value = getattr(args, name, None)
         if value is not None:

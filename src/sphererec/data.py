@@ -21,6 +21,7 @@ arrays and with the distinct ids by one dict entry each.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import filterfalse, islice
 from operator import itemgetter
@@ -192,13 +193,20 @@ def load_interactions(path, format: str | None = None) -> InteractionDataset:
     chunks = []
     first_lineno = 1
     with path.open("r", encoding="utf-8-sig") as handle:
-        while lines := list(islice(handle, _CHUNK_LINES)):
-            pairs = _chunk_pairs(lines, format, user_ids, item_ids)
-            if pairs is None:
-                offset, message = _line_error(lines, format)
-                raise ValueError(f"{path}:{first_lineno + offset}: {message}")
-            chunks.append(pairs)
-            first_lineno += len(lines)
+        try:
+            while lines := list(islice(handle, _CHUNK_LINES)):
+                pairs = _chunk_pairs(lines, format, user_ids, item_ids)
+                if pairs is None:
+                    offset, message = _line_error(lines, format)
+                    raise ValueError(f"{path}:{first_lineno + offset}: {message}")
+                chunks.append(pairs)
+                first_lineno += len(lines)
+        except UnicodeDecodeError as exc:
+            # re-read on this path only; each byte that is not UTF-8 becomes one of U+DC80-DCFF
+            text = path.read_bytes().decode("utf-8", "surrogateescape")
+            head = text[:re.search("[\udc80-\udcff]", text).start()]
+            line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")  # LF, CRLF, CR
+            raise ValueError(f"{path}:{line}: not valid UTF-8") from exc
 
     if not user_ids:
         raise ValueError(f"{path}: no interactions found")

@@ -10,8 +10,8 @@ those adjacency rows; propagation is linear and the adjacency symmetric, so
 Both give the full-graph rows bit for bit (see `_frontiers`), and a training
 step builds the balls and hops they walk once (`batch_frontiers`). With K = 0
 the output is the raw tables, so the lookup ("mf") encoder is that case,
-served by a plain gather and a scatter onto the touched rows only, without
-building the adjacency.
+served by a plain gather without building the adjacency. Either backward
+gives, per table, the rows the batch reaches and their gradient rows only.
 """
 
 from __future__ import annotations
@@ -216,14 +216,15 @@ def lightgcn_backward(
     grad_users: np.ndarray,
     grad_items: np.ndarray,
     frontiers: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of lightgcn_encode outputs back to the raw tables.
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Gradient of lightgcn_encode outputs back to the raw tables, as (rows, grads) per table.
 
-    Sums the batch gradients onto the batch's nodes (repeated ids add, users
-    before items), then applies the transpose propagation. The adjacency is
-    symmetric, so round j is the transposed product through the forward's
-    hop j - 1: it reads only the (j - 1)-hop ball, outside which the
-    gradient is zero, and writes the j-hop ball. Each round is then added
+    The rows are the K-hop ball around the batch, outside which the gradient
+    is zero. Sums the batch gradients onto the batch's nodes (repeated ids
+    add, users before items), then applies the transpose propagation. The
+    adjacency is symmetric, so round j is the transposed product through the
+    forward's hop j - 1: it reads only the (j - 1)-hop ball, outside which
+    the gradient is zero, and writes the j-hop ball. Each round is then added
     into the next, inner balls into outer ones; addition commutes, so every
     node sums its rounds in the full-graph order and gets the same bits.
     `frontiers` is as in `lightgcn_encode`.
@@ -241,9 +242,9 @@ def lightgcn_backward(
         rounds[j][np.searchsorted(balls[j], balls[j - 1])] += rounds[j - 1]
     acc = rounds[-1]
     acc /= cfg.num_layers + 1
-    out = np.zeros((adj.size, acc.shape[1]))
-    out[balls[-1]] = acc
-    return out[:adj.num_users], out[adj.num_users:]
+    first_item = np.searchsorted(balls[-1], adj.num_users)
+    return ((balls[-1][:first_item], acc[:first_item]),
+            (balls[-1][first_item:] - adj.num_users, acc[first_item:]))
 
 
 class Encoder:
@@ -287,13 +288,10 @@ class Encoder:
                  grad_items: np.ndarray, frontiers: tuple | None = None) -> tuple[tuple, tuple]:
         """Table gradients from the gradients of an `encode` output, as (rows, grads) per side.
 
-        The lookup path gives `scatter_rows`' touched rows and their
-        gradient rows. The graph path gives rows None and full-table
-        gradients, since propagation reaches most of the table.
+        `rows` are the rows the batch reaches, strictly increasing; other rows' gradients are 0.
         """
         if self.adjacency is None:
             return (scatter_rows(grad_users, user_ids, self.num_users),
                     scatter_rows(grad_items, item_ids, self.num_items))
-        user_grad, item_grad = lightgcn_backward(self.adjacency, self.cfg, user_ids, item_ids,
-                                                 grad_users, grad_items, frontiers)
-        return (None, user_grad), (None, item_grad)
+        return lightgcn_backward(self.adjacency, self.cfg, user_ids, item_ids,
+                                 grad_users, grad_items, frontiers)

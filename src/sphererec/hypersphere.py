@@ -146,6 +146,8 @@ def load_checkpoint(directory) -> tuple[EmbeddingTable, EmbeddingTable, dict]:
     if role != "item":
         raise ValueError(f"{directory}/item.emb has role {role!r}, expected 'item'")
     sidecar = json.loads((directory / "checkpoint.json").read_text(encoding="utf-8"))
+    if not (isinstance(sidecar, dict) and isinstance(sidecar.get("config", {}), dict)):
+        raise ValueError(f"{directory}/checkpoint.json and its config must be JSON objects")
     missing = [key for key in ("seed", "config_hash", "config") if key not in sidecar]
     if missing:
         raise ValueError(f"{directory}/checkpoint.json lacks {', '.join(missing)}")

@@ -152,21 +152,20 @@ class AdamState:
         return cls(np.zeros_like(params), np.zeros_like(params))
 
 
-# perfbench/ wraps this by name and counts rows from its `grads`, argument 1, which holds
-# only the touched rows when `rows` is given
+# perfbench/ wraps this by name and counts rows from its `grads`, argument 1
 def adam_step(
     params: np.ndarray,
     grads: np.ndarray,
     state: AdamState,
     lr: float,
-    weight_decay: float = 0.0,
-    rows: np.ndarray | None = None,
+    weight_decay: float,
+    rows: np.ndarray,
 ) -> None:
     """One bias-corrected Adam update, mutating params and state in place.
 
     `grads` holds the gradient rows of `rows`, strictly increasing row ids
-    (`encoders.scatter_rows` gives both); rows None means every row. Every
-    other row's gradient is zero.
+    (`encoders.Encoder.backward` gives both); every other row's gradient is
+    zero. A dense gradient passes `np.arange(len(params))`.
 
     Weight decay is decoupled: params shrink by (1 - lr * weight_decay)
     before the moment update. Raises on non-finite gradients, before
@@ -185,10 +184,9 @@ def adam_step(
     smallest subnormal times beta rounds back to itself.
     """
     num_rows = params.shape[0]
-    if rows is not None and rows.size and (rows[0] < 0 or rows[-1] >= num_rows
-                                           or np.any(rows[1:] <= rows[:-1])):
+    if rows.size and (rows[0] < 0 or rows[-1] >= num_rows or np.any(rows[1:] <= rows[:-1])):
         raise ValueError(f"rows must be strictly increasing ids in [0, {num_rows})")
-    expected = params.shape if rows is None else (rows.size, params.shape[1])
+    expected = (rows.size, params.shape[1])
     if grads.shape != expected:
         raise ValueError(f"shape mismatch: grads {grads.shape}, expected {expected}")
     if not np.all(np.isfinite(grads)):
@@ -198,16 +196,11 @@ def adam_step(
     correction2 = 1.0 - ADAM_BETA2 ** state.step_count
     decay = 1.0 - lr * weight_decay
     block = state.scratch.shape[1]
-    if rows is not None:
-        edges = np.searchsorted(rows, range(0, num_rows + block, block)).tolist()
-        offsets = rows % block
-    for index, start in enumerate(range(0, num_rows, block)):
+    edges = np.searchsorted(rows, range(0, num_rows + block, block)).tolist()
+    offsets = rows % block
+    for start, first, last in zip(range(0, num_rows, block), edges, edges[1:]):
         stop = start + block
-        if rows is None:
-            touched, g = slice(None), grads[start:stop]
-        else:
-            first, last = edges[index], edges[index + 1]
-            touched, g = offsets[first:last], grads[first:last]
+        touched, g = offsets[first:last], grads[first:last]
         p, m = params[start:stop], state.first_moment[start:stop]
         v = state.second_moment[start:stop]
         step, denom = state.scratch[:, :p.shape[0]]
@@ -368,6 +361,7 @@ def train_epoch(split: SplitDataset, state: TrainState,
     cfg = state.cfg
     weights = cfg.effective_weights()
     negative_rng = np.random.default_rng([state.negative_root, epoch_index])
+    tables = (state.user_table, state.user_adam), (state.item_table, state.item_adam)
     for batch in epoch_batches(split.train, cfg.batch_size, [state.shuffle_root, epoch_index]):
         user_ids, item_ids = batch.user_indices, batch.item_indices
         if weights is None:
@@ -383,12 +377,9 @@ def train_epoch(split: SplitDataset, state: TrainState,
             grad_items = np.concatenate(grad_pos_neg)
         else:
             _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights)
-        (user_rows, user_grad), (item_rows, item_grad) = state.encoder.backward(
-            user_ids, item_ids, grad_users, grad_items, frontiers)
-        adam_step(state.user_table.values, user_grad, state.user_adam, cfg.lr, cfg.weight_decay,
-                  user_rows)
-        adam_step(state.item_table.values, item_grad, state.item_adam, cfg.lr, cfg.weight_decay,
-                  item_rows)
+        table_grads = state.encoder.backward(user_ids, item_ids, grad_users, grad_items, frontiers)
+        for (table, adam), (rows, grad) in zip(tables, table_grads):
+            adam_step(table.values, grad, adam, cfg.lr, cfg.weight_decay, rows)
     wall_time_s = time.perf_counter() - started
     encoded = state.encoder.encode_all(state.user_table, state.item_table)
     return _probe_diagnostics(state, encoded, epoch_index, wall_time_s), encoded

@@ -3,9 +3,10 @@ the optimizer, the negative sampler, the graph encoder and the data loader.
 
 Everything here but the `dense_kernel*` functions, `reference_adam_step`,
 `reference_negatives`, the `reference_lightgcn_*` functions,
-`reference_train_epoch` and the `reference_*` data functions is pure Python
-over lists: explicit pair loops, explicit normalization, no numpy, no shared
-code with the package. Deliberately slow and obvious.
+`full_table_gradient`, `reference_train_epoch` and the `reference_*` data
+functions is pure Python over lists: explicit pair loops, explicit
+normalization, no numpy, no shared code with the package. Deliberately slow
+and obvious.
 """
 
 import math
@@ -250,6 +251,13 @@ def reference_lightgcn_backward(adj, cfg, user_ids, item_ids, grad_users, grad_i
     np.add.at(scattered, np.asarray(user_ids, dtype=np.int64), grad_users)
     np.add.at(scattered, adj.num_users + np.asarray(item_ids, dtype=np.int64), grad_items)
     return reference_layer_mean(adj, cfg, scattered)
+
+
+def full_table_gradient(rows, grads, num_rows):
+    """The table gradient that a backward's (rows, grads) stands for: zero off `rows`."""
+    full = np.zeros((num_rows, grads.shape[1]))
+    full[rows] = grads
+    return full
 
 
 def dense_adjacency(train):

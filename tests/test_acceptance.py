@@ -137,8 +137,10 @@ def test_criterion_2_gradient_correctness():
             EmbeddingTable(user_values), EmbeddingTable(item_values),
             adjacency, graph_cfg, user_ids, item_ids)
         _, grad_u, grad_i = losses.rau_loss_and_gradient(batch_u, batch_i, weights)
-        table_grad_u, table_grad_i = encoders.lightgcn_backward(
+        (rows_u, grad_rows_u), (rows_i, grad_rows_i) = encoders.lightgcn_backward(
             adjacency, graph_cfg, user_ids, item_ids, grad_u, grad_i)
+        table_grad_u = oracles.full_table_gradient(rows_u, grad_rows_u, 2)
+        table_grad_i = oracles.full_table_gradient(rows_i, grad_rows_i, 3)
         fd_u = central_differences(lambda v: loss_from_tables(v, item_values),
                                    user_values, step=1e-4)
         fd_i = central_differences(lambda v: loss_from_tables(user_values, v),

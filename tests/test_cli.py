@@ -4,6 +4,7 @@ import os
 import pytest
 
 from sphererec import cli, trainer
+from sphererec.hypersphere import config_hash
 
 
 def train_args(dataset, out_dir, **extra):
@@ -75,6 +76,21 @@ class TestTrainCommand:
         out_dir = tmp_path / "runs"
         assert cli.main(["train", "--config", str(config), "--out-dir", str(out_dir)]) == 2
         assert "fixed_epochs" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text", ["3", '[["lr", 0.1]]', '"lr"', "null"],
+                             ids=["number", "list-of-pairs", "string", "null"])
+    def test_config_that_is_not_an_object_exits_2(self, synthetic_tsv, tmp_path, capsys, text):
+        # a number or null used to crash with a TypeError, and a list of pairs trained
+        # as if it were {"lr": 0.1}
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out_dir = tmp_path / "runs"
+        assert cli.main(["train", "--config", str(config), "--dataset", str(synthetic_tsv),
+                         "--max-epochs", "1", "--fixed-epochs", "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: expected a JSON object")
+        assert err.count("\n") == 1
         assert not out_dir.exists()
 
     def test_weight_decay_that_zeroes_the_tables_exits_2(self, synthetic_tsv, tmp_path, capsys):
@@ -160,6 +176,23 @@ class TestEvalCommand:
         code = cli.main(["eval", "--checkpoint", str(bad)])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda sidecar: 3,
+        lambda sidecar: "seed config_hash config",
+        lambda sidecar: [sidecar],
+        lambda sidecar: dict(sidecar, config=3, config_hash=config_hash(3)),
+        lambda sidecar: dict(sidecar, config=[["lr", 0.01]],
+                             config_hash=config_hash([["lr", 0.01]])),
+    ], ids=["number", "string", "list", "config-number", "config-list"])
+    def test_sidecar_that_is_not_an_object_exits_2(self, checkpoint, capsys, edit):
+        # each used to crash with a TypeError or AttributeError traceback
+        sidecar_path = checkpoint / "checkpoint.json"
+        sidecar_path.write_text(json.dumps(edit(json.loads(sidecar_path.read_text()))))
+        assert cli.main(["eval", "--checkpoint", str(checkpoint)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {checkpoint}/checkpoint.json")
+        assert err.count("\n") == 1
 
     def test_repeated_k_exits_2(self, checkpoint, capsys):
         assert cli.main(["eval", "--checkpoint", str(checkpoint), "--k", "20", "20"]) == 2

@@ -49,6 +49,20 @@ class TestLoadInteractions:
         with pytest.raises(ValueError, match=":2:"):
             data.load_interactions(path)
 
+    @pytest.mark.parametrize("raw, line", [
+        *((b"".join(b"u%d\ti%d" % (n, n % 50) + newline for n in range(3000))
+           + b"u\xff\tx" + newline, 3001) for newline in (b"\n", b"\r\n", b"\r")),
+        ("a\tb\nc\td\ne\t\u20ac".encode("utf-8")[:-1], 3),
+    ], ids=["lf", "crlf", "cr", "truncated-at-end"])
+    def test_invalid_utf8_reports_path_and_line(self, tmp_path, raw, line):
+        # the 0xff sits past the text reader's first decode block; the decoder's own
+        # message gave a position inside its current block and neither path nor line
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as raised:
+            data.load_interactions(path)
+        assert str(raised.value) == f"{path}:{line}: not valid UTF-8"
+
     def test_empty_dataset_rejected(self, tmp_path):
         path = write(tmp_path / "x.tsv", "# nothing here\n")
         with pytest.raises(ValueError, match="no interactions"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
@@ -158,6 +160,12 @@ class TestLightgcnEncode:
                                      encoders.GraphEncoderConfig(), [0], [0])
 
 
+def full_tables(adj, backward):
+    """A backward's ((user_rows, user_grads), (item_rows, item_grads)) as two full tables."""
+    return tuple(oracles.full_table_gradient(rows, grads, num_rows)
+                 for (rows, grads), num_rows in zip(backward, (adj.num_users, adj.num_items)))
+
+
 class TestLightgcnGradient:
     @pytest.mark.parametrize("seed", range(3))
     def test_finite_differences_through_loss(self, seed):
@@ -182,9 +190,9 @@ class TestLightgcnGradient:
             adj, cfg, user_ids, item_ids,
         )
         _, grad_batch_u, grad_batch_i = losses.rau_loss_and_gradient(batch_u, batch_i, weights)
-        grad_user_table, grad_item_table = encoders.lightgcn_backward(
+        grad_user_table, grad_item_table = full_tables(adj, encoders.lightgcn_backward(
             adj, cfg, user_ids, item_ids, grad_batch_u, grad_batch_i
-        )
+        ))
         fd_user = central_differences(lambda u: loss_from_tables(u, item_values), user_values)
         fd_item = central_differences(lambda i: loss_from_tables(user_values, i), item_values)
         assert max_relative_error(grad_user_table, fd_user) <= 1e-4
@@ -246,12 +254,12 @@ class TestBatchRestrictedPropagation:
         pairs = [
             (encoders.lightgcn_encode(user_table, item_table, adj, cfg, user_ids, item_ids),
              expected_encode),
-            (encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads),
+            (full_tables(adj, encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads)),
              expected_backward),
             (encoders.lightgcn_encode(user_table, item_table, adj, cfg, user_ids, item_ids,
                                       frontiers), expected_encode),
-            (encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads, frontiers),
-             expected_backward),
+            (full_tables(adj, encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads,
+                                                         frontiers)), expected_backward),
         ]
         for got, expected in pairs:
             for got_part, expected_part in zip(got, expected):
@@ -277,18 +285,61 @@ class TestEncoder:
                  encoders.lightgcn_encode(user_table, item_table, adj, graph_cfg,
                                           user_ids, item_ids)),
             ]
-            # the lookup backward returns its touched rows; every other row's gradient is zero
-            full_tables = (np.zeros((2, 4)), np.zeros((3, 4)))
-            for full, (rows, grad) in zip(full_tables,
-                                          encoder.backward(user_ids, item_ids, *grads)):
-                full[rows] = grad
-            pairs.append((full_tables, encoders.lightgcn_backward(adj, graph_cfg, user_ids,
-                                                                  item_ids, *grads)))
             for lookup, graph in pairs:
                 for lookup_part, graph_part in zip(lookup, graph):
                     np.testing.assert_array_equal(lookup_part, graph_part)
+            # both backwards give each table's touched rows and their gradient rows
+            for lookup, graph in zip(encoder.backward(user_ids, item_ids, *grads),
+                                     encoders.lightgcn_backward(adj, graph_cfg, user_ids,
+                                                                item_ids, *grads)):
+                for lookup_part, graph_part in zip(lookup, graph):
+                    assert lookup_part.dtype == graph_part.dtype
+                    assert lookup_part.shape == graph_part.shape
+                    assert lookup_part.tobytes() == graph_part.tobytes()
 
     def test_mf_ignores_num_layers(self):
         ds, _ = toy_graph()
         assert encoders.Encoder("mf", 2, ds).cfg.num_layers == 0
         assert encoders.Encoder("lightgcn", 2, ds).cfg.num_layers == 2
+
+    @pytest.mark.parametrize("name, num_layers", [("mf", 0), ("lightgcn", 1), ("lightgcn", 2),
+                                                  ("lightgcn", 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_backward_gives_increasing_rows_of_the_full_gradient(self, seed, name, num_layers):
+        num_users, num_items, batch = 60, 45, 16
+        train, adj = random_graph(num_users, num_items, 120, seed)
+        encoder = encoders.Encoder(name, num_layers, train)
+        rng = np.random.default_rng([seed, num_layers])
+        # repeated ids, and an isolated user and item in every batch
+        user_ids = rng.integers(num_users, size=batch)
+        user_ids[:2] = num_users - 1
+        item_ids = rng.integers(num_items, size=batch)
+        item_ids[0] = num_items - 1
+        item_ids[-1] = item_ids[1]
+        grads = rng.normal(size=(batch, 8)), rng.normal(size=(batch, 8))
+        frontiers = encoder.frontiers(user_ids, item_ids)
+        got = encoder.backward(user_ids, item_ids, *grads, frontiers)
+        expected = oracles.reference_lightgcn_backward(
+            adj, encoders.GraphEncoderConfig(num_layers=num_layers), user_ids, item_ids, *grads)
+        for (rows, side_grads), num_rows, full in zip(got, (num_users, num_items), expected):
+            assert rows.dtype == np.int64 and rows.ndim == 1
+            assert np.all(rows[1:] > rows[:-1]) and rows[0] >= 0 and rows[-1] < num_rows
+            assert side_grads.shape == (rows.size, 8)
+            assert oracles.full_table_gradient(rows, side_grads, num_rows).tobytes() == \
+                full.tobytes()
+
+    def test_graph_backward_allocates_no_table_sized_gradient(self):
+        train, adj = random_graph(3000, 2000, 3000, seed=0)
+        cfg = encoders.GraphEncoderConfig(num_layers=2)
+        user_ids, item_ids = np.array([0, 1, 0]), np.array([5, 5, 6])
+        grads = np.ones((3, 64)), np.ones((3, 64))
+        encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads)  # warm caches
+        tracemalloc.start()
+        try:
+            backward = encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < adj.size * 64 * 8
+        (user_rows, _), (item_rows, _) = backward
+        assert user_rows.size + item_rows.size < adj.size / 20  # the ball is small

@@ -20,13 +20,6 @@ def sparse_gradient(rng, shape, touched=0.3):
     return grads
 
 
-def scattered(rows, grad_rows, shape):
-    """The full-table gradient whose non-zero rows are `grad_rows` at `rows`."""
-    full = np.zeros(shape)
-    full[rows] = grad_rows
-    return full
-
-
 def assert_same_bits(params, state, want, want_state):
     """Params and both Adam moments hold the same bytes as the expected ones."""
     for got, expected in ((params, want), (state.first_moment, want_state.first_moment),
@@ -39,7 +32,7 @@ class TestAdamStep:
         params = np.arange(6.0).reshape(2, 3)
         state = AdamState.like(params)
         before = params.copy()
-        adam_step(params, np.zeros_like(params), state, lr=0.1, weight_decay=0.0)
+        adam_step(params, np.zeros_like(params), state, 0.1, 0.0, np.arange(2))
         np.testing.assert_array_equal(params, before)
 
     def test_constant_gradient_limit_is_lr(self):
@@ -51,32 +44,32 @@ class TestAdamStep:
         previous = params.copy()
         for _ in range(500):
             previous = params.copy()
-            adam_step(params, grads, state, lr=lr)
+            adam_step(params, grads, state, lr, 0.0, np.arange(1))
         step = previous - params
         assert step[0, 0] == pytest.approx(lr, rel=1e-3)
 
     def test_decay_halves_params(self):
         params = np.full((2, 2), 8.0)
         state = AdamState.like(params)
-        adam_step(params, np.zeros_like(params), state, lr=1.0, weight_decay=0.5)
+        adam_step(params, np.zeros_like(params), state, 1.0, 0.5, np.arange(2))
         np.testing.assert_array_equal(params, np.full((2, 2), 4.0))
 
     def test_lr_zero_is_noop_even_with_gradient(self):
         params = np.ones((2, 2))
         state = AdamState.like(params)
-        adam_step(params, np.full((2, 2), 2.0), state, lr=0.0)
+        adam_step(params, np.full((2, 2), 2.0), state, 0.0, 0.0, np.arange(2))
         np.testing.assert_array_equal(params, np.ones((2, 2)))
 
     def test_shape_mismatch(self):
         params = np.zeros((2, 2))
         with pytest.raises(ValueError, match="shape"):
-            adam_step(params, np.zeros((3, 2)), AdamState.like(params), lr=0.1)
+            adam_step(params, np.zeros((3, 2)), AdamState.like(params), 0.1, 0.0, np.arange(2))
 
     def test_non_finite_gradient_aborts(self):
         params = np.zeros((2, 2))
         grads = np.array([[np.nan, 0.0], [0.0, 0.0]])
         with pytest.raises(FloatingPointError, match="non-finite"):
-            adam_step(params, grads, AdamState.like(params), lr=0.1)
+            adam_step(params, grads, AdamState.like(params), 0.1, 0.0, np.arange(2))
 
     @pytest.mark.parametrize("lr", [1e-3, 0.0])
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-6])
@@ -90,7 +83,7 @@ class TestAdamStep:
         state, expected_state = AdamState.like(params), AdamState.like(params)
         for _ in range(20):
             grads = sparse_gradient(rng, shape)
-            adam_step(params, grads, state, lr, weight_decay)
+            adam_step(params, grads, state, lr, weight_decay, np.arange(shape[0]))
             oracles.reference_adam_step(expected, grads, expected_state, lr, weight_decay)
         assert np.array_equal(params, expected)
         assert np.array_equal(state.first_moment, expected_state.first_moment)
@@ -116,8 +109,9 @@ class TestAdamStep:
             rows = pick(rng, shape[0])
             grads = rng.standard_normal((rows.size, shape[1]))
             adam_step(params, grads, state, 1e-3, weight_decay, rows)
-            oracles.reference_adam_step(expected, scattered(rows, grads, shape), expected_state,
-                                        1e-3, weight_decay)
+            oracles.reference_adam_step(expected,
+                                        oracles.full_table_gradient(rows, grads, shape[0]),
+                                        expected_state, 1e-3, weight_decay)
         assert_same_bits(params, state, expected, expected_state)
         assert state.step_count == expected_state.step_count == 20
 
@@ -139,7 +133,8 @@ class TestAdamStep:
         for _ in range(30):
             grads = rng.standard_normal((touched.size, shape[1]))
             adam_step(params, grads, state, 1e-3, 1e-6, touched)
-            oracles.reference_adam_step(expected, scattered(touched, grads, shape),
+            oracles.reference_adam_step(expected,
+                                        oracles.full_table_gradient(touched, grads, shape[0]),
                                         expected_state, 1e-3, 1e-6)
         assert_same_bits(params, state, expected, expected_state)
         assert np.all(state.first_moment[untouched] != 0.0)
@@ -150,16 +145,16 @@ class TestAdamStep:
     def test_rows_must_be_increasing_ids_of_the_table(self, rows):
         params = np.zeros((4, 2))
         with pytest.raises(ValueError, match="strictly increasing"):
-            adam_step(params, np.ones((2, 2)), AdamState.like(params), 0.1, rows=np.array(rows))
+            adam_step(params, np.ones((2, 2)), AdamState.like(params), 0.1, 0.0, np.array(rows))
         assert not params.any()
 
     def test_row_gradients_must_match_the_rows_and_be_finite(self):
         params = np.zeros((4, 2))
         state = AdamState.like(params)
         with pytest.raises(ValueError, match="shape"):
-            adam_step(params, np.ones((3, 2)), state, 0.1, rows=np.array([0, 2]))
+            adam_step(params, np.ones((3, 2)), state, 0.1, 0.0, np.array([0, 2]))
         with pytest.raises(FloatingPointError, match="non-finite"):
-            adam_step(params, np.array([[1.0, np.inf]]), state, 0.1, rows=np.array([3]))
+            adam_step(params, np.array([[1.0, np.inf]]), state, 0.1, 0.0, np.array([3]))
         assert state.step_count == 0 and not state.first_moment.any()
 
     def test_non_finite_gradient_in_last_block_changes_nothing(self):
@@ -167,12 +162,12 @@ class TestAdamStep:
         shape = (3 * BLOCK_7 + 5, 7)
         params = rng.standard_normal(shape)
         state = AdamState.like(params)
-        adam_step(params, sparse_gradient(rng, shape), state, lr=0.1, weight_decay=0.5)
+        adam_step(params, sparse_gradient(rng, shape), state, 0.1, 0.5, np.arange(shape[0]))
         before = (params.copy(), state.first_moment.copy(), state.second_moment.copy())
         grads = rng.standard_normal(shape)
         grads[-1, -1] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite"):
-            adam_step(params, grads, state, lr=0.1, weight_decay=0.5)
+            adam_step(params, grads, state, 0.1, 0.5, np.arange(shape[0]))
         for now, then in zip((params, state.first_moment, state.second_moment), before):
             assert np.array_equal(now, then)
         assert state.step_count == 1
@@ -182,11 +177,12 @@ class TestAdamStep:
         rng = np.random.default_rng(0)
         params = rng.standard_normal((11200, 64))
         state = AdamState.like(params)
-        adam_step(params, sparse_gradient(rng, params.shape), state, lr=1e-3, weight_decay=1e-6)
+        every_row = np.arange(len(params))
+        adam_step(params, sparse_gradient(rng, params.shape), state, 1e-3, 1e-6, every_row)
         grads = sparse_gradient(rng, params.shape)
         tracemalloc.start()
         try:
-            adam_step(params, grads, state, lr=1e-3, weight_decay=1e-6)
+            adam_step(params, grads, state, 1e-3, 1e-6, every_row)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
