@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     try:
         _apply_thread_cap(args.single_thread)
         return args.func(args)
-    except (ValueError, FileNotFoundError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

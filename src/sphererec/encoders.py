@@ -2,16 +2,18 @@
 
 The graph encoder stacks both embedding tables into one node matrix, applies
 K rounds of symmetric-normalized neighborhood averaging over the training
-bipartite graph, and outputs the mean of layers 0..K. `encode_all` (probe and
-ranking) propagates the whole graph. A training batch needs layer k only on
-the (K - k)-hop ball around its nodes, so `lightgcn_encode` multiplies only
-those adjacency rows; propagation is linear and the adjacency symmetric, so
-`lightgcn_backward` runs the same hops transposed, outward from the batch.
-Both give the full-graph rows bit for bit (see `_frontiers`), and a training
-step builds the balls and hops they walk once (`batch_frontiers`). With K = 0
-the output is the raw tables, so the lookup ("mf") encoder is that case,
-served by a plain gather without building the adjacency. Either backward
-gives, per table, the rows the batch reaches and their gradient rows only.
+bipartite graph, and outputs the mean of layers 0..K. A batch needs layer k
+only on the (K - k)-hop ball around its nodes, so `lightgcn_encode`
+multiplies only those adjacency rows; propagation is linear and the adjacency
+symmetric, so `lightgcn_backward` runs the same hops transposed, outward from
+the batch. Both give, bit for bit, the rows of the full-graph formula, whose
+every round multiplies the whole node matrix (see `_frontiers`). A training
+step builds the balls and hops they walk once (`batch_frontiers`);
+`encode_all` (probe and ranking) is the same forward over every node. With
+K = 0 the output is the raw tables, so the lookup ("mf") encoder is that
+case, served by a plain gather without building the adjacency. Either
+backward gives, per table, the rows the batch reaches and their gradient
+rows only.
 """
 
 from __future__ import annotations
@@ -101,42 +103,6 @@ def scatter_rows(grad_rows: np.ndarray, ids: np.ndarray,
     return rows, summed
 
 
-def _check_adjacency(user_table: EmbeddingTable, item_table: EmbeddingTable,
-                     adj: NormalizedAdjacency) -> None:
-    if len(user_table.values) != adj.num_users or len(item_table.values) != adj.num_items:
-        raise ValueError(
-            f"adjacency built for {adj.num_users} users / {adj.num_items} items, "
-            f"tables have {len(user_table.values)} / {len(item_table.values)}"
-        )
-    if user_table.values.shape[1] != item_table.values.shape[1]:
-        raise ValueError("user and item tables must share one dimensionality")
-
-
-def lightgcn_propagate(
-    user_table: EmbeddingTable,
-    item_table: EmbeddingTable,
-    adj: NormalizedAdjacency,
-    cfg: GraphEncoderConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate the stacked tables over the whole graph; return per-node layer means."""
-    _check_adjacency(user_table, item_table, adj)
-    acc = state = np.vstack([user_table.values, item_table.values])
-    for _ in range(cfg.num_layers):
-        state = adj.matrix @ state
-        acc += state
-    acc /= cfg.num_layers + 1
-    return acc[:adj.num_users], acc[adj.num_users:]
-
-
-def _batch_nodes(adj: NormalizedAdjacency, user_ids, item_ids):
-    """Checked ids, the batch's sorted unique nodes and each id's position among them."""
-    user_ids = _checked_ids(user_ids, adj.num_users, "user id")
-    item_ids = _checked_ids(item_ids, adj.num_items, "item id")
-    nodes, where = np.unique(np.concatenate([user_ids, adj.num_users + item_ids]),
-                             return_inverse=True)
-    return nodes, where[:user_ids.size], where[user_ids.size:]
-
-
 def _frontiers(adj: NormalizedAdjacency, nodes: np.ndarray,
                depth: int) -> tuple[list[np.ndarray], list[sp.csr_matrix]]:
     """Growing node sets around `nodes` and the adjacency rows that link them.
@@ -171,8 +137,12 @@ def batch_frontiers(adj: NormalizedAdjacency, cfg: GraphEncoderConfig, user_ids,
     around them to depth K. A training step builds them once and passes
     them to both; neither function writes to them.
     """
-    nodes, user_pos, item_pos = _batch_nodes(adj, user_ids, item_ids)
-    return (nodes, user_pos, item_pos, *_frontiers(adj, nodes, cfg.num_layers))
+    user_ids = _checked_ids(user_ids, adj.num_users, "user id")
+    item_ids = _checked_ids(item_ids, adj.num_items, "item id")
+    nodes, where = np.unique(np.concatenate([user_ids, adj.num_users + item_ids]),
+                             return_inverse=True)
+    return (nodes, where[:user_ids.size], where[user_ids.size:],
+            *_frontiers(adj, nodes, cfg.num_layers))
 
 
 def lightgcn_encode(
@@ -182,18 +152,22 @@ def lightgcn_encode(
     cfg: GraphEncoderConfig,
     user_ids: np.ndarray,
     item_ids: np.ndarray,
-    frontiers: tuple | None = None,
+    frontiers: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagated representations for the requested user and item ids.
 
-    Layer K is computed only at the batch's nodes and layer k < K only on
-    the (K - k)-hop ball around them, so each output row has the bits of
-    `lightgcn_propagate`'s row for that node. `frontiers`, the
-    `batch_frontiers` of the same ids, is built here when not given.
+    `frontiers` is the `batch_frontiers` of the same ids. Layer K is computed
+    only at the batch's nodes and layer k < K only on the (K - k)-hop ball
+    around them, so each output row has the bits of that node's row of the
+    full-graph formula.
     """
-    _check_adjacency(user_table, item_table, adj)
-    if frontiers is None:
-        frontiers = batch_frontiers(adj, cfg, user_ids, item_ids)
+    if len(user_table.values) != adj.num_users or len(item_table.values) != adj.num_items:
+        raise ValueError(
+            f"adjacency built for {adj.num_users} users / {adj.num_items} items, "
+            f"tables have {len(user_table.values)} / {len(item_table.values)}"
+        )
+    if user_table.values.shape[1] != item_table.values.shape[1]:
+        raise ValueError("user and item tables must share one dimensionality")
     nodes, user_pos, item_pos, balls, hops = frontiers
     outer = balls[-1]
     first_item = np.searchsorted(outer, adj.num_users)
@@ -207,6 +181,19 @@ def lightgcn_encode(
     return acc[user_pos], acc[item_pos]
 
 
+# perfbench/ calls and wraps this by name and reads `cfg` at position 3
+def lightgcn_propagate(
+    user_table: EmbeddingTable,
+    item_table: EmbeddingTable,
+    adj: NormalizedAdjacency,
+    cfg: GraphEncoderConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's and every item's representation: `lightgcn_encode` over all ids."""
+    user_ids, item_ids = np.arange(adj.num_users), np.arange(adj.num_items)
+    return lightgcn_encode(user_table, item_table, adj, cfg, user_ids, item_ids,
+                           batch_frontiers(adj, cfg, user_ids, item_ids))
+
+
 # perfbench/ reads `adj`, `cfg` and `grad_users` at positions 0, 1 and 4
 def lightgcn_backward(
     adj: NormalizedAdjacency,
@@ -215,7 +202,7 @@ def lightgcn_backward(
     item_ids: np.ndarray,
     grad_users: np.ndarray,
     grad_items: np.ndarray,
-    frontiers: tuple | None = None,
+    frontiers: tuple,
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Gradient of lightgcn_encode outputs back to the raw tables, as (rows, grads) per table.
 
@@ -229,8 +216,6 @@ def lightgcn_backward(
     node sums its rounds in the full-graph order and gets the same bits.
     `frontiers` is as in `lightgcn_encode`.
     """
-    if frontiers is None:
-        frontiers = batch_frontiers(adj, cfg, user_ids, item_ids)
     nodes, user_pos, item_pos, balls, hops = frontiers
     grad = np.zeros((nodes.size, grad_users.shape[1]))
     np.add.at(grad, user_pos, grad_users)
@@ -277,15 +262,15 @@ class Encoder:
 
     def encode(self, user_table: EmbeddingTable, item_table: EmbeddingTable,
                user_ids: np.ndarray, item_ids: np.ndarray,
-               frontiers: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Representations of the requested user and item ids (ids may repeat)."""
+               frontiers: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+        """Representations of the requested ids (ids may repeat), given their `frontiers`."""
         if self.adjacency is None:
             return mf_encode(user_table, user_ids), mf_encode(item_table, item_ids)
         return lightgcn_encode(user_table, item_table, self.adjacency, self.cfg,
                                user_ids, item_ids, frontiers)
 
     def backward(self, user_ids: np.ndarray, item_ids: np.ndarray, grad_users: np.ndarray,
-                 grad_items: np.ndarray, frontiers: tuple | None = None) -> tuple[tuple, tuple]:
+                 grad_items: np.ndarray, frontiers: tuple | None) -> tuple[tuple, tuple]:
         """Table gradients from the gradients of an `encode` output, as (rows, grads) per side.
 
         `rows` are the rows the batch reaches, strictly increasing; other rows' gradients are 0.

@@ -68,8 +68,8 @@ def sweep_moving_point(
     step_deg: float = 1.0,
 ) -> list[SweepRow]:
     """Scan a third point over [0, 360) and record both metrics per position."""
-    if step_deg <= 0:
-        raise ValueError(f"step must be positive, got {step_deg}")
+    if not (math.isfinite(step_deg) and step_deg > 0):
+        raise ValueError(f"step must be positive and finite, got {step_deg}")
     count = 360.0 / step_deg
     if abs(count - round(count)) > 1e-9:
         raise ValueError(f"step must divide 360 evenly, got {step_deg}")

@@ -120,6 +120,7 @@ def test_criterion_2_gradient_correctness():
     graph_cfg = encoders.GraphEncoderConfig(num_layers=2)
     user_ids = np.array([0, 1, 0, 1])
     item_ids = np.array([0, 1, 1, 2])
+    frontiers = encoders.batch_frontiers(adjacency, graph_cfg, user_ids, item_ids)
 
     worst_graph = 0.0
     for seed in range(5):
@@ -130,15 +131,15 @@ def test_criterion_2_gradient_correctness():
         def loss_from_tables(u_values, i_values):
             batch_u, batch_i = encoders.lightgcn_encode(
                 EmbeddingTable(u_values), EmbeddingTable(i_values),
-                adjacency, graph_cfg, user_ids, item_ids)
+                adjacency, graph_cfg, user_ids, item_ids, frontiers)
             return losses.rau_loss_and_gradient(batch_u, batch_i, weights)[0].total
 
         batch_u, batch_i = encoders.lightgcn_encode(
             EmbeddingTable(user_values), EmbeddingTable(item_values),
-            adjacency, graph_cfg, user_ids, item_ids)
+            adjacency, graph_cfg, user_ids, item_ids, frontiers)
         _, grad_u, grad_i = losses.rau_loss_and_gradient(batch_u, batch_i, weights)
         (rows_u, grad_rows_u), (rows_i, grad_rows_i) = encoders.lightgcn_backward(
-            adjacency, graph_cfg, user_ids, item_ids, grad_u, grad_i)
+            adjacency, graph_cfg, user_ids, item_ids, grad_u, grad_i, frontiers)
         table_grad_u = oracles.full_table_gradient(rows_u, grad_rows_u, 2)
         table_grad_i = oracles.full_table_gradient(rows_i, grad_rows_i, 3)
         fd_u = central_differences(lambda v: loss_from_tables(v, item_values),

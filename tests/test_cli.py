@@ -43,6 +43,17 @@ class TestTrainCommand:
         assert code == 2
         assert "nope.tsv" in capsys.readouterr().err
 
+    def test_dataset_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert cli.main(train_args(tmp_path, tmp_path / "runs")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_dir_that_is_a_file_exits_2(self, synthetic_tsv, tmp_path, capsys):
+        out_file = tmp_path / "runs"
+        out_file.write_text("not a directory\n")
+        assert cli.main(train_args(synthetic_tsv, out_file, **{"max-epochs": "1"})) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out_file.read_text() == "not a directory\n"
+
     def test_directau_equals_rau_with_zero_weights(self, synthetic_tsv, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert cli.main(train_args(synthetic_tsv, out_a, objective="directau")) == 0
@@ -333,6 +344,10 @@ class TestInspectCommand:
                          "--split-seed", "11", "--manifest", str(manifest)]) == 0
         assert manifest.exists()
         assert "train=" in capsys.readouterr().out
+
+    def test_dataset_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert cli.main(["inspect", "--dataset", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_manifest_without_split_seed_exits_2(self, synthetic_tsv, tmp_path, capsys):
         # this used to exit 0 and write no manifest

@@ -109,7 +109,8 @@ class TestLightgcnEncode:
         user_table = init_xavier(2, 4, seed=1)
         item_table = init_xavier(3, 4, seed=2)
         cfg = encoders.GraphEncoderConfig(num_layers=0)
-        got_u, got_i = encoders.lightgcn_encode(user_table, item_table, adj, cfg, [0, 1], [2, 0])
+        got_u, got_i = encoders.lightgcn_encode(user_table, item_table, adj, cfg, [0, 1], [2, 0],
+                                                encoders.batch_frontiers(adj, cfg, [0, 1], [2, 0]))
         np.testing.assert_array_equal(got_u, encoders.mf_encode(user_table, [0, 1]))
         np.testing.assert_array_equal(got_i, encoders.mf_encode(item_table, [2, 0]))
 
@@ -119,7 +120,8 @@ class TestLightgcnEncode:
         user_table = EmbeddingTable(np.array([[1.0, 0.0]]))
         item_table = EmbeddingTable(np.array([[0.0, 1.0]]))
         cfg = encoders.GraphEncoderConfig(num_layers=1)
-        got_u, got_i = encoders.lightgcn_encode(user_table, item_table, adj, cfg, [0], [0])
+        got_u, got_i = encoders.lightgcn_encode(user_table, item_table, adj, cfg, [0], [0],
+                                                encoders.batch_frontiers(adj, cfg, [0], [0]))
         np.testing.assert_allclose(got_u, [[0.5, 0.5]])
         np.testing.assert_allclose(got_i, [[0.5, 0.5]])
 
@@ -129,7 +131,8 @@ class TestLightgcnEncode:
         item_table = EmbeddingTable(np.zeros((3, 3)))
         for k in (0, 1, 3):
             cfg = encoders.GraphEncoderConfig(num_layers=k)
-            got_u, got_i = encoders.lightgcn_encode(user_table, item_table, adj, cfg, [0], [1])
+            got_u, got_i = encoders.lightgcn_encode(user_table, item_table, adj, cfg, [0], [1],
+                                                    encoders.batch_frontiers(adj, cfg, [0], [1]))
             np.testing.assert_array_equal(got_u, 0.0)
             np.testing.assert_array_equal(got_i, 0.0)
 
@@ -144,7 +147,7 @@ class TestLightgcnEncode:
         def encode(u_values, i_values):
             return encoders.lightgcn_encode(
                 EmbeddingTable(u_values), EmbeddingTable(i_values),
-                adj, cfg, [0, 1], [0, 2],
+                adj, cfg, [0, 1], [0, 2], encoders.batch_frontiers(adj, cfg, [0, 1], [0, 2]),
             )
 
         direct_u, direct_i = encode(a * ux + b * uy, a * ix + b * iy)
@@ -155,9 +158,10 @@ class TestLightgcnEncode:
 
     def test_dimension_mismatch(self):
         ds, adj = toy_graph()
+        cfg = encoders.GraphEncoderConfig()
         with pytest.raises(ValueError, match="adjacency"):
-            encoders.lightgcn_encode(init_xavier(5, 4, 0), init_xavier(3, 4, 1), adj,
-                                     encoders.GraphEncoderConfig(), [0], [0])
+            encoders.lightgcn_encode(init_xavier(5, 4, 0), init_xavier(3, 4, 1), adj, cfg,
+                                     [0], [0], encoders.batch_frontiers(adj, cfg, [0], [0]))
 
 
 def full_tables(adj, backward):
@@ -177,21 +181,22 @@ class TestLightgcnGradient:
         item_values = rng.normal(size=(3, 3))
         user_ids = np.array([0, 1, 0, 1])
         item_ids = np.array([0, 1, 1, 2])
+        frontiers = encoders.batch_frontiers(adj, cfg, user_ids, item_ids)
 
         def loss_from_tables(u_values, i_values):
             batch_u, batch_i = encoders.lightgcn_encode(
                 EmbeddingTable(u_values), EmbeddingTable(i_values),
-                adj, cfg, user_ids, item_ids,
+                adj, cfg, user_ids, item_ids, frontiers,
             )
             return losses.rau_loss_and_gradient(batch_u, batch_i, weights)[0].total
 
         batch_u, batch_i = encoders.lightgcn_encode(
             EmbeddingTable(user_values), EmbeddingTable(item_values),
-            adj, cfg, user_ids, item_ids,
+            adj, cfg, user_ids, item_ids, frontiers,
         )
         _, grad_batch_u, grad_batch_i = losses.rau_loss_and_gradient(batch_u, batch_i, weights)
         grad_user_table, grad_item_table = full_tables(adj, encoders.lightgcn_backward(
-            adj, cfg, user_ids, item_ids, grad_batch_u, grad_batch_i
+            adj, cfg, user_ids, item_ids, grad_batch_u, grad_batch_i, frontiers
         ))
         fd_user = central_differences(lambda u: loss_from_tables(u, item_values), user_values)
         fd_item = central_differences(lambda i: loss_from_tables(user_values, i), item_values)
@@ -208,10 +213,11 @@ class TestLightgcnBackward:
     ], ids=["user-past-end", "negative-user", "negative-item", "item-past-end"])
     def test_rejects_out_of_range_ids(self, user_ids, item_ids, message):
         _, adj = toy_graph()
+        cfg = encoders.GraphEncoderConfig(num_layers=2)
         grad = np.ones((1, 4))
         with pytest.raises(ValueError, match=message):
-            encoders.lightgcn_backward(adj, encoders.GraphEncoderConfig(num_layers=2),
-                                       user_ids, item_ids, grad, grad)
+            encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, grad, grad,
+                                       encoders.batch_frontiers(adj, cfg, user_ids, item_ids))
 
 
 def random_graph(num_users, num_items, num_pairs, seed):
@@ -224,7 +230,7 @@ def random_graph(num_users, num_items, num_pairs, seed):
 
 
 class TestBatchRestrictedPropagation:
-    """The batch-restricted encoder against the full-graph one, bit for bit."""
+    """The batch-restricted encoder, on a batch and on every node, against the full graph's bits."""
 
     @pytest.mark.parametrize("num_layers", range(4))
     @pytest.mark.parametrize("shape", [(40, 30, 150, 12), (400, 300, 900, 16)],
@@ -252,14 +258,13 @@ class TestBatchRestrictedPropagation:
         # a training step's one set of frontiers serves the forward, then the backward
         frontiers = encoders.batch_frontiers(adj, cfg, user_ids, item_ids)
         pairs = [
-            (encoders.lightgcn_encode(user_table, item_table, adj, cfg, user_ids, item_ids),
-             expected_encode),
-            (full_tables(adj, encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads)),
-             expected_backward),
             (encoders.lightgcn_encode(user_table, item_table, adj, cfg, user_ids, item_ids,
                                       frontiers), expected_encode),
             (full_tables(adj, encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads,
                                                          frontiers)), expected_backward),
+            (encoders.lightgcn_propagate(user_table, item_table, adj, cfg),
+             oracles.reference_layer_mean(adj, cfg, np.vstack([user_table.values,
+                                                               item_table.values]))),
         ]
         for got, expected in pairs:
             for got_part, expected_part in zip(got, expected):
@@ -275,23 +280,27 @@ class TestEncoder:
         graph_cfg = encoders.GraphEncoderConfig(num_layers=0)
         user_ids, item_ids = np.array([0, 1, 1, 0]), np.array([2, 0, 2, 2])
         grads = np.random.default_rng(4).normal(size=(2, 4, 4))
+        graph_frontiers = encoders.batch_frontiers(adj, graph_cfg, user_ids, item_ids)
         for name in ("mf", "lightgcn"):
             encoder = encoders.Encoder(name, 0, ds)
             assert encoder.adjacency is None
             pairs = [
                 (encoder.encode_all(user_table, item_table),
                  encoders.lightgcn_propagate(user_table, item_table, adj, graph_cfg)),
-                (encoder.encode(user_table, item_table, user_ids, item_ids),
+                (encoder.encode(user_table, item_table, user_ids, item_ids,
+                                encoder.frontiers(user_ids, item_ids)),
                  encoders.lightgcn_encode(user_table, item_table, adj, graph_cfg,
-                                          user_ids, item_ids)),
+                                          user_ids, item_ids, graph_frontiers)),
             ]
             for lookup, graph in pairs:
                 for lookup_part, graph_part in zip(lookup, graph):
                     np.testing.assert_array_equal(lookup_part, graph_part)
             # both backwards give each table's touched rows and their gradient rows
-            for lookup, graph in zip(encoder.backward(user_ids, item_ids, *grads),
+            for lookup, graph in zip(encoder.backward(user_ids, item_ids, *grads,
+                                                      encoder.frontiers(user_ids, item_ids)),
                                      encoders.lightgcn_backward(adj, graph_cfg, user_ids,
-                                                                item_ids, *grads)):
+                                                                item_ids, *grads,
+                                                                graph_frontiers)):
                 for lookup_part, graph_part in zip(lookup, graph):
                     assert lookup_part.dtype == graph_part.dtype
                     assert lookup_part.shape == graph_part.shape
@@ -333,10 +342,15 @@ class TestEncoder:
         cfg = encoders.GraphEncoderConfig(num_layers=2)
         user_ids, item_ids = np.array([0, 1, 0]), np.array([5, 5, 6])
         grads = np.ones((3, 64)), np.ones((3, 64))
-        encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads)  # warm caches
+
+        def backward_with_frontiers():
+            frontiers = encoders.batch_frontiers(adj, cfg, user_ids, item_ids)
+            return encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads, frontiers)
+
+        backward_with_frontiers()  # warm caches
         tracemalloc.start()
         try:
-            backward = encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads)
+            backward = backward_with_frontiers()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

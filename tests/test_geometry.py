@@ -61,8 +61,9 @@ class TestSweep:
     def test_bad_steps_rejected(self):
         with pytest.raises(ValueError, match="divide"):
             sweep_moving_point((0.0, 120.0), 7.0)
-        with pytest.raises(ValueError, match="positive"):
-            sweep_moving_point((0.0, 120.0), 0.0)
+        for step in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                sweep_moving_point((0.0, 120.0), step)
 
     def test_rows_match_config_metrics(self):
         rows = sweep_moving_point((0.0, 120.0), 90.0)

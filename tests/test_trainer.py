@@ -497,7 +497,8 @@ class TestFit:
 
     @pytest.mark.parametrize("objective", ["rau", "bpr"])
     def test_lightgcn_step_builds_its_frontiers_once(self, monkeypatch, objective):
-        # the batch forward and backward share one build of the balls and hops
+        # the batch forward and backward share one build of the balls and hops; the
+        # epoch's whole-graph encode (probe and validation) builds one more
         from sphererec import encoders
 
         frontiers = encoders._frontiers
@@ -509,7 +510,7 @@ class TestFit:
                           fixed_epochs=True)
         trainer.fit(split, cfg)
         steps = -(-split.train.num_interactions // cfg.batch_size)
-        assert len(calls) == 2 * steps
+        assert len(calls) == 2 * steps + 2
 
     def test_full_history_rejection_with_saturated_user_rejected(self):
         # user 0 has both items, so no item can be its negative
