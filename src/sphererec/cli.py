@@ -107,6 +107,8 @@ def cmd_train(args) -> int:
 
     cfg, payload = _resolve_train_config(args)
     split, dataset_path = _load_split(args, cfg, payload)
+    # an existing file or an uncreatable path fails here, not after the whole fit
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     report, user_table, item_table = fit(split, cfg)
 
     out = _run_dir(args.out_dir, cfg)

@@ -86,6 +86,28 @@ def mf_encode(table: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
     return table.values[_checked_ids(ids, len(table.values), "id")]
 
 
+def _add_rows(out: np.ndarray, where: np.ndarray, values: np.ndarray) -> None:
+    """`np.add.at(out, where, values)`, with its bits: each row adds its values in order.
+
+    A stable argsort of `where` lists every target row's occurrences in
+    order; pass k adds the k-th occurrence of every target row in one
+    fancy-index add, in which no row repeats. So each row adds its values to
+    what `out` holds (+0.0 for a zeroed `out`, which turns a -0.0 value into
+    +0.0 as `np.add.at` does) in the order they come.
+    """
+    order = np.argsort(where, kind="stable")
+    grouped = where[order]
+    position = np.arange(grouped.size)
+    starts = np.ones(grouped.size, dtype=bool)
+    starts[1:] = grouped[1:] != grouped[:-1]
+    occurrence = position - np.maximum.accumulate(np.where(starts, position, 0))
+    by_pass = order[np.argsort(occurrence, kind="stable")]
+    ends = np.cumsum(np.bincount(occurrence)).tolist()
+    for start, stop in zip([0] + ends, ends):
+        take = by_pass[start:stop]
+        out[where[take]] += values[take]
+
+
 # perfbench/ reads `grad_rows` and `num_rows` at positions 0 and 2
 def scatter_rows(grad_rows: np.ndarray, ids: np.ndarray,
                  num_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,13 +115,14 @@ def scatter_rows(grad_rows: np.ndarray, ids: np.ndarray,
 
     Returns (rows, summed): the sorted unique ids, checked against
     `num_rows`, and one gradient row per id in `rows`. Repeated ids add into
-    the same row from +0.0 in occurrence order, so each summed row has the
-    bits of that row of a full-table scatter, whose other rows are zero.
+    the same row from +0.0 in occurrence order (`_add_rows`), so each summed
+    row has the bits of that row of a full-table scatter, whose other rows
+    are zero.
     """
     grad_rows = np.asarray(grad_rows, dtype=np.float64)
     rows, where = np.unique(_checked_ids(ids, num_rows, "id"), return_inverse=True)
     summed = np.zeros((rows.size, grad_rows.shape[1]))
-    np.add.at(summed, where, grad_rows)
+    _add_rows(summed, where, grad_rows)
     return rows, summed
 
 
@@ -218,8 +241,8 @@ def lightgcn_backward(
     """
     nodes, user_pos, item_pos, balls, hops = frontiers
     grad = np.zeros((nodes.size, grad_users.shape[1]))
-    np.add.at(grad, user_pos, grad_users)
-    np.add.at(grad, item_pos, grad_items)
+    _add_rows(grad, user_pos, grad_users)
+    _add_rows(grad, item_pos, grad_items)
     rounds = [grad]
     for hop in hops:
         rounds.append(hop.T @ rounds[-1])

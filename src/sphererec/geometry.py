@@ -18,6 +18,9 @@ from scipy.stats import spearmanr
 from .hypersphere import write_csv
 from .losses import uniformity_and_variance
 
+# a sweep plans one row per step over [0, 360): at most this many (a 0.01 degree step)
+MAX_SWEEP_ROWS = 36_000
+
 
 @dataclass(frozen=True)
 class CircleConfig:
@@ -67,10 +70,16 @@ def sweep_moving_point(
     fixed_angles_deg: tuple[float, float] = (0.0, 120.0),
     step_deg: float = 1.0,
 ) -> list[SweepRow]:
-    """Scan a third point over [0, 360) and record both metrics per position."""
+    """Scan a third point over [0, 360) and record both metrics per position.
+
+    The step must be finite, divide 360 evenly and plan at most MAX_SWEEP_ROWS rows.
+    """
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"step must be positive and finite, got {step_deg}")
     count = 360.0 / step_deg
+    if count > MAX_SWEEP_ROWS:
+        raise ValueError(f"step {step_deg} plans {count:.3g} rows, more than the "
+                         f"{MAX_SWEEP_ROWS} a sweep allows")
     if abs(count - round(count)) > 1e-9:
         raise ValueError(f"step must divide 360 evenly, got {step_deg}")
     rows = []

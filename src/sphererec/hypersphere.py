@@ -58,11 +58,18 @@ def init_xavier(rows: int, dim: int, seed: int) -> EmbeddingTable:
     return EmbeddingTable(values)
 
 
-def normalize_with_norms(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (unit rows, original norms); raises on any near-zero or non-finite row norm."""
+def normalize_with_norms(vectors: np.ndarray,
+                         out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Return (unit rows, original norms); raises on any near-zero or non-finite row norm.
+
+    The unit rows are written into `out` when given (an array of the rows' shape that
+    does not overlap them), which also holds the squares the norms are summed from, so
+    no other array of the rows' size is made. The norms have `np.linalg.norm`'s bits.
+    """
     vectors = np.asarray(vectors, dtype=np.float64)
+    out = np.empty_like(vectors) if out is None else out
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(vectors, axis=1)
+        norms = np.sqrt(np.add.reduce(np.multiply(vectors, vectors, out=out), axis=1))
     bad = np.flatnonzero(norms < MIN_ROW_NORM)
     if bad.size:
         raise ValueError(f"cannot normalize zero-norm row {int(bad[0])}")
@@ -70,7 +77,7 @@ def normalize_with_norms(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if bad.size:
         raise ValueError(f"cannot normalize row {int(bad[0])}: its norm is non-finite "
                          "(a NaN or inf entry, or one whose square overflows float64)")
-    return vectors / norms[:, None], norms
+    return np.divide(vectors, norms[:, None], out=out), norms
 
 
 def l2_normalize(vectors: np.ndarray) -> np.ndarray:

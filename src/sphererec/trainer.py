@@ -23,9 +23,9 @@ from .losses import LossWeights
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# adam_step updates blocks of rows holding this many entries (at least one row), so
-# the two halves of a float64 scratch take 256 KiB and a block's work stays in cache
-ADAM_BLOCK_ENTRIES = 16384
+# adam_step updates blocks of rows holding this many entries (at least one row): one
+# kernel block (65536 entries, 512 KiB), so its two buffers are two workspace slots
+ADAM_BLOCK_ENTRIES = losses.KERNEL_BLOCK_ROWS ** 2
 
 OBJECTIVES = ("rau", "directau", "bpr")
 ENCODERS = ("mf", "lightgcn")
@@ -130,22 +130,15 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class AdamState:
-    """Per-parameter Adam moments plus the shared step counter.
+    """Per-parameter Adam moments plus the shared step counter: all the optimizer's state.
 
-    `scratch` is a work buffer for `adam_step`'s intermediates, not optimizer
-    state: its contents mean nothing between steps, so saving or restoring a
-    state carries only the two moments and `step_count`.
+    `adam_step`'s intermediates live in a `losses.Workspace`, so saving or
+    restoring a state carries these three fields and nothing else.
     """
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    scratch: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        dim = self.first_moment.shape[1]
-        rows = max(1, ADAM_BLOCK_ENTRIES // dim)
-        self.scratch = np.empty((2, rows, dim), dtype=self.first_moment.dtype)
 
     @classmethod
     def like(cls, params: np.ndarray) -> "AdamState":
@@ -160,6 +153,7 @@ def adam_step(
     lr: float,
     weight_decay: float,
     rows: np.ndarray,
+    workspace: losses.Workspace | None = None,
 ) -> None:
     """One bias-corrected Adam update, mutating params and state in place.
 
@@ -171,8 +165,10 @@ def adam_step(
     before the moment update. Raises on non-finite gradients, before
     anything changes.
 
-    The update runs over blocks of rows, each block's intermediates written
-    into `state.scratch`, so no array the size of the table is allocated.
+    Decay and the moment decays run in place over the whole tables. The
+    rest runs over blocks of ADAM_BLOCK_ENTRIES entries, each block's
+    intermediates written into slots 0 and 1 of `workspace` (by default, a
+    new one), so no array the size of the table or of a block is allocated.
     Decay, the moment decays and the step are dense; the gradient terms are
     added on the given rows only. Every entry goes through the same IEEE
     operations in the same order as the whole-table formula fed the
@@ -195,18 +191,20 @@ def adam_step(
     correction1 = 1.0 - ADAM_BETA1 ** state.step_count
     correction2 = 1.0 - ADAM_BETA2 ** state.step_count
     decay = 1.0 - lr * weight_decay
-    block = state.scratch.shape[1]
+    if workspace is None:
+        workspace = losses.Workspace(2, params.shape[1])
+    block = max(1, ADAM_BLOCK_ENTRIES // params.shape[1])
     edges = np.searchsorted(rows, range(0, num_rows + block, block)).tolist()
     offsets = rows % block
+    params *= decay
+    state.first_moment *= ADAM_BETA1
+    state.second_moment *= ADAM_BETA2
     for start, first, last in zip(range(0, num_rows, block), edges, edges[1:]):
         stop = start + block
         touched, g = offsets[first:last], grads[first:last]
         p, m = params[start:stop], state.first_moment[start:stop]
         v = state.second_moment[start:stop]
-        step, denom = state.scratch[:, :p.shape[0]]
-        p *= decay
-        m *= ADAM_BETA1
-        v *= ADAM_BETA2
+        step, denom = (half[:p.size].reshape(p.shape) for half in workspace.blocks[:2])
         term = step[:g.shape[0]]
         m[touched] += np.multiply(1.0 - ADAM_BETA1, g, out=term)
         v[touched] += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=term), out=term)
@@ -252,6 +250,8 @@ class TrainState:
         self.item_table = init_xavier(split.num_items, cfg.dim, item_seed)
         self.user_adam = AdamState.like(self.user_table.values)
         self.item_adam = AdamState.like(self.item_table.values)
+        # one step's buffers (the loss's, Adam's and the probe's kernel blocks) for the whole fit
+        self.workspace = losses.Workspace(cfg.batch_size, cfg.dim)
         self.shuffle_root = shuffle_root
         self.negative_root = negative_root
         self.encoder = encoders.Encoder(cfg.encoder, cfg.num_layers, split.train)
@@ -332,9 +332,9 @@ def _probe_diagnostics(state: TrainState, encoded: tuple[np.ndarray, np.ndarray]
     pair_users = l2_normalize(all_users[state.probe_pair_users])
     pair_items = l2_normalize(all_items[state.probe_pair_items])
     uniform_user, variance_user = losses.uniformity_and_variance(
-        l2_normalize(all_users[state.probe_users]))
+        l2_normalize(all_users[state.probe_users]), state.workspace)
     uniform_item, variance_item = losses.uniformity_and_variance(
-        l2_normalize(all_items[state.probe_items]))
+        l2_normalize(all_items[state.probe_items]), state.workspace)
     return EpochDiagnostics(
         epoch=epoch,
         align=losses.align_loss(pair_users, pair_items),
@@ -376,10 +376,11 @@ def train_epoch(split: SplitDataset, state: TrainState,
                 user_vecs, *np.split(item_vecs, 2))
             grad_items = np.concatenate(grad_pos_neg)
         else:
-            _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights)
+            _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights,
+                                                                     state.workspace)
         table_grads = state.encoder.backward(user_ids, item_ids, grad_users, grad_items, frontiers)
         for (table, adam), (rows, grad) in zip(tables, table_grads):
-            adam_step(table.values, grad, adam, cfg.lr, cfg.weight_decay, rows)
+            adam_step(table.values, grad, adam, cfg.lr, cfg.weight_decay, rows, state.workspace)
     wall_time_s = time.perf_counter() - started
     encoded = state.encoder.encode_all(state.user_table, state.item_table)
     return _probe_diagnostics(state, encoded, epoch_index, wall_time_s), encoded

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from sphererec import cli, trainer
+from sphererec import cli, geometry, trainer
 from sphererec.hypersphere import config_hash
 
 
@@ -53,6 +53,20 @@ class TestTrainCommand:
         assert cli.main(train_args(synthetic_tsv, out_file, **{"max-epochs": "1"})) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert out_file.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+    def test_unusable_out_dir_exits_2_before_fitting(self, synthetic_tsv, tmp_path, capsys,
+                                                     monkeypatch, where):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran although --out-dir cannot be used")
+
+        monkeypatch.setattr(trainer, "fit", no_fit)
+        blocker = tmp_path / "runs"
+        blocker.write_text("not a directory\n")
+        out_dir = blocker if where == "a-file" else blocker / "nested"
+        assert cli.main(train_args(synthetic_tsv, out_dir)) == 2
+        assert str(blocker) in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
 
     def test_directau_equals_rau_with_zero_weights(self, synthetic_tsv, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -324,6 +338,13 @@ class TestGeometryCommand:
     def test_invalid_step_exits_2(self, tmp_path, capsys):
         assert cli.main(["geometry", "--step", "7", "--out-dir", str(tmp_path)]) == 2
         assert "divide" in capsys.readouterr().err
+
+    def test_step_planning_too_many_rows_exits_2_at_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(geometry, "config_metrics", lambda cfg: calls.append(cfg))
+        assert cli.main(["geometry", "--step", "1e-300", "--out-dir", str(tmp_path / "g")]) == 2
+        assert "more than" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "g").exists()
 
     def test_case_metrics_printed(self, tmp_path, capsys):
         assert cli.main(["geometry", "--step", "90", "--out-dir", str(tmp_path / "g"),

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sphererec import data, encoders, losses
 from sphererec.hypersphere import EmbeddingTable, init_xavier
@@ -357,3 +359,56 @@ class TestEncoder:
         assert peak < adj.size * 64 * 8
         (user_rows, _), (item_rows, _) = backward
         assert user_rows.size + item_rows.size < adj.size / 20  # the ball is small
+
+
+def gradient_rows(seed, count, dim=5):
+    """Seeded gradient rows in which some whole rows, and some single entries, are -0.0."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((count, dim))
+    rows[rng.random(count) < 0.3] = -0.0
+    rows[rng.random((count, dim)) < 0.1] = -0.0
+    return rows
+
+
+# ids below 12 reach the graph's edgeless last 3 users and last 2 items too
+BATCH_SUM_GRAPH = random_graph(12, 12, 40, seed=5)
+# a few target rows, so an id can repeat as often as the batch is long
+repeated_ids = st.integers(1, 12).flatmap(
+    lambda bound: st.lists(st.integers(0, bound - 1), max_size=48))
+
+
+class TestScatterWithoutAddAt:
+    """`scatter_rows` and the graph backward's batch sums against `np.add.at`, byte for byte."""
+
+    @given(repeated_ids, st.integers(0, 2**32 - 1))
+    @example([], 0)
+    @example([3], 1)
+    @example([0] * 48, 2)
+    @settings(max_examples=60, deadline=None)
+    def test_scatter_rows(self, ids, seed):
+        ids = np.array(ids, dtype=np.int64)
+        grad_rows = gradient_rows(seed, ids.size)
+        full = np.zeros((12, 5))
+        np.add.at(full, ids, grad_rows)
+        rows, summed = encoders.scatter_rows(grad_rows, ids, num_rows=12)
+        assert rows.tobytes() == np.unique(ids).tobytes()
+        assert summed.shape == (rows.size, 5)
+        assert summed.tobytes() == full[rows].tobytes()
+
+    @given(repeated_ids, repeated_ids, st.integers(0, 2), st.integers(0, 2**32 - 1))
+    @example([], [], 1, 0)
+    @example([4], [2], 2, 1)
+    @example([0] * 48, [1] * 48, 1, 2)
+    @settings(max_examples=60, deadline=None)
+    def test_lightgcn_backward(self, user_ids, item_ids, num_layers, seed):
+        _, adj = BATCH_SUM_GRAPH
+        cfg = encoders.GraphEncoderConfig(num_layers=num_layers)
+        user_ids, item_ids = np.array(user_ids, dtype=np.int64), np.array(item_ids, dtype=np.int64)
+        grads = gradient_rows(seed, user_ids.size), gradient_rows(seed + 1, item_ids.size)
+        frontiers = encoders.batch_frontiers(adj, cfg, user_ids, item_ids)
+        got = full_tables(adj, encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads,
+                                                          frontiers))
+        expected = oracles.reference_lightgcn_backward(adj, cfg, user_ids, item_ids, *grads)
+        for got_part, expected_part in zip(got, expected):
+            assert got_part.tobytes() == expected_part.tobytes()
+

@@ -65,6 +65,24 @@ class TestSweep:
             with pytest.raises(ValueError, match="positive and finite"):
                 sweep_moving_point((0.0, 120.0), step)
 
+    @pytest.mark.parametrize("step", [1e-300, 5e-324, 360.0 / (geometry.MAX_SWEEP_ROWS + 1)])
+    def test_step_planning_too_many_rows_is_rejected_before_any_row(self, step, monkeypatch):
+        calls = []
+
+        def counting_metrics(cfg):
+            calls.append(cfg)
+            if len(calls) > geometry.MAX_SWEEP_ROWS:  # stop a sweep the check let through
+                raise RuntimeError("the sweep ran past MAX_SWEEP_ROWS rows")
+            return 0.0, 0.0
+
+        monkeypatch.setattr(geometry, "config_metrics", counting_metrics)
+        with pytest.raises(ValueError, match="rows, more than"):
+            sweep_moving_point((0.0, 120.0), step)
+        assert calls == []
+        # the finest allowed step still runs, one call per row
+        assert len(sweep_moving_point((0.0, 120.0), 360.0 / geometry.MAX_SWEEP_ROWS)) == \
+            geometry.MAX_SWEEP_ROWS == len(calls)
+
     def test_rows_match_config_metrics(self):
         rows = sweep_moving_point((0.0, 120.0), 90.0)
         for row in rows:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -265,7 +267,8 @@ class TestBlockedKernel:
     def test_statistics_and_gradient_match_dense_kernel(self, batch):
         unit = l2_normalize(rows_across_blocks(np.random.default_rng(batch), batch, 6))
         _, mean, _, variance = oracles.dense_kernel(unit)
-        got_uniform, got_variance, grad = losses._kernel_terms(unit, 0.6, 2.5)
+        got_uniform, got_variance, grad = losses._kernel_terms(unit, 0.6, 2.5,
+                                                              losses.Workspace(batch, 6))
         assert got_uniform == pytest.approx(math.log(mean + oracles.EPS), rel=1e-12)
         assert got_variance == pytest.approx(variance, rel=1e-12)
         # the helper's gradient is defined up to a radial component per row
@@ -300,9 +303,53 @@ class TestBlockedKernel:
 
     def test_zero_weights_form_no_kernel_gradient(self):
         unit = l2_normalize(np.random.default_rng(5).normal(size=(300, 4)))
-        assert losses._kernel_terms(unit, 0.0, 0.0)[2] is None
-        assert losses._kernel_terms(unit, 0.0, 1.0)[2] is not None
-        assert losses._kernel_terms(unit, 1.0, 0.0)[2] is not None
+        workspace = losses.Workspace(300, 4)
+        assert losses._kernel_terms(unit, 0.0, 0.0, workspace)[2] is None
+        assert losses._kernel_terms(unit, 0.0, 1.0, workspace)[2] is not None
+        assert losses._kernel_terms(unit, 1.0, 0.0, workspace)[2] is not None
+
+
+class TestWorkspace:
+    """The kernel's slots, and a warmed step's allocations."""
+
+    @pytest.mark.parametrize("slots", [2, 4])
+    @pytest.mark.parametrize("batch", [2, 256, 257, 1024, 2048])
+    def test_fewer_slots_than_block_pairs_keep_the_bits(self, batch, slots):
+        rng = np.random.default_rng([batch, 2])
+        users_raw, items_raw = rows_across_blocks(rng, batch, 6), rows_across_blocks(rng, batch, 6)
+        unit = l2_normalize(users_raw)
+        full, few = losses.Workspace(batch, 6), losses.Workspace(batch, 6)
+        few.blocks = few.blocks[:slots]  # the probe's case: more block pairs than slots
+        results = []
+        for workspace in (full, few):
+            uniform, variance, grad = losses._kernel_terms(unit, 0.6, 2.5, workspace)
+            out, grad_users, grad_items = losses.rau_loss_and_gradient(users_raw, items_raw,
+                                                                       ALL_WEIGHTS, workspace)
+            results.append((np.array([uniform, variance, *astuple(out)]).tobytes(),
+                            grad.tobytes(), grad_users.tobytes(), grad_items.tobytes(),
+                            np.array(losses.uniformity_and_variance(unit, workspace)).tobytes()))
+        assert results[0] == results[1]
+
+    def test_warmed_rau_step_allocates_no_block_sized_array(self):
+        rng = np.random.default_rng(4)
+        users_raw, items_raw = rng.normal(size=(1024, 64)), rng.normal(size=(1024, 64))
+        workspace = losses.Workspace(1024, 64)
+        losses.rau_loss_and_gradient(users_raw, items_raw, ALL_WEIGHTS, workspace)
+        tracemalloc.start()
+        try:
+            losses.rau_loss_and_gradient(users_raw, items_raw, ALL_WEIGHTS, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # everything allocated at once stays below one kernel block (512 KiB), so no
+        # single array was that large
+        assert peak < losses.KERNEL_BLOCK_ROWS ** 2 * 8
+
+    def test_too_small_a_workspace_is_rejected(self):
+        rows = np.random.default_rng(0).normal(size=(5, 3))
+        for workspace in (losses.Workspace(4, 3), losses.Workspace(5, 4)):
+            with pytest.raises(ValueError, match="workspace holds"):
+                losses.rau_loss_and_gradient(rows, rows + 1.0, ALL_WEIGHTS, workspace)
 
 
 class TestBprLoss:

@@ -5,7 +5,7 @@ import numpy as np
 import oracles
 import pytest
 
-from sphererec import data, trainer
+from sphererec import data, losses, trainer
 from sphererec.losses import LossWeights
 from sphererec.trainer import ADAM_BLOCK_ENTRIES, AdamState, TrainConfig, TrainState, adam_step
 
@@ -173,16 +173,19 @@ class TestAdamStep:
         assert state.step_count == 1
 
     def test_allocates_no_full_table_temporaries(self):
-        # only the finiteness mask (an eighth of params.nbytes) may scale with the table
+        # only the finiteness mask (an eighth of params.nbytes) may scale with the table;
+        # the block buffers come from the fit's workspace
         rng = np.random.default_rng(0)
         params = rng.standard_normal((11200, 64))
         state = AdamState.like(params)
+        workspace = losses.Workspace(256, 64)
         every_row = np.arange(len(params))
-        adam_step(params, sparse_gradient(rng, params.shape), state, 1e-3, 1e-6, every_row)
+        adam_step(params, sparse_gradient(rng, params.shape), state, 1e-3, 1e-6, every_row,
+                  workspace)
         grads = sparse_gradient(rng, params.shape)
         tracemalloc.start()
         try:
-            adam_step(params, grads, state, 1e-3, 1e-6, every_row)
+            adam_step(params, grads, state, 1e-3, 1e-6, every_row, workspace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
