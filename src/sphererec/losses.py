@@ -228,8 +228,10 @@ def uniformity_and_variance(vectors: np.ndarray,
     Uniformity is log(E exp(-2 d) + eps) over the condensed pairs: zero when
     all points coincide (up to eps), lower the more evenly they spread. The
     kernel variance is the population variance of the same kernel values.
-    The kernel blocks go into `workspace`'s slots (by default, a new
-    workspace with a slot for each); the values do not depend on its size.
+    The kernel blocks go into `workspace`'s slots; the values do not depend
+    on its size. The default, a new workspace with a slot for each block,
+    stays so the function is a pure call for `geometry` and the acceptance
+    checks, which hold no workspace; a fit passes its own.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if workspace is None:
@@ -258,9 +260,11 @@ def rau_loss_and_gradient(
     The unit-row gradients are summed up to a radial component per row,
     which the normalization backward removes.
 
-    Every array of the batch's size is written into `workspace` (by
-    default, a new one for this batch), so the returned gradients are views
-    into it, valid until its next use.
+    Every array of the batch's size is written into `workspace`, so the
+    returned gradients are views into it, valid until its next use. The
+    default, a new workspace for this batch, stays because this is a package
+    export, and the acceptance checks call it as a pure function, finite
+    differences included; a fit passes its own.
     """
     users_raw = np.asarray(users_raw, dtype=np.float64)
     items_raw = np.asarray(items_raw, dtype=np.float64)

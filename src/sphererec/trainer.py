@@ -153,7 +153,7 @@ def adam_step(
     lr: float,
     weight_decay: float,
     rows: np.ndarray,
-    workspace: losses.Workspace | None = None,
+    workspace: losses.Workspace,
 ) -> None:
     """One bias-corrected Adam update, mutating params and state in place.
 
@@ -167,8 +167,8 @@ def adam_step(
 
     Decay and the moment decays run in place over the whole tables. The
     rest runs over blocks of ADAM_BLOCK_ENTRIES entries, each block's
-    intermediates written into slots 0 and 1 of `workspace` (by default, a
-    new one), so no array the size of the table or of a block is allocated.
+    intermediates written into slots 0 and 1 of `workspace`, so no array the
+    size of the table or of a block is allocated.
     Decay, the moment decays and the step are dense; the gradient terms are
     added on the given rows only. Every entry goes through the same IEEE
     operations in the same order as the whole-table formula fed the
@@ -191,8 +191,6 @@ def adam_step(
     correction1 = 1.0 - ADAM_BETA1 ** state.step_count
     correction2 = 1.0 - ADAM_BETA2 ** state.step_count
     decay = 1.0 - lr * weight_decay
-    if workspace is None:
-        workspace = losses.Workspace(2, params.shape[1])
     block = max(1, ADAM_BLOCK_ENTRIES // params.shape[1])
     edges = np.searchsorted(rows, range(0, num_rows + block, block)).tolist()
     offsets = rows % block
@@ -226,21 +224,35 @@ class EpochDiagnostics:
 
 @dataclass
 class TrainReport:
-    best_epoch: int
-    epochs_run: int
-    diagnostics: list[EpochDiagnostics]
-    val_history: list[dict]
-    best_val: dict | None
-    total_time_s: float
+    """A fit's progress, filled in place by `fit_epoch`: the fit keeps no other record.
+
+    `total_time_s` sums the state's set-up and every epoch's `fit_epoch`.
+    """
+
+    best_epoch: int = 0
+    epochs_run: int = 0
+    diagnostics: list[EpochDiagnostics] = field(default_factory=list)
+    val_history: list[dict] = field(default_factory=list)
+    best_val: dict | None = None
+    total_time_s: float = 0.0
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
 class TrainState:
-    """Mutable model state threaded through the epoch loop."""
+    """The whole state of a fit, which `fit_epoch` advances by one epoch.
+
+    It holds the tables and their Adam states, the seeds, the encoder, the
+    probe sample, the step workspace, the `report` of the epochs run and
+    `best_tables`, copies of the tables at the report's best epoch (None
+    until an epoch is kept, and always with fixed_epochs, whose result is
+    the live tables). The shuffle and negative generators are re-seeded
+    from `[root, epoch]` every epoch, so no generator state is kept.
+    """
 
     def __init__(self, split: SplitDataset, cfg: TrainConfig):
+        started = time.perf_counter()
         self.cfg = cfg
         root = np.random.SeedSequence(cfg.seed)
         user_seed, item_seed, probe_seed, shuffle_root, negative_root = (
@@ -271,6 +283,8 @@ class TrainState:
         self.probe_items = np.sort(
             probe_rng.permutation(split.num_items)[:min(PROBE_LIMIT, split.num_items)]
         )
+        self.best_tables: tuple[EmbeddingTable, EmbeddingTable] | None = None
+        self.report = TrainReport(total_time_s=time.perf_counter() - started)
 
 
 def _check_negatives_exist(split: SplitDataset) -> None:
@@ -351,7 +365,7 @@ def train_epoch(split: SplitDataset, state: TrainState,
     """Run one full pass over the training pairs under `state.cfg`.
 
     Returns the probe diagnostics and the encoded full tables after the pass,
-    which `fit` ranks for validation; `wall_time_s` times the pass alone.
+    which `fit_epoch` ranks for validation; `wall_time_s` times the pass alone.
 
     epoch_index is 1-based and seeds both the batch shuffle and (for the
     ranking objective) the per-epoch negative draws. Every batch is one
@@ -386,6 +400,37 @@ def train_epoch(split: SplitDataset, state: TrainState,
     return _probe_diagnostics(state, encoded, epoch_index, wall_time_s), encoded
 
 
+def fit_epoch(split: SplitDataset, state: TrainState) -> bool:
+    """Run the next epoch of `state`'s fit unless it has stopped; return whether one ran.
+
+    The fit stops once max_epochs epochs have run, or once `patience`
+    epochs have passed since the best one. The rule reads only the state,
+    so a copy of the state goes on as the original would. An epoch is the
+    `train_epoch` pass, then, unless fixed_epochs, validation NDCG@K and a
+    copy of the tables when it beats the best so far (a tie does not).
+    """
+    started = time.perf_counter()
+    cfg, report = state.cfg, state.report
+    if report.epochs_run >= cfg.max_epochs or report.epochs_run - report.best_epoch >= cfg.patience:
+        return False
+    epoch = report.epochs_run + 1
+    diag, encoded = train_epoch(split, state, epoch)
+    report.diagnostics.append(diag)
+    report.epochs_run = epoch
+    if cfg.fixed_epochs:
+        report.best_epoch = epoch
+    else:
+        k = cfg.eval_k_for_stopping
+        metrics = evaluate(split, *encoded, ks=(k,), part="validation", score_mode=cfg.score_mode)
+        entry = {"epoch": epoch, f"recall@{k}": metrics.recall[k], f"ndcg@{k}": metrics.ndcg[k]}
+        report.val_history.append(entry)
+        if entry[f"ndcg@{k}"] > (report.best_val[f"ndcg@{k}"] if report.best_val else -np.inf):
+            report.best_epoch, report.best_val = epoch, entry
+            state.best_tables = state.user_table.copy(), state.item_table.copy()
+    report.total_time_s += time.perf_counter() - started
+    return True
+
+
 def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTable, EmbeddingTable]:
     """Train until max_epochs or until validation NDCG@K stops improving.
 
@@ -405,44 +450,11 @@ def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTa
                          f"the split has {split.num_users} users and {split.num_items} items")
     if cfg.objective == "bpr" and cfg.bpr_full_history_rejection:
         _check_negatives_exist(split)
-    started = time.perf_counter()
     state = TrainState(split, cfg)
-    stopping_k = cfg.eval_k_for_stopping
-    ndcg_key = f"ndcg@{stopping_k}"
-
-    diagnostics: list[EpochDiagnostics] = []
-    val_history: list[dict] = []
-    best_epoch, best_val, best_tables = 0, None, None
-    for epoch in range(1, cfg.max_epochs + 1):
-        diag, encoded = train_epoch(split, state, epoch)
-        diagnostics.append(diag)
-        if cfg.fixed_epochs:
-            best_epoch = epoch
-            continue
-        report = evaluate(split, *encoded, ks=(stopping_k,),
-                          part="validation", score_mode=cfg.score_mode)
-        entry = {
-            "epoch": epoch,
-            f"recall@{stopping_k}": report.recall[stopping_k],
-            ndcg_key: report.ndcg[stopping_k],
-        }
-        val_history.append(entry)
-        if entry[ndcg_key] > (best_val[ndcg_key] if best_val else -np.inf):
-            best_epoch, best_val = epoch, entry
-            best_tables = state.user_table.copy(), state.item_table.copy()
-        elif epoch - best_epoch >= cfg.patience:
-            break
-
+    while fit_epoch(split, state):
+        pass
     # with fixed_epochs or max_epochs = 0 no epoch was kept: copy() re-checks finiteness
-    user_table, item_table = best_tables or (state.user_table.copy(), state.item_table.copy())
-    return TrainReport(
-        best_epoch=best_epoch,
-        epochs_run=len(diagnostics),
-        diagnostics=diagnostics,
-        val_history=val_history,
-        best_val=best_val,
-        total_time_s=time.perf_counter() - started,
-    ), user_table, item_table
+    return state.report, *(state.best_tables or (state.user_table.copy(), state.item_table.copy()))
 
 
 def write_diagnostics_csv(report: TrainReport, path, stopping_k: int) -> None:

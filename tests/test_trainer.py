@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,9 @@ from sphererec.trainer import ADAM_BLOCK_ENTRIES, AdamState, TrainConfig, TrainS
 
 # rows per adam_step block at dim 7, so shapes can sit on and around block edges
 BLOCK_7 = ADAM_BLOCK_ENTRIES // 7
+# adam_step's block buffers, slots 0 and 1, which hold a block of any width used here;
+# every call writes them before reading them, so nothing carries from one test to the next
+WORKSPACE = losses.Workspace(2, 2)
 
 
 def sparse_gradient(rng, shape, touched=0.3):
@@ -32,7 +36,7 @@ class TestAdamStep:
         params = np.arange(6.0).reshape(2, 3)
         state = AdamState.like(params)
         before = params.copy()
-        adam_step(params, np.zeros_like(params), state, 0.1, 0.0, np.arange(2))
+        adam_step(params, np.zeros_like(params), state, 0.1, 0.0, np.arange(2), WORKSPACE)
         np.testing.assert_array_equal(params, before)
 
     def test_constant_gradient_limit_is_lr(self):
@@ -44,32 +48,33 @@ class TestAdamStep:
         previous = params.copy()
         for _ in range(500):
             previous = params.copy()
-            adam_step(params, grads, state, lr, 0.0, np.arange(1))
+            adam_step(params, grads, state, lr, 0.0, np.arange(1), WORKSPACE)
         step = previous - params
         assert step[0, 0] == pytest.approx(lr, rel=1e-3)
 
     def test_decay_halves_params(self):
         params = np.full((2, 2), 8.0)
         state = AdamState.like(params)
-        adam_step(params, np.zeros_like(params), state, 1.0, 0.5, np.arange(2))
+        adam_step(params, np.zeros_like(params), state, 1.0, 0.5, np.arange(2), WORKSPACE)
         np.testing.assert_array_equal(params, np.full((2, 2), 4.0))
 
     def test_lr_zero_is_noop_even_with_gradient(self):
         params = np.ones((2, 2))
         state = AdamState.like(params)
-        adam_step(params, np.full((2, 2), 2.0), state, 0.0, 0.0, np.arange(2))
+        adam_step(params, np.full((2, 2), 2.0), state, 0.0, 0.0, np.arange(2), WORKSPACE)
         np.testing.assert_array_equal(params, np.ones((2, 2)))
 
     def test_shape_mismatch(self):
         params = np.zeros((2, 2))
         with pytest.raises(ValueError, match="shape"):
-            adam_step(params, np.zeros((3, 2)), AdamState.like(params), 0.1, 0.0, np.arange(2))
+            adam_step(params, np.zeros((3, 2)), AdamState.like(params), 0.1, 0.0, np.arange(2),
+                      WORKSPACE)
 
     def test_non_finite_gradient_aborts(self):
         params = np.zeros((2, 2))
         grads = np.array([[np.nan, 0.0], [0.0, 0.0]])
         with pytest.raises(FloatingPointError, match="non-finite"):
-            adam_step(params, grads, AdamState.like(params), 0.1, 0.0, np.arange(2))
+            adam_step(params, grads, AdamState.like(params), 0.1, 0.0, np.arange(2), WORKSPACE)
 
     @pytest.mark.parametrize("lr", [1e-3, 0.0])
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-6])
@@ -83,7 +88,7 @@ class TestAdamStep:
         state, expected_state = AdamState.like(params), AdamState.like(params)
         for _ in range(20):
             grads = sparse_gradient(rng, shape)
-            adam_step(params, grads, state, lr, weight_decay, np.arange(shape[0]))
+            adam_step(params, grads, state, lr, weight_decay, np.arange(shape[0]), WORKSPACE)
             oracles.reference_adam_step(expected, grads, expected_state, lr, weight_decay)
         assert np.array_equal(params, expected)
         assert np.array_equal(state.first_moment, expected_state.first_moment)
@@ -108,7 +113,7 @@ class TestAdamStep:
         for _ in range(20):
             rows = pick(rng, shape[0])
             grads = rng.standard_normal((rows.size, shape[1]))
-            adam_step(params, grads, state, 1e-3, weight_decay, rows)
+            adam_step(params, grads, state, 1e-3, weight_decay, rows, WORKSPACE)
             oracles.reference_adam_step(expected,
                                         oracles.full_table_gradient(rows, grads, shape[0]),
                                         expected_state, 1e-3, weight_decay)
@@ -132,7 +137,7 @@ class TestAdamStep:
         touched = np.arange(0, shape[0], 2)
         for _ in range(30):
             grads = rng.standard_normal((touched.size, shape[1]))
-            adam_step(params, grads, state, 1e-3, 1e-6, touched)
+            adam_step(params, grads, state, 1e-3, 1e-6, touched, WORKSPACE)
             oracles.reference_adam_step(expected,
                                         oracles.full_table_gradient(touched, grads, shape[0]),
                                         expected_state, 1e-3, 1e-6)
@@ -145,16 +150,17 @@ class TestAdamStep:
     def test_rows_must_be_increasing_ids_of_the_table(self, rows):
         params = np.zeros((4, 2))
         with pytest.raises(ValueError, match="strictly increasing"):
-            adam_step(params, np.ones((2, 2)), AdamState.like(params), 0.1, 0.0, np.array(rows))
+            adam_step(params, np.ones((2, 2)), AdamState.like(params), 0.1, 0.0, np.array(rows),
+                      WORKSPACE)
         assert not params.any()
 
     def test_row_gradients_must_match_the_rows_and_be_finite(self):
         params = np.zeros((4, 2))
         state = AdamState.like(params)
         with pytest.raises(ValueError, match="shape"):
-            adam_step(params, np.ones((3, 2)), state, 0.1, 0.0, np.array([0, 2]))
+            adam_step(params, np.ones((3, 2)), state, 0.1, 0.0, np.array([0, 2]), WORKSPACE)
         with pytest.raises(FloatingPointError, match="non-finite"):
-            adam_step(params, np.array([[1.0, np.inf]]), state, 0.1, 0.0, np.array([3]))
+            adam_step(params, np.array([[1.0, np.inf]]), state, 0.1, 0.0, np.array([3]), WORKSPACE)
         assert state.step_count == 0 and not state.first_moment.any()
 
     def test_non_finite_gradient_in_last_block_changes_nothing(self):
@@ -162,12 +168,13 @@ class TestAdamStep:
         shape = (3 * BLOCK_7 + 5, 7)
         params = rng.standard_normal(shape)
         state = AdamState.like(params)
-        adam_step(params, sparse_gradient(rng, shape), state, 0.1, 0.5, np.arange(shape[0]))
+        adam_step(params, sparse_gradient(rng, shape), state, 0.1, 0.5, np.arange(shape[0]),
+                  WORKSPACE)
         before = (params.copy(), state.first_moment.copy(), state.second_moment.copy())
         grads = rng.standard_normal(shape)
         grads[-1, -1] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite"):
-            adam_step(params, grads, state, 0.1, 0.5, np.arange(shape[0]))
+            adam_step(params, grads, state, 0.1, 0.5, np.arange(shape[0]), WORKSPACE)
         for now, then in zip((params, state.first_moment, state.second_moment), before):
             assert np.array_equal(now, then)
         assert state.step_count == 1
@@ -558,6 +565,42 @@ class TestFit:
             assert diag_a.align == diag_b.align
             assert diag_a.uniform_user == diag_b.uniform_user
         assert report_a.val_history == report_b.val_history
+
+
+def without_wall_times(report):
+    return dataclasses.replace(
+        report, total_time_s=0.0,
+        diagnostics=[dataclasses.replace(d, wall_time_s=0.0) for d in report.diagnostics])
+
+
+class TestFitEpoch:
+    @pytest.mark.parametrize("encoder", trainer.ENCODERS)
+    @pytest.mark.parametrize("objective", trainer.OBJECTIVES)
+    def test_a_pickled_state_finishes_as_one_uninterrupted_fit(self, encoder, objective):
+        # a pickle copy cannot see anything outside the state, so this fails if any of
+        # the fit's progress lives elsewhere
+        split = data.split_per_user(data.two_cluster_dataset(60, 30, 8, seed=1), seed=1)
+        cfg = base_config(objective=objective, encoder=encoder, lr=5e-2, max_epochs=12,
+                          patience=2, weights=LossWeights(alpha=0.5, beta=5.0))
+        report, user_table, item_table = trainer.fit(split, cfg)
+        state = TrainState(split, cfg)
+        for _ in range(2):
+            assert trainer.fit_epoch(split, state)
+        state = pickle.loads(pickle.dumps(state))
+        while trainer.fit_epoch(split, state):
+            pass
+        assert report.epochs_run > 2
+        assert without_wall_times(state.report) == without_wall_times(report)
+        for got, want in zip(state.best_tables, (user_table, item_table)):
+            assert got.values.tobytes() == want.values.tobytes()
+
+    def test_a_stopped_state_runs_no_epoch(self, monkeypatch):
+        split = small_split()
+        state = TrainState(split, base_config(max_epochs=1))
+        assert trainer.fit_epoch(split, state)
+        monkeypatch.setattr(trainer, "train_epoch", None)  # an epoch would raise TypeError
+        assert not trainer.fit_epoch(split, state)
+        assert state.report.epochs_run == 1
 
 
 class TestReferenceEpoch:
