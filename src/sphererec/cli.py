@@ -93,10 +93,11 @@ def _run_dir(base: Path, cfg) -> Path:
 
 def _evaluate_tables(split, user_table, item_table, cfg, score_mode=None, **evaluate_kwargs):
     """Encode the tables with the run's encoder and rank them (default: cfg.score_mode)."""
-    from .encoders import Encoder
+    from .encoders import Encoder, stack_nodes
     from .evaluation import evaluate
 
-    encoded = Encoder(cfg.encoder, cfg.num_layers, split.train).encode_all(user_table, item_table)
+    node_table = stack_nodes(user_table, item_table, split.num_users, split.num_items)
+    encoded = Encoder(cfg.encoder, cfg.num_layers, split.train).encode_all(node_table)
     return evaluate(split, *encoded, score_mode=score_mode or cfg.score_mode, **evaluate_kwargs)
 
 
@@ -181,6 +182,10 @@ def cmd_sweep(args) -> int:
              for alpha, beta, (gamma_user, gamma_item)
              in itertools.product(args.alpha_values, args.beta_values, gamma_pairs)]
     metric = f"best_val_ndcg@{base_cfg.eval_k_for_stopping}"
+    # an unusable --out fails here, not after the whole grid
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    if args.out.is_dir():
+        raise ValueError(f"--out {args.out} is a directory, not a file")
 
     env_cap = os.environ.get("RAU_NUM_THREADS")  # a positive integer, checked by main
     workers = min(args.workers, int(env_cap)) if env_cap else args.workers
@@ -195,7 +200,6 @@ def cmd_sweep(args) -> int:
     # a fit that scored no validation epoch (--fixed-epochs, --max-epochs 0) cannot be best
     scored = [i for i, row in enumerate(rows) if math.isfinite(row[metric])]
     best_index = max(scored, key=lambda i: rows[i][metric], default=None)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     csv_text = write_csv(args.out, [*rows[0], "best"],
                          [[*row.values(), "*" if index == best_index else None]
                           for index, row in enumerate(rows)])

@@ -1,19 +1,20 @@
 """The id-batch encoder: linear graph propagation, with plain lookup as K = 0.
 
-The graph encoder stacks both embedding tables into one node matrix, applies
-K rounds of symmetric-normalized neighborhood averaging over the training
-bipartite graph, and outputs the mean of layers 0..K. A batch needs layer k
-only on the (K - k)-hop ball around its nodes, so `lightgcn_encode`
-multiplies only those adjacency rows; propagation is linear and the adjacency
-symmetric, so `lightgcn_backward` runs the same hops transposed, outward from
-the batch. Both give, bit for bit, the rows of the full-graph formula, whose
-every round multiplies the whole node matrix (see `_frontiers`). A training
-step builds the balls and hops they walk once (`batch_frontiers`);
-`encode_all` (probe and ranking) is the same forward over every node. With
-K = 0 the output is the raw tables, so the lookup ("mf") encoder is that
-case, served by a plain gather without building the adjacency. Either
-backward gives, per table, the rows the batch reaches and their gradient
-rows only.
+The encoder reads one node matrix: the user rows, then the item rows
+(`stack_nodes`, `split_nodes`; no other module knows this layout). The graph
+encoder applies K rounds of symmetric-normalized neighborhood averaging over
+the training bipartite graph to it and outputs the mean of layers 0..K. A
+batch needs layer k only on the (K - k)-hop ball around its nodes, so
+`lightgcn_encode` multiplies only those adjacency rows; propagation is
+linear and the adjacency symmetric, so `lightgcn_backward` runs the same hops
+transposed, outward from the batch. Both give, bit for bit, the rows of the
+full-graph formula, whose every round multiplies the whole node matrix (see
+`_frontiers`). A training step builds the balls and hops they walk once
+(`batch_frontiers`); `encode_all` (probe and ranking) is the same forward
+over every node. With K = 0 the output is the raw node matrix, so the lookup
+("mf") encoder is that case, served by a plain gather without building the
+adjacency. Either backward gives the node rows the batch reaches and their
+gradient rows only.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .data import InteractionDataset
 from .hypersphere import EmbeddingTable
 
 MAX_LAYERS = 8
+# rows of the last propagation round that `lightgcn_encode` multiplies at once
+PROPAGATE_BLOCK_ROWS = 1024
 
 
 # perfbench/ builds this to encode a loaded checkpoint and reads its num_layers
@@ -152,6 +155,33 @@ def _frontiers(adj: NormalizedAdjacency, nodes: np.ndarray,
     return balls, hops
 
 
+def _node_ids(user_ids, item_ids, num_users: int, num_items: int):
+    """The batch's ids, each checked against its side's count, as node ids (items follow users)."""
+    return (_checked_ids(user_ids, num_users, "user id"),
+            num_users + _checked_ids(item_ids, num_items, "item id"))
+
+
+def stack_nodes(user_table: EmbeddingTable, item_table: EmbeddingTable,
+                num_users: int, num_items: int) -> EmbeddingTable:
+    """The node table of a user and an item table: the user rows, then the item rows.
+
+    Raises ValueError unless the tables have `num_users` and `num_items`
+    rows (the training part's, which the graph is built from) of one
+    dimensionality.
+    """
+    if len(user_table.values) != num_users or len(item_table.values) != num_items:
+        raise ValueError(f"tables have {len(user_table.values)} users / {len(item_table.values)} "
+                         f"items, the training part has {num_users} / {num_items}")
+    if user_table.values.shape[1] != item_table.values.shape[1]:
+        raise ValueError("user and item tables must share one dimensionality")
+    return EmbeddingTable(np.concatenate([user_table.values, item_table.values]))
+
+
+def split_nodes(node_rows: np.ndarray, num_users: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows over every node, as views of the user rows and of the item rows."""
+    return node_rows[:num_users], node_rows[num_users:]
+
+
 def batch_frontiers(adj: NormalizedAdjacency, cfg: GraphEncoderConfig, user_ids, item_ids):
     """What `lightgcn_encode` and `lightgcn_backward` both build for one batch.
 
@@ -160,74 +190,68 @@ def batch_frontiers(adj: NormalizedAdjacency, cfg: GraphEncoderConfig, user_ids,
     around them to depth K. A training step builds them once and passes
     them to both; neither function writes to them.
     """
-    user_ids = _checked_ids(user_ids, adj.num_users, "user id")
-    item_ids = _checked_ids(item_ids, adj.num_items, "item id")
-    nodes, where = np.unique(np.concatenate([user_ids, adj.num_users + item_ids]),
-                             return_inverse=True)
-    return (nodes, where[:user_ids.size], where[user_ids.size:],
+    user_nodes, item_nodes = _node_ids(user_ids, item_ids, adj.num_users, adj.num_items)
+    nodes, where = np.unique(np.concatenate([user_nodes, item_nodes]), return_inverse=True)
+    return (nodes, where[:user_nodes.size], where[user_nodes.size:],
             *_frontiers(adj, nodes, cfg.num_layers))
 
 
-def lightgcn_encode(
-    user_table: EmbeddingTable,
-    item_table: EmbeddingTable,
-    adj: NormalizedAdjacency,
-    cfg: GraphEncoderConfig,
-    user_ids: np.ndarray,
-    item_ids: np.ndarray,
-    frontiers: tuple,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagated representations for the requested user and item ids.
+def _every_node(adj: NormalizedAdjacency, cfg: GraphEncoderConfig) -> tuple:
+    """`batch_frontiers` of the batch of every user, then every item, once each.
 
-    `frontiers` is the `batch_frontiers` of the same ids. Layer K is computed
-    only at the batch's nodes and layer k < K only on the (K - k)-hop ball
-    around them, so each output row has the bits of that node's row of the
-    full-graph formula.
+    The ids' positions are slices, so `lightgcn_encode` returns views of its
+    mean instead of copies.
     """
-    if len(user_table.values) != adj.num_users or len(item_table.values) != adj.num_items:
-        raise ValueError(
-            f"adjacency built for {adj.num_users} users / {adj.num_items} items, "
-            f"tables have {len(user_table.values)} / {len(item_table.values)}"
-        )
-    if user_table.values.shape[1] != item_table.values.shape[1]:
-        raise ValueError("user and item tables must share one dimensionality")
-    nodes, user_pos, item_pos, balls, hops = frontiers
+    nodes = np.arange(adj.size)
+    return (nodes, slice(0, adj.num_users), slice(adj.num_users, None),
+            *_frontiers(adj, nodes, cfg.num_layers))
+
+
+def lightgcn_encode(node_matrix: np.ndarray, cfg: GraphEncoderConfig,
+                    frontiers: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Propagated representations of a batch's user and item ids, from the node matrix.
+
+    `frontiers` is the batch's `batch_frontiers`. Layer K is computed only
+    at the batch's nodes and layer k < K only on the (K - k)-hop ball around
+    them, so each output row has the bits of that node's row of the
+    full-graph formula. A ball of every node reads `node_matrix` as it is, a
+    ball that is the batch adds into the mean without a gather, and layer K
+    is added a block of PROPAGATE_BLOCK_ROWS rows at a time; so the encode
+    of every node holds the mean and one whole layer, not two.
+    """
+    batch, user_pos, item_pos, balls, hops = frontiers
     outer = balls[-1]
-    first_item = np.searchsorted(outer, adj.num_users)
-    layer = np.concatenate([user_table.values[outer[:first_item]],
-                            item_table.values[outer[first_item:] - adj.num_users]])
-    acc = layer[np.searchsorted(outer, nodes)]
-    for ball, hop in zip(balls[-2::-1], hops[::-1]):
+    layer = node_matrix if outer.size == len(node_matrix) else node_matrix[outer]
+    acc = layer[np.searchsorted(outer, batch)]
+    for ball, hop in zip(balls[-2:0:-1], hops[:0:-1]):
         layer = hop @ layer
-        acc += layer[np.searchsorted(ball, nodes)]
+        acc += layer if ball.size == batch.size else layer[np.searchsorted(ball, batch)]
+    for start in range(0, batch.size if hops else 0, PROPAGATE_BLOCK_ROWS):
+        block = slice(start, start + PROPAGATE_BLOCK_ROWS)
+        acc[block] += hops[0][block] @ layer  # layer K's rows are the batch's, in order
     acc /= cfg.num_layers + 1
     return acc[user_pos], acc[item_pos]
 
 
 # perfbench/ calls and wraps this by name and reads `cfg` at position 3
-def lightgcn_propagate(
-    user_table: EmbeddingTable,
-    item_table: EmbeddingTable,
-    adj: NormalizedAdjacency,
-    cfg: GraphEncoderConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every user's and every item's representation: `lightgcn_encode` over all ids."""
-    user_ids, item_ids = np.arange(adj.num_users), np.arange(adj.num_items)
-    return lightgcn_encode(user_table, item_table, adj, cfg, user_ids, item_ids,
-                           batch_frontiers(adj, cfg, user_ids, item_ids))
+def lightgcn_propagate(user_table: EmbeddingTable, item_table: EmbeddingTable,
+                       adj: NormalizedAdjacency,
+                       cfg: GraphEncoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's and every item's representation of two tables from outside a fit.
+
+    `lightgcn_encode` over every node of their `stack_nodes`, which checks
+    the tables against the adjacency.
+    """
+    node_table = stack_nodes(user_table, item_table, adj.num_users, adj.num_items)
+    return lightgcn_encode(node_table.values, cfg, _every_node(adj, cfg))
 
 
-# perfbench/ reads `adj`, `cfg` and `grad_users` at positions 0, 1 and 4
-def lightgcn_backward(
-    adj: NormalizedAdjacency,
-    cfg: GraphEncoderConfig,
-    user_ids: np.ndarray,
-    item_ids: np.ndarray,
-    grad_users: np.ndarray,
-    grad_items: np.ndarray,
-    frontiers: tuple,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Gradient of lightgcn_encode outputs back to the raw tables, as (rows, grads) per table.
+# perfbench/ wraps this with this signature and reads `adj`, `cfg` and `grad_users` at
+# positions 0, 1 and 4; the batch comes from `frontiers`, so the ids are not read
+def lightgcn_backward(adj: NormalizedAdjacency, cfg: GraphEncoderConfig, user_ids, item_ids,
+                      grad_users: np.ndarray, grad_items: np.ndarray,
+                      frontiers: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of lightgcn_encode outputs back to the node matrix, as (rows, grads).
 
     The rows are the K-hop ball around the batch, outside which the gradient
     is zero. Sums the batch gradients onto the batch's nodes (repeated ids
@@ -239,8 +263,8 @@ def lightgcn_backward(
     node sums its rounds in the full-graph order and gets the same bits.
     `frontiers` is as in `lightgcn_encode`.
     """
-    nodes, user_pos, item_pos, balls, hops = frontiers
-    grad = np.zeros((nodes.size, grad_users.shape[1]))
+    batch, user_pos, item_pos, balls, hops = frontiers
+    grad = np.zeros((batch.size, grad_users.shape[1]))
     _add_rows(grad, user_pos, grad_users)
     _add_rows(grad, item_pos, grad_items)
     rounds = [grad]
@@ -250,9 +274,7 @@ def lightgcn_backward(
         rounds[j][np.searchsorted(balls[j], balls[j - 1])] += rounds[j - 1]
     acc = rounds[-1]
     acc /= cfg.num_layers + 1
-    first_item = np.searchsorted(balls[-1], adj.num_users)
-    return ((balls[-1][:first_item], acc[:first_item]),
-            (balls[-1][first_item:] - adj.num_users, acc[first_item:]))
+    return balls[-1], acc
 
 
 class Encoder:
@@ -260,7 +282,8 @@ class Encoder:
 
     "mf" is the graph encoder with K = 0; "lightgcn" uses `num_layers` rounds.
     With K = 0 every method takes the lookup path (mf_encode, scatter_rows)
-    and no adjacency is built. The layer functions are looked up by module
+    and no adjacency is built. Every method reads or returns rows of the
+    node table (`stack_nodes`). The layer functions are looked up by module
     name at each call, so replacing them on the module reaches this class too.
     """
 
@@ -270,36 +293,37 @@ class Encoder:
         self.num_items = train.num_items
         self.adjacency = build_norm_adjacency(train) if self.cfg.num_layers else None
 
-    def encode_all(self, user_table: EmbeddingTable,
-                   item_table: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
+    def encode_all(self, node_table: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
         """Representations of every user and every item."""
         if self.adjacency is None:
-            return user_table.values, item_table.values
-        return lightgcn_propagate(user_table, item_table, self.adjacency, self.cfg)
+            return split_nodes(node_table.values, self.num_users)
+        return lightgcn_encode(node_table.values, self.cfg, _every_node(self.adjacency, self.cfg))
 
-    def frontiers(self, user_ids: np.ndarray, item_ids: np.ndarray) -> tuple | None:
-        """The batch's `batch_frontiers`, for one `encode` and `backward` pair; None for K = 0."""
-        if self.adjacency is None:
-            return None
-        return batch_frontiers(self.adjacency, self.cfg, user_ids, item_ids)
+    def frontiers(self, user_ids: np.ndarray, item_ids: np.ndarray) -> tuple:
+        """What the batch's `encode` and `backward` share.
 
-    def encode(self, user_table: EmbeddingTable, item_table: EmbeddingTable,
-               user_ids: np.ndarray, item_ids: np.ndarray,
-               frontiers: tuple | None) -> tuple[np.ndarray, np.ndarray]:
-        """Representations of the requested ids (ids may repeat), given their `frontiers`."""
-        if self.adjacency is None:
-            return mf_encode(user_table, user_ids), mf_encode(item_table, item_ids)
-        return lightgcn_encode(user_table, item_table, self.adjacency, self.cfg,
-                               user_ids, item_ids, frontiers)
-
-    def backward(self, user_ids: np.ndarray, item_ids: np.ndarray, grad_users: np.ndarray,
-                 grad_items: np.ndarray, frontiers: tuple | None) -> tuple[tuple, tuple]:
-        """Table gradients from the gradients of an `encode` output, as (rows, grads) per side.
-
-        `rows` are the rows the batch reaches, strictly increasing; other rows' gradients are 0.
+        For K = 0, its checked (user, item) node ids; otherwise its `batch_frontiers`.
         """
         if self.adjacency is None:
-            return (scatter_rows(grad_users, user_ids, self.num_users),
-                    scatter_rows(grad_items, item_ids, self.num_items))
-        return lightgcn_backward(self.adjacency, self.cfg, user_ids, item_ids,
-                                 grad_users, grad_items, frontiers)
+            return _node_ids(user_ids, item_ids, self.num_users, self.num_items)
+        return batch_frontiers(self.adjacency, self.cfg, user_ids, item_ids)
+
+    def encode(self, node_table: EmbeddingTable, frontiers: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Representations of a batch's user and item ids (ids may repeat), given `frontiers`."""
+        if self.adjacency is None:
+            user_nodes, item_nodes = frontiers
+            return mf_encode(node_table, user_nodes), mf_encode(node_table, item_nodes)
+        return lightgcn_encode(node_table.values, self.cfg, frontiers)
+
+    def backward(self, grad_users: np.ndarray, grad_items: np.ndarray,
+                 frontiers: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The node table's gradient from the gradients of an `encode` output, as (rows, grads).
+
+        `rows` are the node rows the batch reaches, strictly increasing; other rows' gradients
+        are 0.
+        """
+        if self.adjacency is None:
+            return scatter_rows(np.concatenate([grad_users, grad_items]), np.concatenate(frontiers),
+                                self.num_users + self.num_items)
+        return lightgcn_backward(self.adjacency, self.cfg, None, None, grad_users, grad_items,
+                                 frontiers)

@@ -130,7 +130,7 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class AdamState:
-    """Per-parameter Adam moments plus the shared step counter: all the optimizer's state.
+    """Per-parameter Adam moments plus the step counter: all the optimizer's state.
 
     `adam_step`'s intermediates live in a `losses.Workspace`, so saving or
     restoring a state carries these three fields and nothing else.
@@ -243,25 +243,30 @@ class TrainReport:
 class TrainState:
     """The whole state of a fit, which `fit_epoch` advances by one epoch.
 
-    It holds the tables and their Adam states, the seeds, the encoder, the
-    probe sample, the step workspace, the `report` of the epochs run and
-    `best_tables`, copies of the tables at the report's best epoch (None
-    until an epoch is kept, and always with fixed_epochs, whose result is
-    the live tables). The shuffle and negative generators are re-seeded
-    from `[root, epoch]` every epoch, so no generator state is kept.
+    It holds the node table (`encoders.stack_nodes` of the user and the item
+    table) and its Adam state, the seeds, the encoder, the probe sample, the
+    step workspace, the `report` of the epochs run and `best_table`, a copy
+    of the node table at the report's best epoch (None until an epoch is
+    kept, and always with fixed_epochs, whose result is the live table).
+    The shuffle and negative generators are re-seeded from `[root, epoch]`
+    every epoch, so no generator state is kept.
+
+    Building a state checks that the split is trainable under `cfg`, so
+    `fit_epoch` can advance every state there is.
     """
 
     def __init__(self, split: SplitDataset, cfg: TrainConfig):
         started = time.perf_counter()
+        _check_trainable(split, cfg)
         self.cfg = cfg
         root = np.random.SeedSequence(cfg.seed)
         user_seed, item_seed, probe_seed, shuffle_root, negative_root = (
             int(s) for s in root.generate_state(5)
         )
-        self.user_table = init_xavier(split.num_users, cfg.dim, user_seed)
-        self.item_table = init_xavier(split.num_items, cfg.dim, item_seed)
-        self.user_adam = AdamState.like(self.user_table.values)
-        self.item_adam = AdamState.like(self.item_table.values)
+        self.node_table = encoders.stack_nodes(init_xavier(split.num_users, cfg.dim, user_seed),
+                                               init_xavier(split.num_items, cfg.dim, item_seed),
+                                               split.num_users, split.num_items)
+        self.adam = AdamState.like(self.node_table.values)
         # one step's buffers (the loss's, Adam's and the probe's kernel blocks) for the whole fit
         self.workspace = losses.Workspace(cfg.batch_size, cfg.dim)
         self.shuffle_root = shuffle_root
@@ -283,16 +288,27 @@ class TrainState:
         self.probe_items = np.sort(
             probe_rng.permutation(split.num_items)[:min(PROBE_LIMIT, split.num_items)]
         )
-        self.best_tables: tuple[EmbeddingTable, EmbeddingTable] | None = None
+        self.best_table: EmbeddingTable | None = None
         self.report = TrainReport(total_time_s=time.perf_counter() - started)
 
 
-def _check_negatives_exist(split: SplitDataset) -> None:
-    """Raise where full-history _sample_negatives could never accept a draw."""
-    saturated = np.flatnonzero(np.diff(split.train.user_indptr) >= split.num_items)
-    if saturated.size:
-        raise ValueError(f"user {int(saturated[0])} has every item in its training history, "
-                         "so bpr_full_history_rejection can draw no negative for it")
+def _check_trainable(split: SplitDataset, cfg: TrainConfig) -> None:
+    """Raise ValueError where a fit of `split` under `cfg` could not run its epochs."""
+    if not cfg.fixed_epochs and split.validation.num_interactions == 0:
+        raise ValueError(
+            "validation split is empty so early stopping is impossible; "
+            "set fixed_epochs=True (CLI: --fixed-epochs) to train for max_epochs"
+        )
+    if split.num_users < 2 or split.num_items < 2:
+        raise ValueError("training needs at least 2 users and at least 2 items (the probe "
+                         "compares distinct rows of each table, bpr draws a negative item), "
+                         f"the split has {split.num_users} users and {split.num_items} items")
+    if cfg.objective == "bpr" and cfg.bpr_full_history_rejection:
+        # full-history _sample_negatives could never accept a draw for a saturated user
+        saturated = np.flatnonzero(np.diff(split.train.user_indptr) >= split.num_items)
+        if saturated.size:
+            raise ValueError(f"user {int(saturated[0])} has every item in its training history, "
+                             "so bpr_full_history_rejection can draw no negative for it")
 
 
 def _train_keys(split: SplitDataset) -> frozenset[int]:
@@ -341,7 +357,7 @@ def _sample_negatives(batch_items: np.ndarray, split: SplitDataset, user_ids: np
 
 def _probe_diagnostics(state: TrainState, encoded: tuple[np.ndarray, np.ndarray], epoch: int,
                        wall_time_s: float) -> EpochDiagnostics:
-    """Diagnostics of the probe sample, read from `encoded`, the tables' `encode_all`."""
+    """Diagnostics of the probe sample, read from `encoded`, the node table's `encode_all`."""
     all_users, all_items = encoded
     pair_users = l2_normalize(all_users[state.probe_pair_users])
     pair_items = l2_normalize(all_items[state.probe_pair_items])
@@ -369,13 +385,12 @@ def train_epoch(split: SplitDataset, state: TrainState,
 
     epoch_index is 1-based and seeds both the batch shuffle and (for the
     ranking objective) the per-epoch negative draws. Every batch is one
-    encode, one loss, one backward and one Adam update.
+    encode, one loss, one backward and one Adam update of the node table.
     """
     started = time.perf_counter()
     cfg = state.cfg
     weights = cfg.effective_weights()
     negative_rng = np.random.default_rng([state.negative_root, epoch_index])
-    tables = (state.user_table, state.user_adam), (state.item_table, state.item_adam)
     for batch in epoch_batches(split.train, cfg.batch_size, [state.shuffle_root, epoch_index]):
         user_ids, item_ids = batch.user_indices, batch.item_indices
         if weights is None:
@@ -383,8 +398,7 @@ def train_epoch(split: SplitDataset, state: TrainState,
             item_ids = np.concatenate([item_ids, _sample_negatives(
                 item_ids, split, user_ids, negative_rng, state.train_keys)])
         frontiers = state.encoder.frontiers(user_ids, item_ids)
-        user_vecs, item_vecs = state.encoder.encode(state.user_table, state.item_table,
-                                                    user_ids, item_ids, frontiers)
+        user_vecs, item_vecs = state.encoder.encode(state.node_table, frontiers)
         if weights is None:
             _, grad_users, *grad_pos_neg = losses.bpr_loss_and_gradient(
                 user_vecs, *np.split(item_vecs, 2))
@@ -392,11 +406,11 @@ def train_epoch(split: SplitDataset, state: TrainState,
         else:
             _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights,
                                                                      state.workspace)
-        table_grads = state.encoder.backward(user_ids, item_ids, grad_users, grad_items, frontiers)
-        for (table, adam), (rows, grad) in zip(tables, table_grads):
-            adam_step(table.values, grad, adam, cfg.lr, cfg.weight_decay, rows, state.workspace)
+        rows, grads = state.encoder.backward(grad_users, grad_items, frontiers)
+        adam_step(state.node_table.values, grads, state.adam, cfg.lr, cfg.weight_decay, rows,
+                  state.workspace)
     wall_time_s = time.perf_counter() - started
-    encoded = state.encoder.encode_all(state.user_table, state.item_table)
+    encoded = state.encoder.encode_all(state.node_table)
     return _probe_diagnostics(state, encoded, epoch_index, wall_time_s), encoded
 
 
@@ -407,7 +421,7 @@ def fit_epoch(split: SplitDataset, state: TrainState) -> bool:
     epochs have passed since the best one. The rule reads only the state,
     so a copy of the state goes on as the original would. An epoch is the
     `train_epoch` pass, then, unless fixed_epochs, validation NDCG@K and a
-    copy of the tables when it beats the best so far (a tie does not).
+    copy of the node table when it beats the best so far (a tie does not).
     """
     started = time.perf_counter()
     cfg, report = state.cfg, state.report
@@ -426,7 +440,7 @@ def fit_epoch(split: SplitDataset, state: TrainState) -> bool:
         report.val_history.append(entry)
         if entry[f"ndcg@{k}"] > (report.best_val[f"ndcg@{k}"] if report.best_val else -np.inf):
             report.best_epoch, report.best_val = epoch, entry
-            state.best_tables = state.user_table.copy(), state.item_table.copy()
+            state.best_table = state.node_table.copy()
     report.total_time_s += time.perf_counter() - started
     return True
 
@@ -437,24 +451,16 @@ def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTa
     "Stops improving" means no new best value (a tie is none) for `patience`
     consecutive validation evaluations (run once per epoch). Returns the
     report plus the best-epoch tables; with fixed_epochs the validation part
-    is ignored and the final tables are returned.
+    is ignored and the final tables are returned. The node table is split
+    into the user and the item table only here.
     """
-    if not cfg.fixed_epochs and split.validation.num_interactions == 0:
-        raise ValueError(
-            "validation split is empty so early stopping is impossible; "
-            "set fixed_epochs=True (CLI: --fixed-epochs) to train for max_epochs"
-        )
-    if split.num_users < 2 or split.num_items < 2:
-        raise ValueError("training needs at least 2 users and at least 2 items (the probe "
-                         "compares distinct rows of each table, bpr draws a negative item), "
-                         f"the split has {split.num_users} users and {split.num_items} items")
-    if cfg.objective == "bpr" and cfg.bpr_full_history_rejection:
-        _check_negatives_exist(split)
     state = TrainState(split, cfg)
     while fit_epoch(split, state):
         pass
-    # with fixed_epochs or max_epochs = 0 no epoch was kept: copy() re-checks finiteness
-    return state.report, *(state.best_tables or (state.user_table.copy(), state.item_table.copy()))
+    # with fixed_epochs or max_epochs = 0 no epoch was kept, so the live table is copied;
+    # each returned EmbeddingTable re-checks finiteness
+    best = state.best_table.values if state.best_table else state.node_table.values.copy()
+    return state.report, *map(EmbeddingTable, encoders.split_nodes(best, split.num_users))
 
 
 def write_diagnostics_csv(report: TrainReport, path, stopping_k: int) -> None:

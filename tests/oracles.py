@@ -275,13 +275,16 @@ def dense_adjacency(train):
 def reference_train_epoch(split, state, epoch_index):
     """One `trainer.train_epoch` pass written out on whole tables, mutating `state`.
 
-    `state` is a `trainer.TrainState`; its tables, Adam states, seeds and
-    config are used. Batches and negatives are drawn from `fit`'s seeds
-    (`reference_negatives` for bpr), the losses are the package's, and every
-    step scatters into full-table gradients with `np.add.at` and updates with
-    `reference_adam_step`. With `lightgcn` the whole node matrix is propagated
-    by a dense matrix product (`dense_adjacency`), which sums in another order
-    than the package's sparse rows, so only `mf` can match it to the bit.
+    `state` is a `trainer.TrainState`; its node table (the user rows, then
+    the item rows), Adam state, seeds and config are used. Batches and
+    negatives are drawn from `fit`'s seeds (`reference_negatives` for bpr),
+    the losses are the package's, and every step scatters into full-table
+    gradients with `np.add.at`. The user and the item table then take one
+    `reference_adam_step` each, on their row ranges of the node table and of
+    its moments, as two tables with two Adam states would. With `lightgcn`
+    the whole node matrix is propagated by a dense matrix product
+    (`dense_adjacency`), which sums in another order than the package's
+    sparse rows, so only `mf` can match it to the bit.
     """
     from sphererec import losses
 
@@ -309,7 +312,7 @@ def reference_train_epoch(split, state, epoch_index):
         if weights is None:
             item_ids = np.concatenate([item_ids, reference_negatives(
                 item_ids, split, user_ids, negative_rng, cfg.bpr_full_history_rejection)])
-        encoded = layer_mean(np.vstack([state.user_table.values, state.item_table.values]))
+        encoded = layer_mean(state.node_table.values)
         user_vecs, item_vecs = encoded[user_ids], encoded[num_users + item_ids]
         if weights is None:
             _, grad_users, grad_pos, grad_neg = losses.bpr_loss_and_gradient(
@@ -321,10 +324,14 @@ def reference_train_epoch(split, state, epoch_index):
         np.add.at(scattered, user_ids, grad_users)
         np.add.at(scattered, num_users + item_ids, grad_items)
         grads = layer_mean(scattered)  # the adjacency is symmetric
-        reference_adam_step(state.user_table.values, grads[:num_users], state.user_adam,
-                            cfg.lr, cfg.weight_decay)
-        reference_adam_step(state.item_table.values, grads[num_users:], state.item_adam,
-                            cfg.lr, cfg.weight_decay)
+        step_count = state.adam.step_count
+        for side in (slice(None, num_users), slice(num_users, None)):
+            side_adam = SimpleNamespace(first_moment=state.adam.first_moment[side],
+                                        second_moment=state.adam.second_moment[side],
+                                        step_count=step_count)
+            reference_adam_step(state.node_table.values[side], grads[side], side_adam,
+                                cfg.lr, cfg.weight_decay)
+            state.adam.step_count = side_adam.step_count
 
 
 def reference_dataset(num_users, num_items, pairs):

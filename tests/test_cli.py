@@ -307,6 +307,39 @@ class TestSweepCommand:
 
         assert run("seq.csv", 1) == run("par.csv", 2)
 
+    @pytest.mark.parametrize("where", ["a-directory", "under-a-file"])
+    def test_unusable_out_exits_2_before_fitting(self, synthetic_tsv, tmp_path, capsys,
+                                                 monkeypatch, where):
+        # both used to fail only after every grid point had been fitted
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran although --out cannot be written")
+
+        monkeypatch.setattr(trainer, "fit", no_fit)
+        blocker = tmp_path / "blocker"
+        if where == "a-directory":
+            blocker.mkdir()
+            out = blocker
+        else:
+            blocker.write_text("not a directory\n")
+            out = blocker / "s.csv"
+        argv = train_args(synthetic_tsv, tmp_path / "unused")
+        argv[0] = "sweep"
+        argv += ["--alpha-values", "0.0", "0.5", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert str(blocker) in capsys.readouterr().err
+
+    def test_out_parent_is_created_before_fitting(self, synthetic_tsv, tmp_path, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise ValueError("no fit in this test")
+
+        monkeypatch.setattr(trainer, "fit", failing_fit)
+        out = tmp_path / "new" / "nested" / "s.csv"
+        argv = train_args(synthetic_tsv, tmp_path / "unused")
+        argv[0] = "sweep"
+        argv += ["--out", str(out)]
+        assert cli.main(argv) == 2
+        assert out.parent.is_dir() and not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_exits_2_before_any_fit(self, synthetic_tsv, tmp_path,
                                                       monkeypatch, capsys, workers):

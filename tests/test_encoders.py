@@ -18,6 +18,13 @@ def toy_graph():
     return ds, encoders.build_norm_adjacency(ds)
 
 
+def graph_encode(user_table, item_table, adj, cfg, user_ids, item_ids):
+    """`lightgcn_encode` of one batch, from the node matrix of the two tables."""
+    node_table = encoders.stack_nodes(user_table, item_table, adj.num_users, adj.num_items)
+    return encoders.lightgcn_encode(node_table.values, cfg,
+                                    encoders.batch_frontiers(adj, cfg, user_ids, item_ids))
+
+
 class TestMfEncode:
     def test_repeated_ids_gather_same_row(self):
         table = init_xavier(4, 3, seed=0)
@@ -111,8 +118,7 @@ class TestLightgcnEncode:
         user_table = init_xavier(2, 4, seed=1)
         item_table = init_xavier(3, 4, seed=2)
         cfg = encoders.GraphEncoderConfig(num_layers=0)
-        got_u, got_i = encoders.lightgcn_encode(user_table, item_table, adj, cfg, [0, 1], [2, 0],
-                                                encoders.batch_frontiers(adj, cfg, [0, 1], [2, 0]))
+        got_u, got_i = graph_encode(user_table, item_table, adj, cfg, [0, 1], [2, 0])
         np.testing.assert_array_equal(got_u, encoders.mf_encode(user_table, [0, 1]))
         np.testing.assert_array_equal(got_i, encoders.mf_encode(item_table, [2, 0]))
 
@@ -122,8 +128,7 @@ class TestLightgcnEncode:
         user_table = EmbeddingTable(np.array([[1.0, 0.0]]))
         item_table = EmbeddingTable(np.array([[0.0, 1.0]]))
         cfg = encoders.GraphEncoderConfig(num_layers=1)
-        got_u, got_i = encoders.lightgcn_encode(user_table, item_table, adj, cfg, [0], [0],
-                                                encoders.batch_frontiers(adj, cfg, [0], [0]))
+        got_u, got_i = graph_encode(user_table, item_table, adj, cfg, [0], [0])
         np.testing.assert_allclose(got_u, [[0.5, 0.5]])
         np.testing.assert_allclose(got_i, [[0.5, 0.5]])
 
@@ -133,8 +138,7 @@ class TestLightgcnEncode:
         item_table = EmbeddingTable(np.zeros((3, 3)))
         for k in (0, 1, 3):
             cfg = encoders.GraphEncoderConfig(num_layers=k)
-            got_u, got_i = encoders.lightgcn_encode(user_table, item_table, adj, cfg, [0], [1],
-                                                    encoders.batch_frontiers(adj, cfg, [0], [1]))
+            got_u, got_i = graph_encode(user_table, item_table, adj, cfg, [0], [1])
             np.testing.assert_array_equal(got_u, 0.0)
             np.testing.assert_array_equal(got_i, 0.0)
 
@@ -147,10 +151,8 @@ class TestLightgcnEncode:
         a, b = 0.6, -1.7
 
         def encode(u_values, i_values):
-            return encoders.lightgcn_encode(
-                EmbeddingTable(u_values), EmbeddingTable(i_values),
-                adj, cfg, [0, 1], [0, 2], encoders.batch_frontiers(adj, cfg, [0, 1], [0, 2]),
-            )
+            return graph_encode(EmbeddingTable(u_values), EmbeddingTable(i_values),
+                                adj, cfg, [0, 1], [0, 2])
 
         direct_u, direct_i = encode(a * ux + b * uy, a * ix + b * iy)
         from_x = encode(ux, ix)
@@ -159,17 +161,20 @@ class TestLightgcnEncode:
         np.testing.assert_allclose(direct_i, a * from_x[1] + b * from_y[1], atol=1e-8)
 
     def test_dimension_mismatch(self):
+        # tables from outside a fit are checked against the adjacency as they are stacked
         ds, adj = toy_graph()
         cfg = encoders.GraphEncoderConfig()
-        with pytest.raises(ValueError, match="adjacency"):
-            encoders.lightgcn_encode(init_xavier(5, 4, 0), init_xavier(3, 4, 1), adj, cfg,
-                                     [0], [0], encoders.batch_frontiers(adj, cfg, [0], [0]))
+        with pytest.raises(ValueError, match=r"^tables have 5 users / 3 items, the training "
+                                             r"part has 2 / 3$"):
+            encoders.lightgcn_propagate(init_xavier(5, 4, 0), init_xavier(3, 4, 1), adj, cfg)
+        with pytest.raises(ValueError, match="one dimensionality"):
+            encoders.lightgcn_propagate(init_xavier(2, 4, 0), init_xavier(3, 5, 1), adj, cfg)
 
 
 def full_tables(adj, backward):
-    """A backward's ((user_rows, user_grads), (item_rows, item_grads)) as two full tables."""
-    return tuple(oracles.full_table_gradient(rows, grads, num_rows)
-                 for (rows, grads), num_rows in zip(backward, (adj.num_users, adj.num_items)))
+    """A backward's (node rows, their gradients) as the full user and item table gradients."""
+    rows, grads = backward
+    return encoders.split_nodes(oracles.full_table_gradient(rows, grads, adj.size), adj.num_users)
 
 
 class TestLightgcnGradient:
@@ -186,16 +191,12 @@ class TestLightgcnGradient:
         frontiers = encoders.batch_frontiers(adj, cfg, user_ids, item_ids)
 
         def loss_from_tables(u_values, i_values):
-            batch_u, batch_i = encoders.lightgcn_encode(
-                EmbeddingTable(u_values), EmbeddingTable(i_values),
-                adj, cfg, user_ids, item_ids, frontiers,
-            )
+            batch_u, batch_i = encoders.lightgcn_encode(np.vstack([u_values, i_values]), cfg,
+                                                        frontiers)
             return losses.rau_loss_and_gradient(batch_u, batch_i, weights)[0].total
 
-        batch_u, batch_i = encoders.lightgcn_encode(
-            EmbeddingTable(user_values), EmbeddingTable(item_values),
-            adj, cfg, user_ids, item_ids, frontiers,
-        )
+        batch_u, batch_i = encoders.lightgcn_encode(np.vstack([user_values, item_values]), cfg,
+                                                    frontiers)
         _, grad_batch_u, grad_batch_i = losses.rau_loss_and_gradient(batch_u, batch_i, weights)
         grad_user_table, grad_item_table = full_tables(adj, encoders.lightgcn_backward(
             adj, cfg, user_ids, item_ids, grad_batch_u, grad_batch_i, frontiers
@@ -206,13 +207,16 @@ class TestLightgcnGradient:
         assert max_relative_error(grad_item_table, fd_item) <= 1e-4
 
 
+OUT_OF_RANGE_BATCHES = pytest.mark.parametrize("user_ids, item_ids, message", [
+    ([2], [0], r"^user id out of range \[0, 2\)$"),  # would land on item 0's node
+    ([-1], [0], r"^user id out of range \[0, 2\)$"),
+    ([0], [-1], r"^item id out of range \[0, 3\)$"),  # would land on the last user's node
+    ([0], [3], r"^item id out of range \[0, 3\)$"),
+], ids=["user-past-end", "negative-user", "negative-item", "item-past-end"])
+
+
 class TestLightgcnBackward:
-    @pytest.mark.parametrize("user_ids, item_ids, message", [
-        ([2], [0], r"^user id out of range \[0, 2\)$"),  # would land on item 0's node
-        ([-1], [0], r"^user id out of range \[0, 2\)$"),
-        ([0], [-1], r"^item id out of range \[0, 3\)$"),  # would land on the last user's node
-        ([0], [3], r"^item id out of range \[0, 3\)$"),
-    ], ids=["user-past-end", "negative-user", "negative-item", "item-past-end"])
+    @OUT_OF_RANGE_BATCHES
     def test_rejects_out_of_range_ids(self, user_ids, item_ids, message):
         _, adj = toy_graph()
         cfg = encoders.GraphEncoderConfig(num_layers=2)
@@ -259,9 +263,9 @@ class TestBatchRestrictedPropagation:
                                                                 *grads)
         # a training step's one set of frontiers serves the forward, then the backward
         frontiers = encoders.batch_frontiers(adj, cfg, user_ids, item_ids)
+        node_matrix = np.vstack([user_table.values, item_table.values])
         pairs = [
-            (encoders.lightgcn_encode(user_table, item_table, adj, cfg, user_ids, item_ids,
-                                      frontiers), expected_encode),
+            (encoders.lightgcn_encode(node_matrix, cfg, frontiers), expected_encode),
             (full_tables(adj, encoders.lightgcn_backward(adj, cfg, user_ids, item_ids, *grads,
                                                          frontiers)), expected_backward),
             (encoders.lightgcn_propagate(user_table, item_table, adj, cfg),
@@ -274,6 +278,30 @@ class TestBatchRestrictedPropagation:
                 assert got_part.tobytes() == expected_part.tobytes()
 
 
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_last_round_in_blocks_keeps_the_bits(self, monkeypatch, num_layers):
+        # blocks of 7 rows split every node's last round in 100 places, one of them
+        # inside the block that holds the last user and the first item (400 = 57 * 7 + 1)
+        monkeypatch.setattr(encoders, "PROPAGATE_BLOCK_ROWS", 7)
+        _, adj = random_graph(400, 300, 900, seed=3)
+        cfg = encoders.GraphEncoderConfig(num_layers=num_layers)
+        rng = np.random.default_rng(num_layers)
+        user_table = EmbeddingTable(rng.normal(size=(400, 8)))
+        item_table = EmbeddingTable(rng.normal(size=(300, 8)))
+        user_ids, item_ids = rng.integers(400, size=64), rng.integers(300, size=64)
+        pairs = [
+            (encoders.lightgcn_propagate(user_table, item_table, adj, cfg),
+             oracles.reference_layer_mean(adj, cfg, np.vstack([user_table.values,
+                                                               item_table.values]))),
+            (graph_encode(user_table, item_table, adj, cfg, user_ids, item_ids),
+             oracles.reference_lightgcn_encode(user_table, item_table, adj, cfg, user_ids,
+                                               item_ids)),
+        ]
+        for got, expected in pairs:
+            for got_part, expected_part in zip(got, expected):
+                assert got_part.tobytes() == expected_part.tobytes()
+
+
 class TestEncoder:
     def test_lookup_path_equals_graph_path_at_zero_layers(self):
         ds, adj = toy_graph()
@@ -283,30 +311,52 @@ class TestEncoder:
         user_ids, item_ids = np.array([0, 1, 1, 0]), np.array([2, 0, 2, 2])
         grads = np.random.default_rng(4).normal(size=(2, 4, 4))
         graph_frontiers = encoders.batch_frontiers(adj, graph_cfg, user_ids, item_ids)
+        node_table = encoders.stack_nodes(user_table, item_table, 2, 3)
         for name in ("mf", "lightgcn"):
             encoder = encoders.Encoder(name, 0, ds)
             assert encoder.adjacency is None
+            frontiers = encoder.frontiers(user_ids, item_ids)
+            # both backwards give the node rows the batch touches and their gradient rows
             pairs = [
-                (encoder.encode_all(user_table, item_table),
+                (encoder.encode_all(node_table),
                  encoders.lightgcn_propagate(user_table, item_table, adj, graph_cfg)),
-                (encoder.encode(user_table, item_table, user_ids, item_ids,
-                                encoder.frontiers(user_ids, item_ids)),
-                 encoders.lightgcn_encode(user_table, item_table, adj, graph_cfg,
-                                          user_ids, item_ids, graph_frontiers)),
+                (encoder.encode(node_table, frontiers),
+                 encoders.lightgcn_encode(node_table.values, graph_cfg, graph_frontiers)),
+                (encoder.backward(*grads, frontiers),
+                 encoders.lightgcn_backward(adj, graph_cfg, user_ids, item_ids, *grads,
+                                            graph_frontiers)),
             ]
             for lookup, graph in pairs:
-                for lookup_part, graph_part in zip(lookup, graph):
-                    np.testing.assert_array_equal(lookup_part, graph_part)
-            # both backwards give each table's touched rows and their gradient rows
-            for lookup, graph in zip(encoder.backward(user_ids, item_ids, *grads,
-                                                      encoder.frontiers(user_ids, item_ids)),
-                                     encoders.lightgcn_backward(adj, graph_cfg, user_ids,
-                                                                item_ids, *grads,
-                                                                graph_frontiers)):
                 for lookup_part, graph_part in zip(lookup, graph):
                     assert lookup_part.dtype == graph_part.dtype
                     assert lookup_part.shape == graph_part.shape
                     assert lookup_part.tobytes() == graph_part.tobytes()
+
+    @OUT_OF_RANGE_BATCHES
+    @pytest.mark.parametrize("name", ["mf", "lightgcn"])
+    def test_frontiers_reject_out_of_range_ids(self, name, user_ids, item_ids, message):
+        # on the node table an item id of -1 would read the last user's row
+        ds, _ = toy_graph()
+        with pytest.raises(ValueError, match=message):
+            encoders.Encoder(name, 2, ds).frontiers(user_ids, item_ids)
+
+    @pytest.mark.parametrize("num_layers", range(4))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_encode_all_of_the_stacked_table_is_the_propagation_of_the_two(self, seed,
+                                                                            num_layers):
+        # a fit ranks `encode_all` of its node table; eval of a checkpoint (and the
+        # benchmark's) propagates the two tables it reads
+        train, adj = random_graph(50, 40, 200, seed)
+        rng = np.random.default_rng([seed, num_layers])
+        user_table = EmbeddingTable(rng.normal(size=(50, 8)))
+        item_table = EmbeddingTable(rng.normal(size=(40, 8)))
+        encoder = encoders.Encoder("lightgcn" if num_layers else "mf", num_layers, train)
+        got = encoder.encode_all(encoders.stack_nodes(user_table, item_table, 50, 40))
+        expected = encoders.lightgcn_propagate(user_table, item_table, adj,
+                                               encoders.GraphEncoderConfig(num_layers=num_layers))
+        for got_part, expected_part in zip(got, expected):
+            assert got_part.shape == expected_part.shape
+            assert got_part.tobytes() == expected_part.tobytes()
 
     def test_mf_ignores_num_layers(self):
         ds, _ = toy_graph()
@@ -328,16 +378,14 @@ class TestEncoder:
         item_ids[0] = num_items - 1
         item_ids[-1] = item_ids[1]
         grads = rng.normal(size=(batch, 8)), rng.normal(size=(batch, 8))
-        frontiers = encoder.frontiers(user_ids, item_ids)
-        got = encoder.backward(user_ids, item_ids, *grads, frontiers)
+        rows, node_grads = encoder.backward(*grads, encoder.frontiers(user_ids, item_ids))
         expected = oracles.reference_lightgcn_backward(
             adj, encoders.GraphEncoderConfig(num_layers=num_layers), user_ids, item_ids, *grads)
-        for (rows, side_grads), num_rows, full in zip(got, (num_users, num_items), expected):
-            assert rows.dtype == np.int64 and rows.ndim == 1
-            assert np.all(rows[1:] > rows[:-1]) and rows[0] >= 0 and rows[-1] < num_rows
-            assert side_grads.shape == (rows.size, 8)
-            assert oracles.full_table_gradient(rows, side_grads, num_rows).tobytes() == \
-                full.tobytes()
+        assert rows.dtype == np.int64 and rows.ndim == 1
+        assert np.all(rows[1:] > rows[:-1]) and rows[0] >= 0 and rows[-1] < adj.size
+        assert node_grads.shape == (rows.size, 8)
+        assert oracles.full_table_gradient(rows, node_grads, adj.size).tobytes() == \
+            np.vstack(expected).tobytes()
 
     def test_graph_backward_allocates_no_table_sized_gradient(self):
         train, adj = random_graph(3000, 2000, 3000, seed=0)
@@ -357,8 +405,8 @@ class TestEncoder:
         finally:
             tracemalloc.stop()
         assert peak < adj.size * 64 * 8
-        (user_rows, _), (item_rows, _) = backward
-        assert user_rows.size + item_rows.size < adj.size / 20  # the ball is small
+        rows, _ = backward
+        assert rows.size < adj.size / 20  # the ball is small
 
 
 def gradient_rows(seed, count, dim=5):

@@ -6,7 +6,7 @@ import numpy as np
 import oracles
 import pytest
 
-from sphererec import data, losses, trainer
+from sphererec import data, encoders, losses, trainer
 from sphererec.losses import LossWeights
 from sphererec.trainer import ADAM_BLOCK_ENTRIES, AdamState, TrainConfig, TrainState, adam_step
 
@@ -304,7 +304,7 @@ def base_config(**overrides):
 
 def probe(state):
     """Probe diagnostics of the tables as they stand, before any epoch."""
-    encoded = state.encoder.encode_all(state.user_table, state.item_table)
+    encoded = state.encoder.encode_all(state.node_table)
     return trainer._probe_diagnostics(state, encoded, epoch=0, wall_time_s=0.0)
 
 
@@ -314,10 +314,9 @@ class TestTrainEpoch:
         cfg = base_config(lr=0.0)
         state = TrainState(split, cfg)
         before = probe(state)
-        tables_before = (state.user_table.values.copy(), state.item_table.values.copy())
+        table_before = state.node_table.values.copy()
         diag, _ = trainer.train_epoch(split, state, epoch_index=1)
-        np.testing.assert_array_equal(state.user_table.values, tables_before[0])
-        np.testing.assert_array_equal(state.item_table.values, tables_before[1])
+        np.testing.assert_array_equal(state.node_table.values, table_before)
         assert diag.align == before.align
         assert diag.uniform_user == before.uniform_user
         assert diag.kernel_variance_item == before.kernel_variance_item
@@ -338,7 +337,7 @@ class TestTrainEpoch:
                               weights=LossWeights(0.0, 0.0, 0.5, 0.5))
             state = TrainState(split, cfg)
             diag, _ = trainer.train_epoch(split, state, epoch_index=1)
-            runs[objective] = (diag, state.user_table.values.copy())
+            runs[objective] = (diag, state.node_table.values.copy())
         rau_diag, directau_diag = runs["rau"][0], runs["directau"][0]
         assert rau_diag == dataclasses.replace(directau_diag, wall_time_s=rau_diag.wall_time_s)
         np.testing.assert_array_equal(runs["rau"][1], runs["directau"][1])
@@ -347,17 +346,35 @@ class TestTrainEpoch:
         split = small_split()
         cfg = base_config(objective="bpr", lr=5e-2)
         state = TrainState(split, cfg)
-        before = state.user_table.values.copy()
+        before = state.node_table.values.copy()
         trainer.train_epoch(split, state, epoch_index=1)
-        assert not np.array_equal(state.user_table.values, before)
+        assert not np.array_equal(state.node_table.values, before)
 
     def test_lightgcn_encoder_trains(self):
         split = small_split()
         cfg = base_config(encoder="lightgcn", num_layers=2)
         state = TrainState(split, cfg)
-        before = state.user_table.values.copy()
+        before = state.node_table.values.copy()
         trainer.train_epoch(split, state, epoch_index=1)
-        assert not np.array_equal(state.user_table.values, before)
+        assert not np.array_equal(state.node_table.values, before)
+
+    @pytest.mark.parametrize("encoder", trainer.ENCODERS)
+    def test_one_adam_step_per_batch_updates_user_and_item_rows(self, monkeypatch, encoder):
+        # users and items are one node table under one Adam state
+        split = small_split()
+        state = TrainState(split, base_config(encoder=encoder))
+        steps = []
+
+        def counting_step(params, grads, adam, *args):
+            steps.append((params is state.node_table.values, adam is state.adam,
+                          args[2][0] < split.num_users <= args[2][-1]))
+            return adam_step(params, grads, adam, *args)
+
+        monkeypatch.setattr(trainer, "adam_step", counting_step)
+        trainer.train_epoch(split, state, epoch_index=1)
+        batches = -(-split.train.num_interactions // state.cfg.batch_size)
+        assert steps == [(True, True, True)] * batches
+        assert state.adam.step_count == batches
 
     def test_bpr_full_history_rejection_completes(self):
         split = small_split()
@@ -463,8 +480,8 @@ class TestFit:
         assert report.best_epoch == 0
         assert report.best_val is None
         init = TrainState(split, cfg)
-        np.testing.assert_array_equal(user_table.values, init.user_table.values)
-        np.testing.assert_array_equal(item_table.values, init.item_table.values)
+        np.testing.assert_array_equal(np.vstack([user_table.values, item_table.values]),
+                                      init.node_table.values)
 
     def test_empty_validation_requires_fixed_epochs(self):
         ds = data.dataset_from_pairs(3, 3, [(0, 0), (1, 1), (2, 2)])
@@ -494,16 +511,24 @@ class TestFit:
             trainer.fit(split, base_config(objective=objective, fixed_epochs=True))
 
     def test_lightgcn_fit_propagates_the_full_graph_once_per_epoch(self, monkeypatch):
-        # the probe and validation ranking share one encode of the tables
+        # the probe and validation ranking share one encode of the node table, the one
+        # `lightgcn_encode` whose batch is every node (no batch of small_split is)
         from sphererec import encoders
 
-        propagate = encoders.lightgcn_propagate
-        calls = []
-        monkeypatch.setattr(encoders, "lightgcn_propagate",
-                            lambda *args, **kwargs: calls.append(1) or propagate(*args, **kwargs))
-        report, *_ = trainer.fit(small_split(), base_config(encoder="lightgcn", max_epochs=4))
+        encode = encoders.lightgcn_encode
+        whole_graph = []
+
+        def counting_encode(node_matrix, cfg, frontiers):
+            whole_graph.append(frontiers[0].size == len(node_matrix))
+            return encode(node_matrix, cfg, frontiers)
+
+        monkeypatch.setattr(encoders, "lightgcn_encode", counting_encode)
+        split = small_split()
+        report, *_ = trainer.fit(split, base_config(encoder="lightgcn", max_epochs=4))
         assert len(report.val_history) == report.epochs_run == 4
-        assert len(calls) == 4
+        steps = -(-split.train.num_interactions // base_config().batch_size)
+        assert len(whole_graph) == 4 * (steps + 1)
+        assert sum(whole_graph) == 4
 
     @pytest.mark.parametrize("objective", ["rau", "bpr"])
     def test_lightgcn_step_builds_its_frontiers_once(self, monkeypatch, objective):
@@ -567,6 +592,25 @@ class TestFit:
         assert report_a.val_history == report_b.val_history
 
 
+class TestTrainState:
+    @pytest.mark.parametrize("num_users, num_items, pairs, overrides, message", [
+        (3, 3, [(0, 0), (1, 1), (2, 2)], {}, "fixed_epochs"),  # all-train: n < 3 per user
+        # fit_epoch on this state used to redraw bpr negatives forever
+        (4, 1, [(u, 0) for u in range(4)], {"objective": "bpr"}, "at least 2 items"),
+        (1, 8, [(0, i) for i in range(8)], {}, "at least 2 users"),
+        # user 0 has both items, so no item can be its negative
+        (2, 2, [(0, 0), (0, 1), (1, 0)], {"objective": "bpr", "bpr_full_history_rejection": True},
+         "every item"),
+    ], ids=["empty-validation", "one-item-bpr", "one-user", "saturated-user"])
+    def test_refuses_a_split_no_epoch_could_train(self, num_users, num_items, pairs,
+                                                  overrides, message):
+        # fit_epoch advances any state, so the state itself is what refuses
+        split = data.split_per_user(data.dataset_from_pairs(num_users, num_items, pairs), seed=0)
+        fixed = {"fixed_epochs": message != "fixed_epochs"}
+        with pytest.raises(ValueError, match=message):
+            TrainState(split, base_config(**fixed, **overrides))
+
+
 def without_wall_times(report):
     return dataclasses.replace(
         report, total_time_s=0.0,
@@ -591,8 +635,8 @@ class TestFitEpoch:
             pass
         assert report.epochs_run > 2
         assert without_wall_times(state.report) == without_wall_times(report)
-        for got, want in zip(state.best_tables, (user_table, item_table)):
-            assert got.values.tobytes() == want.values.tobytes()
+        assert state.best_table.values.tobytes() == \
+            np.vstack([user_table.values, item_table.values]).tobytes()
 
     def test_a_stopped_state_runs_no_epoch(self, monkeypatch):
         split = small_split()
@@ -619,10 +663,11 @@ class TestReferenceEpoch:
         for epoch in range(1, 4):
             trainer.train_epoch(split, state, epoch)
             oracles.reference_train_epoch(split, expected, epoch)
-        assert state.user_adam.step_count == expected.user_adam.step_count == 3 * 14
-        for table in ("user_table", "item_table"):
-            got, want = getattr(state, table).values, getattr(expected, table).values
-            assert not np.array_equal(want, getattr(initial, table).values)
+        assert state.adam.step_count == expected.adam.step_count == 3 * 14
+        # the one node-table step against the reference's separate user and item steps
+        for got, want, before in zip(*(encoders.split_nodes(s.node_table.values, split.num_users)
+                                       for s in (state, expected, initial))):
+            assert not np.array_equal(want, before)
             if encoder == "mf":
                 assert got.tobytes() == want.tobytes()
             else:
