@@ -35,16 +35,12 @@ def _apply_thread_cap(single_thread: bool) -> None:
         os.environ[name] = cap
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
+    """The fit flags of `train` and `sweep`; sweep's grid sets the objective and weights."""
     parser.add_argument("--config", type=Path, help="JSON config file; flags override its values")
     parser.add_argument("--dataset", type=Path, help="interaction file (TSV/CSV)")
     parser.add_argument("--format", choices=["tsv", "csv"], help="dataset format (default: by suffix)")
-    parser.add_argument("--objective", choices=["rau", "directau", "bpr"])
     parser.add_argument("--encoder", choices=["mf", "lightgcn"])
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--gamma-user", type=float)
-    parser.add_argument("--gamma-item", type=float)
     parser.add_argument("--dim", type=int)
     parser.add_argument("--lr", type=float)
     parser.add_argument("--batch-size", type=int)
@@ -55,7 +51,6 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-layers", type=int, help="propagation rounds for the graph encoder")
     parser.add_argument("--fixed-epochs", action="store_true", default=None,
                         help="skip validation-based early stopping")
-    parser.add_argument("--out-dir", type=Path, default=Path("runs"))
 
 
 def _resolve_train_config(args):
@@ -171,14 +166,17 @@ def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     base_cfg, base_payload = _resolve_train_config(args)
+    if base_cfg.objective != "rau":
+        raise ValueError(f"sweep searches the rau weights, but --config sets objective "
+                         f"{base_cfg.objective!r}")
     split, _ = _load_split(args, base_cfg, base_payload)
     ks = tuple(args.k)
     check_ks(ks)
     gamma_pairs = [_parse_gamma_ratio(token) for token in args.gamma_ratios]
     # every grid point's config is built, and so checked, before the first fit
     tasks = [(split, TrainConfig.from_dict(dict(base_payload, alpha=alpha, beta=beta,
-                                                gamma_user=gamma_user, gamma_item=gamma_item,
-                                                objective="rau")), ks)
+                                                gamma_user=gamma_user, gamma_item=gamma_item)),
+              ks)
              for alpha, beta, (gamma_user, gamma_item)
              in itertools.product(args.alpha_values, args.beta_values, gamma_pairs)]
     metric = f"best_val_ndcg@{base_cfg.eval_k_for_stopping}"
@@ -273,7 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="fit embeddings and write a checkpoint")
-    _add_train_flags(train)
+    _add_fit_flags(train)
+    train.add_argument("--objective", choices=["rau", "directau", "bpr"])
+    for weight in ("--alpha", "--beta", "--gamma-user", "--gamma-item"):
+        train.add_argument(weight, type=float)
+    train.add_argument("--out-dir", type=Path, default=Path("runs"))
     train.set_defaults(func=cmd_train)
 
     evaluate = sub.add_parser("eval", help="score a checkpoint with full ranking")
@@ -287,8 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--out-csv", type=Path, help="also write the report as CSV")
     evaluate.set_defaults(func=cmd_eval)
 
-    sweep = sub.add_parser("sweep", help="grid-search the loss weights")
-    _add_train_flags(sweep)
+    # no abbreviations, which would read `--alpha` and `--beta` as `--alpha-values` and
+    # `--beta-values`
+    sweep = sub.add_parser("sweep", help="grid-search the loss weights", allow_abbrev=False)
+    _add_fit_flags(sweep)
     sweep.add_argument("--alpha-values", type=float, nargs="+", default=[0.0])
     sweep.add_argument("--beta-values", type=float, nargs="+", default=[0.0])
     sweep.add_argument("--gamma-ratios", type=str, nargs="+", default=["0.5/0.5"])

@@ -1,20 +1,21 @@
 """The id-batch encoder: linear graph propagation, with plain lookup as K = 0.
 
-The encoder reads one node matrix: the user rows, then the item rows
-(`stack_nodes`, `split_nodes`; no other module knows this layout). The graph
-encoder applies K rounds of symmetric-normalized neighborhood averaging over
-the training bipartite graph to it and outputs the mean of layers 0..K. A
-batch needs layer k only on the (K - k)-hop ball around its nodes, so
-`lightgcn_encode` multiplies only those adjacency rows; propagation is
-linear and the adjacency symmetric, so `lightgcn_backward` runs the same hops
-transposed, outward from the batch. Both give, bit for bit, the rows of the
-full-graph formula, whose every round multiplies the whole node matrix (see
-`_frontiers`). A training step builds the balls and hops they walk once
-(`batch_frontiers`); `encode_all` (probe and ranking) is the same forward
-over every node. With K = 0 the output is the raw node matrix, so the lookup
-("mf") encoder is that case, served by a plain gather without building the
-adjacency. Either backward gives the node rows the batch reaches and their
-gradient rows only.
+The encoder reads one node matrix, a plain float64 array: the user rows,
+then the item rows (`stack_nodes`, `split_nodes`; no other module knows this
+layout). The graph encoder applies K rounds of symmetric-normalized
+neighborhood averaging over the training bipartite graph to it and outputs
+the mean of layers 0..K. A batch needs layer k only on the (K - k)-hop ball
+around its nodes, so `lightgcn_encode` multiplies only those adjacency rows;
+propagation is linear and the adjacency symmetric, so `lightgcn_backward`
+runs the same hops transposed, outward from the batch. Both give, bit for
+bit, the rows of the full-graph formula, whose every round multiplies the
+whole node matrix (see `_frontiers`). A training step builds the balls and
+hops they walk once (`batch_frontiers`); `encode_all` (probe and ranking) is
+the same forward over every node. With K = 0 the output is the raw node
+matrix, so the lookup ("mf") encoder is that case, served by a plain gather
+without building the adjacency. Either backward gives the node rows the
+batch reaches and their gradient rows only, summing the rows of repeated ids
+with one sparse product (`_sum_rows`).
 """
 
 from __future__ import annotations
@@ -84,31 +85,23 @@ def _checked_ids(ids, bound: int, what: str) -> np.ndarray:
     return ids
 
 
-def mf_encode(table: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
+def mf_encode(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Gather table rows by id; ids may repeat."""
-    return table.values[_checked_ids(ids, len(table.values), "id")]
+    return table[_checked_ids(ids, len(table), "id")]
 
 
-def _add_rows(out: np.ndarray, where: np.ndarray, values: np.ndarray) -> None:
-    """`np.add.at(out, where, values)`, with its bits: each row adds its values in order.
+def _sum_rows(where: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """`np.add.at(np.zeros((num_rows, d)), where, values)`, with its bits, as one sparse product.
 
-    A stable argsort of `where` lists every target row's occurrences in
-    order; pass k adds the k-th occurrence of every target row in one
-    fancy-index add, in which no row repeats. So each row adds its values to
-    what `out` holds (+0.0 for a zeroed `out`, which turns a -0.0 value into
-    +0.0 as `np.add.at` does) in the order they come.
+    Column k of the compressed-column matrix holds a 1.0 at row `where[k]`.
+    Its product walks the columns in order, so each row adds `1.0 * value`
+    (exact whether or not the multiply-add is fused) for its terms in the
+    order they occur, to a sum that starts at +0.0, just as `np.add.at` into
+    zeros does; a -0.0 value thus also gives +0.0.
     """
-    order = np.argsort(where, kind="stable")
-    grouped = where[order]
-    position = np.arange(grouped.size)
-    starts = np.ones(grouped.size, dtype=bool)
-    starts[1:] = grouped[1:] != grouped[:-1]
-    occurrence = position - np.maximum.accumulate(np.where(starts, position, 0))
-    by_pass = order[np.argsort(occurrence, kind="stable")]
-    ends = np.cumsum(np.bincount(occurrence)).tolist()
-    for start, stop in zip([0] + ends, ends):
-        take = by_pass[start:stop]
-        out[where[take]] += values[take]
+    ones = sp.csc_matrix((np.ones(where.size), where, np.arange(where.size + 1)),
+                         shape=(num_rows, where.size))
+    return ones @ values
 
 
 # perfbench/ reads `grad_rows` and `num_rows` at positions 0 and 2
@@ -118,15 +111,13 @@ def scatter_rows(grad_rows: np.ndarray, ids: np.ndarray,
 
     Returns (rows, summed): the sorted unique ids, checked against
     `num_rows`, and one gradient row per id in `rows`. Repeated ids add into
-    the same row from +0.0 in occurrence order (`_add_rows`), so each summed
+    the same row from +0.0 in occurrence order (`_sum_rows`), so each summed
     row has the bits of that row of a full-table scatter, whose other rows
     are zero.
     """
     grad_rows = np.asarray(grad_rows, dtype=np.float64)
     rows, where = np.unique(_checked_ids(ids, num_rows, "id"), return_inverse=True)
-    summed = np.zeros((rows.size, grad_rows.shape[1]))
-    _add_rows(summed, where, grad_rows)
-    return rows, summed
+    return rows, _sum_rows(where, grad_rows, rows.size)
 
 
 def _frontiers(adj: NormalizedAdjacency, nodes: np.ndarray,
@@ -162,7 +153,7 @@ def _node_ids(user_ids, item_ids, num_users: int, num_items: int):
 
 
 def stack_nodes(user_table: EmbeddingTable, item_table: EmbeddingTable,
-                num_users: int, num_items: int) -> EmbeddingTable:
+                num_users: int, num_items: int) -> np.ndarray:
     """The node table of a user and an item table: the user rows, then the item rows.
 
     Raises ValueError unless the tables have `num_users` and `num_items`
@@ -174,7 +165,7 @@ def stack_nodes(user_table: EmbeddingTable, item_table: EmbeddingTable,
                          f"items, the training part has {num_users} / {num_items}")
     if user_table.values.shape[1] != item_table.values.shape[1]:
         raise ValueError("user and item tables must share one dimensionality")
-    return EmbeddingTable(np.concatenate([user_table.values, item_table.values]))
+    return np.concatenate([user_table.values, item_table.values])
 
 
 def split_nodes(node_rows: np.ndarray, num_users: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +234,7 @@ def lightgcn_propagate(user_table: EmbeddingTable, item_table: EmbeddingTable,
     the tables against the adjacency.
     """
     node_table = stack_nodes(user_table, item_table, adj.num_users, adj.num_items)
-    return lightgcn_encode(node_table.values, cfg, _every_node(adj, cfg))
+    return lightgcn_encode(node_table, cfg, _every_node(adj, cfg))
 
 
 # perfbench/ wraps this with this signature and reads `adj`, `cfg` and `grad_users` at
@@ -264,10 +255,9 @@ def lightgcn_backward(adj: NormalizedAdjacency, cfg: GraphEncoderConfig, user_id
     `frontiers` is as in `lightgcn_encode`.
     """
     batch, user_pos, item_pos, balls, hops = frontiers
-    grad = np.zeros((batch.size, grad_users.shape[1]))
-    _add_rows(grad, user_pos, grad_users)
-    _add_rows(grad, item_pos, grad_items)
-    rounds = [grad]
+    # users and items fall on disjoint rows, so each row adds its terms in the same order
+    rounds = [_sum_rows(np.concatenate([user_pos, item_pos]),
+                        np.concatenate([grad_users, grad_items]), batch.size)]
     for hop in hops:
         rounds.append(hop.T @ rounds[-1])
     for j in range(1, len(rounds)):
@@ -293,11 +283,11 @@ class Encoder:
         self.num_items = train.num_items
         self.adjacency = build_norm_adjacency(train) if self.cfg.num_layers else None
 
-    def encode_all(self, node_table: EmbeddingTable) -> tuple[np.ndarray, np.ndarray]:
+    def encode_all(self, node_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Representations of every user and every item."""
         if self.adjacency is None:
-            return split_nodes(node_table.values, self.num_users)
-        return lightgcn_encode(node_table.values, self.cfg, _every_node(self.adjacency, self.cfg))
+            return split_nodes(node_table, self.num_users)
+        return lightgcn_encode(node_table, self.cfg, _every_node(self.adjacency, self.cfg))
 
     def frontiers(self, user_ids: np.ndarray, item_ids: np.ndarray) -> tuple:
         """What the batch's `encode` and `backward` share.
@@ -308,12 +298,12 @@ class Encoder:
             return _node_ids(user_ids, item_ids, self.num_users, self.num_items)
         return batch_frontiers(self.adjacency, self.cfg, user_ids, item_ids)
 
-    def encode(self, node_table: EmbeddingTable, frontiers: tuple) -> tuple[np.ndarray, np.ndarray]:
+    def encode(self, node_table: np.ndarray, frontiers: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Representations of a batch's user and item ids (ids may repeat), given `frontiers`."""
         if self.adjacency is None:
             user_nodes, item_nodes = frontiers
             return mf_encode(node_table, user_nodes), mf_encode(node_table, item_nodes)
-        return lightgcn_encode(node_table.values, self.cfg, frontiers)
+        return lightgcn_encode(node_table, self.cfg, frontiers)
 
     def backward(self, grad_users: np.ndarray, grad_items: np.ndarray,
                  frontiers: tuple) -> tuple[np.ndarray, np.ndarray]:

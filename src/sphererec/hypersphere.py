@@ -39,9 +39,6 @@ class EmbeddingTable:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("embedding table contains non-finite entries")
 
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.values.copy())
-
 
 def init_xavier(rows: int, dim: int, seed: int) -> EmbeddingTable:
     """Xavier-uniform initialization with fan_in = fan_out = dim.
@@ -105,13 +102,25 @@ def write_csv(path, header, rows) -> str:
     return text
 
 
-def save_embedding_table(path, table: EmbeddingTable, role: str) -> None:
-    """Write one table: header (magic, version, rows, dim, role) + f32 rows."""
+def _table_file(table: EmbeddingTable, role: str) -> bytes:
+    """One table's file: header (magic, version, rows, dim, role) + f32 rows.
+
+    Raises ValueError if an entry lies beyond float32's range, where it would
+    be stored as inf and the file could not be read back.
+    """
     if role not in _ROLES:
         raise ValueError(f"role must be one of {_ROLES}, got {role!r}")
-    header = _HEADER.pack(_MAGIC, _VERSION, *table.values.shape, _ROLES.index(role))
-    payload = table.values.astype("<f4").tobytes(order="C")
-    Path(path).write_bytes(header + payload)
+    with np.errstate(over="ignore"):
+        values = table.values.astype("<f4")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"the {role} table has an entry beyond float32's range, "
+                         "which a checkpoint cannot store")
+    return _HEADER.pack(_MAGIC, _VERSION, *values.shape, _ROLES.index(role)) + values.tobytes()
+
+
+def save_embedding_table(path, table: EmbeddingTable, role: str) -> None:
+    """Write one table (`_table_file`)."""
+    Path(path).write_bytes(_table_file(table, role))
 
 
 def load_embedding_table(path) -> tuple[EmbeddingTable, str]:
@@ -129,16 +138,25 @@ def load_embedding_table(path) -> tuple[EmbeddingTable, str]:
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
     values = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(rows, dim)
-    return EmbeddingTable(values.astype(np.float64)), _ROLES[role_code]
+    try:
+        table = EmbeddingTable(values.astype(np.float64))
+    except ValueError as exc:  # a non-finite entry or a dim below 2
+        raise ValueError(f"{path}: {exc}") from None
+    return table, _ROLES[role_code]
 
 
 def save_checkpoint(directory, user_table: EmbeddingTable, item_table: EmbeddingTable,
                     seed: int, config: dict) -> None:
-    """Write user.emb + item.emb plus a JSON sidecar with seed and config hash."""
+    """Write user.emb + item.emb plus a JSON sidecar with seed and config hash.
+
+    Both tables are checked (`_table_file`) before any file is written.
+    """
+    files = {"user.emb": _table_file(user_table, "user"),
+             "item.emb": _table_file(item_table, "item")}
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_embedding_table(directory / "user.emb", user_table, "user")
-    save_embedding_table(directory / "item.emb", item_table, "item")
+    for name, payload in files.items():
+        (directory / name).write_bytes(payload)
     write_json(directory / "checkpoint.json",
                {"seed": seed, "config_hash": config_hash(config), "config": config})
 

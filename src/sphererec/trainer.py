@@ -244,10 +244,11 @@ class TrainState:
     """The whole state of a fit, which `fit_epoch` advances by one epoch.
 
     It holds the node table (`encoders.stack_nodes` of the user and the item
-    table) and its Adam state, the seeds, the encoder, the probe sample, the
-    step workspace, the `report` of the epochs run and `best_table`, a copy
-    of the node table at the report's best epoch (None until an epoch is
-    kept, and always with fixed_epochs, whose result is the live table).
+    table, a plain array that Adam updates in place) and its Adam state, the
+    seeds, the encoder, the probe sample, the step workspace, the `report` of
+    the epochs run and `best_table`, a copy of the node table at the report's
+    best epoch (None until an epoch is kept, and always with fixed_epochs,
+    whose result is the live table).
     The shuffle and negative generators are re-seeded from `[root, epoch]`
     every epoch, so no generator state is kept.
 
@@ -266,7 +267,7 @@ class TrainState:
         self.node_table = encoders.stack_nodes(init_xavier(split.num_users, cfg.dim, user_seed),
                                                init_xavier(split.num_items, cfg.dim, item_seed),
                                                split.num_users, split.num_items)
-        self.adam = AdamState.like(self.node_table.values)
+        self.adam = AdamState.like(self.node_table)
         # one step's buffers (the loss's, Adam's and the probe's kernel blocks) for the whole fit
         self.workspace = losses.Workspace(cfg.batch_size, cfg.dim)
         self.shuffle_root = shuffle_root
@@ -288,7 +289,7 @@ class TrainState:
         self.probe_items = np.sort(
             probe_rng.permutation(split.num_items)[:min(PROBE_LIMIT, split.num_items)]
         )
-        self.best_table: EmbeddingTable | None = None
+        self.best_table: np.ndarray | None = None
         self.report = TrainReport(total_time_s=time.perf_counter() - started)
 
 
@@ -407,7 +408,7 @@ def train_epoch(split: SplitDataset, state: TrainState,
             _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights,
                                                                      state.workspace)
         rows, grads = state.encoder.backward(grad_users, grad_items, frontiers)
-        adam_step(state.node_table.values, grads, state.adam, cfg.lr, cfg.weight_decay, rows,
+        adam_step(state.node_table, grads, state.adam, cfg.lr, cfg.weight_decay, rows,
                   state.workspace)
     wall_time_s = time.perf_counter() - started
     encoded = state.encoder.encode_all(state.node_table)
@@ -452,14 +453,14 @@ def fit(split: SplitDataset, cfg: TrainConfig) -> tuple[TrainReport, EmbeddingTa
     consecutive validation evaluations (run once per epoch). Returns the
     report plus the best-epoch tables; with fixed_epochs the validation part
     is ignored and the final tables are returned. The node table is split
-    into the user and the item table only here.
+    into the user and the item `EmbeddingTable` only here.
     """
     state = TrainState(split, cfg)
     while fit_epoch(split, state):
         pass
     # with fixed_epochs or max_epochs = 0 no epoch was kept, so the live table is copied;
     # each returned EmbeddingTable re-checks finiteness
-    best = state.best_table.values if state.best_table else state.node_table.values.copy()
+    best = state.node_table.copy() if state.best_table is None else state.best_table
     return state.report, *map(EmbeddingTable, encoders.split_nodes(best, split.num_users))
 
 

@@ -312,7 +312,7 @@ def reference_train_epoch(split, state, epoch_index):
         if weights is None:
             item_ids = np.concatenate([item_ids, reference_negatives(
                 item_ids, split, user_ids, negative_rng, cfg.bpr_full_history_rejection)])
-        encoded = layer_mean(state.node_table.values)
+        encoded = layer_mean(state.node_table)
         user_vecs, item_vecs = encoded[user_ids], encoded[num_users + item_ids]
         if weights is None:
             _, grad_users, grad_pos, grad_neg = losses.bpr_loss_and_gradient(
@@ -329,7 +329,7 @@ def reference_train_epoch(split, state, epoch_index):
             side_adam = SimpleNamespace(first_moment=state.adam.first_moment[side],
                                         second_moment=state.adam.second_moment[side],
                                         step_count=step_count)
-            reference_adam_step(state.node_table.values[side], grads[side], side_adam,
+            reference_adam_step(state.node_table[side], grads[side], side_adam,
                                 cfg.lr, cfg.weight_decay)
             state.adam.step_count = side_adam.step_count
 

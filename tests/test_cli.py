@@ -7,15 +7,19 @@ from sphererec import cli, geometry, trainer
 from sphererec.hypersphere import config_hash
 
 
+FIT_FLAGS = ["--dim", "8", "--lr", "0.01", "--batch-size", "64",
+             "--max-epochs", "3", "--patience", "5", "--seed", "7"]
+
+
 def train_args(dataset, out_dir, **extra):
-    argv = [
-        "train", "--dataset", str(dataset), "--out-dir", str(out_dir),
-        "--dim", "8", "--lr", "0.01", "--batch-size", "64",
-        "--max-epochs", "3", "--patience", "5", "--seed", "7",
-    ]
+    argv = ["train", "--dataset", str(dataset), "--out-dir", str(out_dir), *FIT_FLAGS]
     for flag, value in extra.items():
         argv += [f"--{flag}", str(value)]
     return argv
+
+
+def sweep_args(dataset, *extra):
+    return ["sweep", "--dataset", str(dataset), *FIT_FLAGS, *extra]
 
 
 def only_run_dir(out_dir):
@@ -235,10 +239,8 @@ class TestEvalCommand:
 class TestSweepCommand:
     def test_single_point_grid_matches_train_eval(self, synthetic_tsv, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"
-        argv = train_args(synthetic_tsv, tmp_path / "unused")
-        argv[0] = "sweep"
-        argv += ["--alpha-values", "0.3", "--beta-values", "2.0",
-                 "--gamma-ratios", "0.7/0.3", "--k", "10", "--out", str(out_csv)]
+        argv = sweep_args(synthetic_tsv, "--alpha-values", "0.3", "--beta-values", "2.0",
+                          "--gamma-ratios", "0.7/0.3", "--k", "10", "--out", str(out_csv))
         assert cli.main(argv) == 0
         lines = out_csv.read_text().strip().split("\n")
         assert len(lines) == 2
@@ -263,9 +265,8 @@ class TestSweepCommand:
         assert sweep_recall == pytest.approx(direct_metrics["recall"]["10"], abs=1e-12)
 
     def test_bad_gamma_ratio_exits_2(self, synthetic_tsv, tmp_path, capsys):
-        argv = train_args(synthetic_tsv, tmp_path / "unused")
-        argv[0] = "sweep"
-        argv += ["--gamma-ratios", "0.7:0.3", "--out", str(tmp_path / "s.csv")]
+        argv = sweep_args(synthetic_tsv, "--gamma-ratios", "0.7:0.3",
+                          "--out", str(tmp_path / "s.csv"))
         assert cli.main(argv) == 2
 
     @pytest.mark.parametrize("bad", [["--alpha-values", "0", "-1"], ["--k", "20", "20"],
@@ -274,9 +275,7 @@ class TestSweepCommand:
                                                         monkeypatch, bad):
         fits = []
         monkeypatch.setattr(trainer, "fit", lambda *args: fits.append(args))
-        argv = train_args(synthetic_tsv, tmp_path / "unused")
-        argv[0] = "sweep"
-        argv += bad + ["--out", str(tmp_path / "s.csv")]
+        argv = sweep_args(synthetic_tsv, *bad, "--out", str(tmp_path / "s.csv"))
         assert cli.main(argv) == 2
         assert fits == []
 
@@ -285,10 +284,8 @@ class TestSweepCommand:
     def test_fit_without_validation_marks_no_best_row(self, synthetic_tsv, tmp_path, capsys,
                                                       no_validation):
         out_csv = tmp_path / "sweep.csv"
-        argv = train_args(synthetic_tsv, tmp_path / "unused")
-        argv[0] = "sweep"
-        argv += [*no_validation, "--alpha-values", "0.0", "0.5", "--k", "10",
-                 "--out", str(out_csv)]
+        argv = sweep_args(synthetic_tsv, *no_validation, "--alpha-values", "0.0", "0.5",
+                          "--k", "10", "--out", str(out_csv))
         assert cli.main(argv) == 0
         rows = out_csv.read_text().strip().split("\n")[1:]
         assert len(rows) == 2
@@ -298,10 +295,8 @@ class TestSweepCommand:
     def test_parallel_workers_match_sequential(self, synthetic_tsv, tmp_path):
         def run(out_name, workers):
             out_csv = tmp_path / out_name
-            argv = train_args(synthetic_tsv, tmp_path / "unused")
-            argv[0] = "sweep"
-            argv += ["--alpha-values", "0.0", "0.5", "--k", "10",
-                     "--out", str(out_csv), "--workers", str(workers)]
+            argv = sweep_args(synthetic_tsv, "--alpha-values", "0.0", "0.5", "--k", "10",
+                              "--out", str(out_csv), "--workers", str(workers))
             assert cli.main(argv) == 0
             return out_csv.read_text()
 
@@ -322,9 +317,7 @@ class TestSweepCommand:
         else:
             blocker.write_text("not a directory\n")
             out = blocker / "s.csv"
-        argv = train_args(synthetic_tsv, tmp_path / "unused")
-        argv[0] = "sweep"
-        argv += ["--alpha-values", "0.0", "0.5", "--out", str(out)]
+        argv = sweep_args(synthetic_tsv, "--alpha-values", "0.0", "0.5", "--out", str(out))
         assert cli.main(argv) == 2
         assert str(blocker) in capsys.readouterr().err
 
@@ -334,9 +327,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(trainer, "fit", failing_fit)
         out = tmp_path / "new" / "nested" / "s.csv"
-        argv = train_args(synthetic_tsv, tmp_path / "unused")
-        argv[0] = "sweep"
-        argv += ["--out", str(out)]
+        argv = sweep_args(synthetic_tsv, "--out", str(out))
         assert cli.main(argv) == 2
         assert out.parent.is_dir() and not out.exists()
 
@@ -346,12 +337,38 @@ class TestSweepCommand:
         # these used to run the grid serially without a word
         fits = []
         monkeypatch.setattr(trainer, "fit", lambda *args: fits.append(args))
-        argv = train_args(synthetic_tsv, tmp_path / "unused")
-        argv[0] = "sweep"
-        argv += ["--workers", workers, "--out", str(tmp_path / "s.csv")]
+        argv = sweep_args(synthetic_tsv, "--workers", workers, "--out", str(tmp_path / "s.csv"))
         assert cli.main(argv) == 2
         assert fits == []
         assert "--workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--objective", "bpr"], ["--alpha", "0.5"], ["--beta", "2"],
+                                      ["--gamma-user", "0.7"], ["--gamma-item", "0.3"],
+                                      ["--out-dir", "runs"]], ids=lambda flag: flag[0])
+    def test_flag_of_train_only_exits_2_before_any_fit(self, synthetic_tsv, tmp_path,
+                                                       monkeypatch, capsys, flag):
+        # sweep used to take these and then ignore or overwrite them
+        fits = []
+        monkeypatch.setattr(trainer, "fit", lambda *args: fits.append(args))
+        with pytest.raises(SystemExit) as exited:
+            cli.main(sweep_args(synthetic_tsv, *flag, "--out", str(tmp_path / "s.csv")))
+        assert exited.value.code == 2
+        assert fits == []
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("objective", ["directau", "bpr"])
+    def test_config_objective_other_than_rau_exits_2_before_any_fit(self, synthetic_tsv, tmp_path,
+                                                                    monkeypatch, capsys,
+                                                                    objective):
+        # sweep used to fit the grid under rau whatever objective its config named
+        fits = []
+        monkeypatch.setattr(trainer, "fit", lambda *args: fits.append(args))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"objective": objective}))
+        argv = sweep_args(synthetic_tsv, "--config", str(config), "--out", str(tmp_path / "s.csv"))
+        assert cli.main(argv) == 2
+        assert fits == []
+        assert f"objective {objective!r}" in capsys.readouterr().err
 
 
 class TestGeometryCommand:

@@ -21,25 +21,25 @@ def toy_graph():
 def graph_encode(user_table, item_table, adj, cfg, user_ids, item_ids):
     """`lightgcn_encode` of one batch, from the node matrix of the two tables."""
     node_table = encoders.stack_nodes(user_table, item_table, adj.num_users, adj.num_items)
-    return encoders.lightgcn_encode(node_table.values, cfg,
+    return encoders.lightgcn_encode(node_table, cfg,
                                     encoders.batch_frontiers(adj, cfg, user_ids, item_ids))
 
 
 class TestMfEncode:
     def test_repeated_ids_gather_same_row(self):
         table = init_xavier(4, 3, seed=0)
-        out = encoders.mf_encode(table, [0, 0])
+        out = encoders.mf_encode(table.values, [0, 0])
         np.testing.assert_array_equal(out[0], table.values[0])
         np.testing.assert_array_equal(out[1], table.values[0])
 
     def test_empty_ids(self):
         table = init_xavier(4, 3, seed=0)
-        assert encoders.mf_encode(table, np.array([], dtype=np.int64)).shape == (0, 3)
+        assert encoders.mf_encode(table.values, np.array([], dtype=np.int64)).shape == (0, 3)
 
     def test_out_of_range(self):
         table = init_xavier(4, 3, seed=0)
         with pytest.raises(ValueError, match="range"):
-            encoders.mf_encode(table, [4])
+            encoders.mf_encode(table.values, [4])
 
     def test_scatter_counts_occurrences(self):
         # gradient of sum(outputs) w.r.t. the table is the id-occurrence count matrix,
@@ -119,8 +119,8 @@ class TestLightgcnEncode:
         item_table = init_xavier(3, 4, seed=2)
         cfg = encoders.GraphEncoderConfig(num_layers=0)
         got_u, got_i = graph_encode(user_table, item_table, adj, cfg, [0, 1], [2, 0])
-        np.testing.assert_array_equal(got_u, encoders.mf_encode(user_table, [0, 1]))
-        np.testing.assert_array_equal(got_i, encoders.mf_encode(item_table, [2, 0]))
+        np.testing.assert_array_equal(got_u, encoders.mf_encode(user_table.values, [0, 1]))
+        np.testing.assert_array_equal(got_i, encoders.mf_encode(item_table.values, [2, 0]))
 
     def test_single_edge_one_layer(self):
         ds = data.dataset_from_pairs(1, 1, [(0, 0)])
@@ -321,7 +321,7 @@ class TestEncoder:
                 (encoder.encode_all(node_table),
                  encoders.lightgcn_propagate(user_table, item_table, adj, graph_cfg)),
                 (encoder.encode(node_table, frontiers),
-                 encoders.lightgcn_encode(node_table.values, graph_cfg, graph_frontiers)),
+                 encoders.lightgcn_encode(node_table, graph_cfg, graph_frontiers)),
                 (encoder.backward(*grads, frontiers),
                  encoders.lightgcn_backward(adj, graph_cfg, user_ids, item_ids, *grads,
                                             graph_frontiers)),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,24 @@ class TestCheckpointIO:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(ValueError, match="bytes"):
             hs.load_embedding_table(path)
+
+    def test_table_beyond_float32_is_refused_before_any_file(self, tmp_path):
+        # it used to be written as inf, with a RuntimeWarning, and then failed to load
+        item = hs.EmbeddingTable(np.array([[1.0, 0.0], [0.0, -1e39]]))
+        with pytest.raises(ValueError, match="item table has an entry beyond float32's range"):
+            hs.save_checkpoint(tmp_path / "ckpt", hs.init_xavier(3, 2, seed=0), item,
+                               seed=0, config={})
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_non_finite_table_file_is_named(self, tmp_path):
+        hs.save_checkpoint(tmp_path, hs.init_xavier(3, 2, seed=0), hs.init_xavier(2, 2, seed=1),
+                           seed=0, config={})
+        path = tmp_path / "item.emb"
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.array([np.inf], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*non-finite"):
+            hs.load_checkpoint(tmp_path)
 
     def test_bad_role_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="role"):

@@ -314,9 +314,9 @@ class TestTrainEpoch:
         cfg = base_config(lr=0.0)
         state = TrainState(split, cfg)
         before = probe(state)
-        table_before = state.node_table.values.copy()
+        table_before = state.node_table.copy()
         diag, _ = trainer.train_epoch(split, state, epoch_index=1)
-        np.testing.assert_array_equal(state.node_table.values, table_before)
+        np.testing.assert_array_equal(state.node_table, table_before)
         assert diag.align == before.align
         assert diag.uniform_user == before.uniform_user
         assert diag.kernel_variance_item == before.kernel_variance_item
@@ -337,7 +337,7 @@ class TestTrainEpoch:
                               weights=LossWeights(0.0, 0.0, 0.5, 0.5))
             state = TrainState(split, cfg)
             diag, _ = trainer.train_epoch(split, state, epoch_index=1)
-            runs[objective] = (diag, state.node_table.values.copy())
+            runs[objective] = (diag, state.node_table.copy())
         rau_diag, directau_diag = runs["rau"][0], runs["directau"][0]
         assert rau_diag == dataclasses.replace(directau_diag, wall_time_s=rau_diag.wall_time_s)
         np.testing.assert_array_equal(runs["rau"][1], runs["directau"][1])
@@ -346,17 +346,17 @@ class TestTrainEpoch:
         split = small_split()
         cfg = base_config(objective="bpr", lr=5e-2)
         state = TrainState(split, cfg)
-        before = state.node_table.values.copy()
+        before = state.node_table.copy()
         trainer.train_epoch(split, state, epoch_index=1)
-        assert not np.array_equal(state.node_table.values, before)
+        assert not np.array_equal(state.node_table, before)
 
     def test_lightgcn_encoder_trains(self):
         split = small_split()
         cfg = base_config(encoder="lightgcn", num_layers=2)
         state = TrainState(split, cfg)
-        before = state.node_table.values.copy()
+        before = state.node_table.copy()
         trainer.train_epoch(split, state, epoch_index=1)
-        assert not np.array_equal(state.node_table.values, before)
+        assert not np.array_equal(state.node_table, before)
 
     @pytest.mark.parametrize("encoder", trainer.ENCODERS)
     def test_one_adam_step_per_batch_updates_user_and_item_rows(self, monkeypatch, encoder):
@@ -366,7 +366,7 @@ class TestTrainEpoch:
         steps = []
 
         def counting_step(params, grads, adam, *args):
-            steps.append((params is state.node_table.values, adam is state.adam,
+            steps.append((params is state.node_table, adam is state.adam,
                           args[2][0] < split.num_users <= args[2][-1]))
             return adam_step(params, grads, adam, *args)
 
@@ -481,7 +481,7 @@ class TestFit:
         assert report.best_val is None
         init = TrainState(split, cfg)
         np.testing.assert_array_equal(np.vstack([user_table.values, item_table.values]),
-                                      init.node_table.values)
+                                      init.node_table)
 
     def test_empty_validation_requires_fixed_epochs(self):
         ds = data.dataset_from_pairs(3, 3, [(0, 0), (1, 1), (2, 2)])
@@ -635,7 +635,7 @@ class TestFitEpoch:
             pass
         assert report.epochs_run > 2
         assert without_wall_times(state.report) == without_wall_times(report)
-        assert state.best_table.values.tobytes() == \
+        assert state.best_table.tobytes() == \
             np.vstack([user_table.values, item_table.values]).tobytes()
 
     def test_a_stopped_state_runs_no_epoch(self, monkeypatch):
@@ -665,7 +665,7 @@ class TestReferenceEpoch:
             oracles.reference_train_epoch(split, expected, epoch)
         assert state.adam.step_count == expected.adam.step_count == 3 * 14
         # the one node-table step against the reference's separate user and item steps
-        for got, want, before in zip(*(encoders.split_nodes(s.node_table.values, split.num_users)
+        for got, want, before in zip(*(encoders.split_nodes(s.node_table, split.num_users)
                                        for s in (state, expected, initial))):
             assert not np.array_equal(want, before)
             if encoder == "mf":
