@@ -11,6 +11,7 @@ numerical modules load on first attribute access.
 """
 
 import importlib
+import os
 
 __version__ = "0.1.0"
 
@@ -36,6 +37,19 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
+
+
+def thread_cap() -> int | None:
+    """RAU_NUM_THREADS as a positive int, or None where it is unset.
+
+    It caps BLAS threads (set by the CLI before numpy loads), `sweep`'s
+    worker processes and `trainer.adam_step`'s threads. Any other value
+    raises ValueError.
+    """
+    cap = os.environ.get("RAU_NUM_THREADS")
+    if cap is not None and not (cap.isascii() and cap.isdigit() and int(cap) > 0):
+        raise ValueError(f"RAU_NUM_THREADS must be a positive integer, got {cap!r}")
+    return None if cap is None else int(cap)
 
 
 def __getattr__(name):

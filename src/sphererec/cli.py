@@ -16,6 +16,8 @@ import os
 import sys
 from pathlib import Path
 
+from . import thread_cap
+
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -25,14 +27,12 @@ _THREAD_ENV_VARS = (
 
 
 def _apply_thread_cap(single_thread: bool) -> None:
-    env_cap = os.environ.get("RAU_NUM_THREADS")  # checked even when --single-thread wins
-    if env_cap is not None and not (env_cap.isascii() and env_cap.isdigit() and int(env_cap) > 0):
-        raise ValueError(f"RAU_NUM_THREADS must be a positive integer, got {env_cap!r}")
-    cap = "1" if single_thread else env_cap
+    env_cap = thread_cap()  # checked even when --single-thread wins
+    cap = 1 if single_thread else env_cap
     if cap is None:
         return
     for name in _THREAD_ENV_VARS:
-        os.environ[name] = cap
+        os.environ[name] = str(cap)
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
@@ -172,21 +172,24 @@ def cmd_sweep(args) -> int:
     split, _ = _load_split(args, base_cfg, base_payload)
     ks = tuple(args.k)
     check_ks(ks)
-    gamma_pairs = [_parse_gamma_ratio(token) for token in args.gamma_ratios]
+    # a grid flag not given keeps the config's value
+    weights = base_cfg.weights
+    gamma_pairs = ([(weights.gamma_user, weights.gamma_item)] if args.gamma_ratios is None
+                   else [_parse_gamma_ratio(token) for token in args.gamma_ratios])
     # every grid point's config is built, and so checked, before the first fit
     tasks = [(split, TrainConfig.from_dict(dict(base_payload, alpha=alpha, beta=beta,
                                                 gamma_user=gamma_user, gamma_item=gamma_item)),
               ks)
              for alpha, beta, (gamma_user, gamma_item)
-             in itertools.product(args.alpha_values, args.beta_values, gamma_pairs)]
+             in itertools.product(args.alpha_values or [weights.alpha],
+                                  args.beta_values or [weights.beta], gamma_pairs)]
     metric = f"best_val_ndcg@{base_cfg.eval_k_for_stopping}"
     # an unusable --out fails here, not after the whole grid
     args.out.parent.mkdir(parents=True, exist_ok=True)
     if args.out.is_dir():
         raise ValueError(f"--out {args.out} is a directory, not a file")
 
-    env_cap = os.environ.get("RAU_NUM_THREADS")  # a positive integer, checked by main
-    workers = min(args.workers, int(env_cap)) if env_cap else args.workers
+    workers = min(args.workers, thread_cap() or args.workers)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -293,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     # `--beta-values`
     sweep = sub.add_parser("sweep", help="grid-search the loss weights", allow_abbrev=False)
     _add_fit_flags(sweep)
-    sweep.add_argument("--alpha-values", type=float, nargs="+", default=[0.0])
-    sweep.add_argument("--beta-values", type=float, nargs="+", default=[0.0])
-    sweep.add_argument("--gamma-ratios", type=str, nargs="+", default=["0.5/0.5"])
+    sweep.add_argument("--alpha-values", type=float, nargs="+")
+    sweep.add_argument("--beta-values", type=float, nargs="+")
+    sweep.add_argument("--gamma-ratios", type=str, nargs="+")
     sweep.add_argument("--k", type=int, nargs="+", default=[20, 50])
     sweep.add_argument("--out", type=Path, default=Path("sweep.csv"))
     sweep.add_argument("--workers", type=int, default=1,

@@ -54,19 +54,20 @@ class Workspace:
     `blocks` holds flat slots of KERNEL_BLOCK_ROWS**2 entries (or one
     `dim`-row, if that is longer): slot 0 for the kernel's coefficient
     scratch and one for each upper block pair of `batch_size` rows, at least
-    one. `_kernel_terms` rebuilds, for each later pass, the blocks of a
-    longer set of rows (the probe's) that find no slot, so fewer slots cost
-    time, not bits. `trainer.adam_step` takes slots 0 and 1 for its two
-    block buffers. The row buffers hold `rau_loss_and_gradient`'s unit rows,
-    gradients and intermediates for up to `batch_size` rows, and `products`
-    one block's gradient products.
+    one, and at least `min_slots` in all. `_kernel_terms` rebuilds, for each
+    later pass, the blocks of a longer set of rows (the probe's) that find no
+    slot, so fewer slots cost time, not bits. `trainer.adam_step` takes two
+    slots per thread for its block buffers. The row buffers hold
+    `rau_loss_and_gradient`'s unit rows, gradients and intermediates for up
+    to `batch_size` rows, and `products` one block's gradient products; a
+    fit whose loss takes none (bpr) passes batch_size 0.
     """
 
-    def __init__(self, batch_size: int, dim: int):
+    def __init__(self, batch_size: int, dim: int, min_slots: int = 2):
         spans = -(-batch_size // KERNEL_BLOCK_ROWS)
-        slots = 1 + max(1, spans * (spans + 1) // 2)
+        slots = max(min_slots, 1 + max(1, spans * (spans + 1) // 2))
         self.blocks = np.empty((slots, max(KERNEL_BLOCK_ROWS ** 2, dim)))
-        self.products = np.empty((KERNEL_BLOCK_ROWS, dim))
+        self.products = np.empty((min(batch_size, KERNEL_BLOCK_ROWS), dim))
         (self.users, self.items, self.diff, self.grad_users, self.grad_items,
          self.kernel_grad) = (np.empty((batch_size, dim)) for _ in range(6))
 

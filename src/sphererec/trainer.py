@@ -9,12 +9,14 @@ epochs without the O(N^2) cost of all-pairs statistics.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import encoders, losses
+from . import encoders, losses, thread_cap
 from .data import SplitDataset, epoch_batches
 from .evaluation import evaluate
 from .hypersphere import EmbeddingTable, init_xavier, l2_normalize, write_csv
@@ -145,6 +147,21 @@ class AdamState:
         return cls(np.zeros_like(params), np.zeros_like(params))
 
 
+def _adam_block_rows(dim: int) -> int:
+    return max(1, ADAM_BLOCK_ENTRIES // dim)
+
+
+def _adam_threads(blocks: int) -> int:
+    """Threads for an `adam_step` over `blocks` blocks (at least one).
+
+    One per CPU this process may run on, at most one per block, and at most
+    RAU_NUM_THREADS where that is set. `adam_step` also caps it at half
+    its workspace's slots.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, blocks, thread_cap() or blocks))
+
+
 # perfbench/ wraps this by name and counts rows from its `grads`, argument 1
 def adam_step(
     params: np.ndarray,
@@ -165,19 +182,23 @@ def adam_step(
     before the moment update. Raises on non-finite gradients, before
     anything changes.
 
-    Decay and the moment decays run in place over the whole tables. The
-    rest runs over blocks of ADAM_BLOCK_ENTRIES entries, each block's
-    intermediates written into slots 0 and 1 of `workspace`, so no array the
-    size of the table or of a block is allocated.
+    The update runs over blocks of ADAM_BLOCK_ENTRIES entries. Each of
+    `_adam_threads` threads (the caller's among them, capped at half of
+    `workspace`'s slots) claims the next unclaimed block until none is
+    left, and runs the whole update on its rows, with two workspace slots
+    of its own for the block's intermediates, so no array the size of the
+    table or of a block is allocated. The threads are joined before the
+    call returns, and an exception raised in any of them is raised here.
     Decay, the moment decays and the step are dense; the gradient terms are
     added on the given rows only. Every entry goes through the same IEEE
     operations in the same order as the whole-table formula fed the
-    scattered gradient, so the result is the same to the bit. A row without
-    a gradient skips only `m + 0.0` and `v + 0.0`, which return m and v
-    unless they are -0.0. A moment that starts at +0.0 never becomes -0.0:
-    a sum is -0.0 only if both terms are, and `m * beta` with beta > 0.5 (0.9
-    and 0.999 here) never rounds a non-zero m to zero, since even the
-    smallest subnormal times beta rounds back to itself.
+    scattered gradient, so the result is the same to the bit, whatever the
+    number of threads. A row without a gradient skips only `m + 0.0` and
+    `v + 0.0`, which return m and v unless they are -0.0. A moment that
+    starts at +0.0 never becomes -0.0: a sum is -0.0 only if both terms
+    are, and `m * beta` with beta > 0.5 (0.9 and 0.999 here) never rounds a
+    non-zero m to zero, since even the smallest subnormal times beta rounds
+    back to itself.
     """
     num_rows = params.shape[0]
     if rows.size and (rows[0] < 0 or rows[-1] >= num_rows or np.any(rows[1:] <= rows[:-1])):
@@ -187,28 +208,58 @@ def adam_step(
         raise ValueError(f"shape mismatch: grads {grads.shape}, expected {expected}")
     if not np.all(np.isfinite(grads)):
         raise FloatingPointError("non-finite gradient; aborting the update")
+    block = _adam_block_rows(params.shape[1])
+    starts = range(0, num_rows, block)
+    width = _adam_threads(min(len(starts), len(workspace.blocks) // 2))
     state.step_count += 1
     correction1 = 1.0 - ADAM_BETA1 ** state.step_count
     correction2 = 1.0 - ADAM_BETA2 ** state.step_count
     decay = 1.0 - lr * weight_decay
-    block = max(1, ADAM_BLOCK_ENTRIES // params.shape[1])
     edges = np.searchsorted(rows, range(0, num_rows + block, block)).tolist()
     offsets = rows % block
-    params *= decay
-    state.first_moment *= ADAM_BETA1
-    state.second_moment *= ADAM_BETA2
-    for start, first, last in zip(range(0, num_rows, block), edges, edges[1:]):
-        stop = start + block
-        touched, g = offsets[first:last], grads[first:last]
-        p, m = params[start:stop], state.first_moment[start:stop]
-        v = state.second_moment[start:stop]
-        step, denom = (half[:p.size].reshape(p.shape) for half in workspace.blocks[:2])
-        term = step[:g.shape[0]]
-        m[touched] += np.multiply(1.0 - ADAM_BETA1, g, out=term)
-        v[touched] += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=term), out=term)
-        np.multiply(lr, np.divide(m, correction1, out=step), out=step)
-        np.add(np.sqrt(np.divide(v, correction2, out=denom), out=denom), ADAM_EPS, out=denom)
-        p -= np.divide(step, denom, out=step)
+    unclaimed = iter(zip(starts, edges, edges[1:]))
+    claim = threading.Lock()
+    errors = []
+
+    def run_blocks(step_slot: np.ndarray, denom_slot: np.ndarray) -> None:
+        try:
+            while not errors:
+                with claim:
+                    claimed = next(unclaimed, None)
+                if claimed is None:
+                    return
+                start, first, last = claimed
+                stop = start + block
+                touched, g = offsets[first:last], grads[first:last]
+                p, m = params[start:stop], state.first_moment[start:stop]
+                v = state.second_moment[start:stop]
+                step, denom = (slot[:p.size].reshape(p.shape) for slot in (step_slot, denom_slot))
+                term = step[:g.shape[0]]
+                p *= decay
+                m *= ADAM_BETA1
+                v *= ADAM_BETA2
+                m[touched] += np.multiply(1.0 - ADAM_BETA1, g, out=term)
+                v[touched] += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=term), out=term)
+                np.multiply(lr, np.divide(m, correction1, out=step), out=step)
+                np.add(np.sqrt(np.divide(v, correction2, out=denom), out=denom), ADAM_EPS,
+                       out=denom)
+                p -= np.divide(step, denom, out=step)
+        except Exception as exc:  # kept for the caller, which raises it after the join
+            errors.append(exc)
+
+    slots = workspace.blocks
+    helpers = [threading.Thread(target=run_blocks, args=(slots[2 * n], slots[2 * n + 1]))
+               for n in range(1, width)]
+    try:
+        for helper in helpers:
+            helper.start()
+        run_blocks(slots[0], slots[1])
+    finally:  # no thread outlives the call, even where one could not be started
+        for helper in helpers:
+            if helper.ident is not None:
+                helper.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -268,8 +319,11 @@ class TrainState:
                                                init_xavier(split.num_items, cfg.dim, item_seed),
                                                split.num_users, split.num_items)
         self.adam = AdamState.like(self.node_table)
-        # one step's buffers (the loss's, Adam's and the probe's kernel blocks) for the whole fit
-        self.workspace = losses.Workspace(cfg.batch_size, cfg.dim)
+        # one step's buffers (the loss's, Adam's and the probe's kernel blocks) for the whole
+        # fit; bpr's loss takes none
+        adam_blocks = -(-len(self.node_table) // _adam_block_rows(cfg.dim))
+        self.workspace = losses.Workspace(0 if cfg.objective == "bpr" else cfg.batch_size,
+                                          cfg.dim, 2 * _adam_threads(adam_blocks))
         self.shuffle_root = shuffle_root
         self.negative_root = negative_root
         self.encoder = encoders.Encoder(cfg.encoder, cfg.num_layers, split.train)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -355,6 +356,25 @@ class TestSweepCommand:
         assert exited.value.code == 2
         assert fits == []
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, expected", [
+        ([], [(0.3, 2.0)]),
+        (["--beta-values", "1.0", "5.0"], [(0.3, 1.0), (0.3, 5.0)]),
+    ], ids=["no-grid-flags", "beta-grid"])
+    def test_a_grid_flag_not_given_keeps_the_config_weight(self, synthetic_tsv, tmp_path,
+                                                           grid, expected):
+        # the grid flags' defaults used to replace the config's weights without a word
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 0.3, "beta": 2.0, "gamma_user": 0.7,
+                                      "gamma_item": 0.3}))
+        out_csv = tmp_path / "sweep.csv"
+        argv = sweep_args(synthetic_tsv, "--config", str(config), *grid, "--k", "10",
+                          "--out", str(out_csv))
+        assert cli.main(argv) == 0
+        with out_csv.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(float(row["alpha"]), float(row["beta"])) for row in rows] == expected
+        assert {(row["gamma_user"], row["gamma_item"]) for row in rows} == {("0.7", "0.3")}
 
     @pytest.mark.parametrize("objective", ["directau", "bpr"])
     def test_config_objective_other_than_rau_exits_2_before_any_fit(self, synthetic_tsv, tmp_path,

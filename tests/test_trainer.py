@@ -1,5 +1,7 @@
 import dataclasses
+import os
 import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -178,6 +180,77 @@ class TestAdamStep:
         for now, then in zip((params, state.first_moment, state.second_moment), before):
             assert np.array_equal(now, then)
         assert state.step_count == 1
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("touched", [0.023, 0.66])
+    def test_threaded_update_is_bit_identical_at_any_width(self, monkeypatch, touched, width):
+        # more CPUs than blocks, so RAU_NUM_THREADS sets the width on any machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setenv("RAU_NUM_THREADS", str(width))
+        rng = np.random.default_rng([width, int(touched * 1000)])
+        shape = (3 * BLOCK_7 + 5, 7)  # four blocks
+        assert trainer._adam_threads(4) == width
+        workspace = losses.Workspace(2, 7, 2 * width)
+        params = rng.standard_normal(shape)
+        expected = params.copy()
+        state, expected_state = AdamState.like(params), AdamState.like(params)
+        for _ in range(5):
+            rows = np.flatnonzero(rng.random(shape[0]) < touched)
+            grads = rng.standard_normal((rows.size, shape[1]))
+            adam_step(params, grads, state, 1e-3, 1e-6, rows, workspace)
+            oracles.reference_adam_step(expected,
+                                        oracles.full_table_gradient(rows, grads, shape[0]),
+                                        expected_state, 1e-3, 1e-6)
+        assert_same_bits(params, state, expected, expected_state)
+
+    def test_width_is_capped_by_cpus_blocks_slots_and_rau_num_threads(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
+        assert [trainer._adam_threads(blocks) for blocks in (0, 1, 2, 5)] == [1, 1, 2, 3]
+        monkeypatch.setenv("RAU_NUM_THREADS", "2")
+        assert trainer._adam_threads(5) == 2
+        monkeypatch.setenv("RAU_NUM_THREADS", "0")
+        with pytest.raises(ValueError, match="RAU_NUM_THREADS"):
+            trainer._adam_threads(5)
+        # a state's workspace, built for fewer threads, caps the width at half its slots
+        monkeypatch.delenv("RAU_NUM_THREADS")
+        started, start = [], threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        params = np.zeros((3 * BLOCK_7 + 5, 7))
+        every_row = np.arange(len(params))
+        for workspace, helpers in ((losses.Workspace(2, 7), 0), (losses.Workspace(2, 7, 4), 1),
+                                   (losses.Workspace(2, 7, 9), 2)):
+            started.clear()
+            adam_step(params, np.ones_like(params), AdamState.like(params), 0.1, 0.0,
+                      every_row, workspace)
+            assert len(started) == helpers
+
+    def test_an_error_in_a_helper_thread_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
+        caller, helper_ran = threading.get_ident(), threading.Event()
+        sqrt = np.sqrt
+
+        def failing_sqrt(*args, **kwargs):
+            # the caller waits in its first block, so the helper is sure to claim one
+            if threading.get_ident() != caller:
+                helper_ran.set()
+                raise RuntimeError("failed in a helper thread")
+            assert helper_ran.wait(timeout=30)
+            return sqrt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sqrt", failing_sqrt)
+        params = np.zeros((3 * BLOCK_7 + 5, 7))
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper thread"):
+            adam_step(params, np.ones_like(params), AdamState.like(params), 0.1, 0.0,
+                      np.arange(len(params)), losses.Workspace(2, 7, 4))
+        assert threading.active_count() == threads_before
 
     def test_allocates_no_full_table_temporaries(self):
         # only the finiteness mask (an eighth of params.nbytes) may scale with the table;
@@ -645,6 +718,29 @@ class TestFitEpoch:
         monkeypatch.setattr(trainer, "train_epoch", None)  # an epoch would raise TypeError
         assert not trainer.fit_epoch(split, state)
         assert state.report.epochs_run == 1
+
+
+class TestAdamThreadsInAFit:
+    @pytest.mark.parametrize("encoder, objective", [("mf", "rau"), ("lightgcn", "bpr")])
+    def test_tables_do_not_depend_on_the_thread_count(self, monkeypatch, encoder, objective):
+        # at dim 512 a block is 128 rows, so the 300 node rows make three blocks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        split = data.split_per_user(data.two_cluster_dataset(200, 100, 6, seed=3), seed=3)
+        cfg = base_config(objective=objective, encoder=encoder, dim=512, batch_size=64,
+                          max_epochs=1, fixed_epochs=True, weight_decay=1e-6,
+                          weights=LossWeights(alpha=0.5, beta=5.0))
+        assert -(-(split.num_users + split.num_items) * cfg.dim // ADAM_BLOCK_ENTRIES) == 3
+        tables = []
+        for cap in ("1", None):
+            if cap is None:
+                monkeypatch.delenv("RAU_NUM_THREADS")
+            else:
+                monkeypatch.setenv("RAU_NUM_THREADS", cap)
+            threads_before = threading.active_count()
+            _, user_table, item_table = trainer.fit(split, cfg)
+            assert threading.active_count() == threads_before
+            tables.append(user_table.values.tobytes() + item_table.values.tobytes())
+        assert tables[0] == tables[1]
 
 
 class TestReferenceEpoch:
