@@ -9,13 +9,21 @@ The matrix runs on a seeded synthetic TSV with BLAS on one thread:
   with early stopping, with `--fixed-epochs` and with `--max-epochs 0`, plus
   `bpr` with full-history rejection;
 - `eval` of every trained checkpoint on both parts in both score modes;
-- `sweep`, `geometry` and `inspect`.
+- `sweep`, `geometry` and `inspect`;
+- a wide section, at shapes where the blocked and threaded paths run:
+  `train` of `mf`/`rau` and `lightgcn`/`bpr` and their test `eval` on
+  1,200 users x 800 items at dim 128 and batch 600 (several Adam blocks,
+  ranking chunks, kernel blocks and propagation blocks), once under
+  `RAU_NUM_THREADS=1` (in `wide/width-1/`) and once without it (in
+  `wide/width-default/`).
 
 Every file the runs write, and each command's standard output, gets a
 SHA-256; `report.json`'s wall times are zeroed before hashing. `--reduced`
 keeps the early-stopping run of each encoder and objective and its test
-`eval`. `--compare` prints "N of N byte-identical" and exits 1 on any
-difference.
+`eval`, and skips the wide section. `--compare` prints "N of N
+byte-identical", and, for each file holding the wide section, how many of
+its width pairs are equal; it exits 1 on any difference between the files
+or within a width pair.
 
 BLAS kernels differ by CPU, so compare two checkouts on one machine: put
 this script in each checkout's `scripts/` and run it there. It imports the
@@ -43,12 +51,20 @@ STOPPING = {
     "fixed": ["--max-epochs", "3", "--fixed-epochs"],
     "zero": ["--max-epochs", "0"],
 }
+# the wide section's data (users, items, items per user) and fit flags
+WIDE_SHAPE = (1200, 800, 10)
+WIDE_DIM, WIDE_BATCH = 128, 600
+WIDE_COMMON = ["--dataset", f"../{DATASET}", "--dim", str(WIDE_DIM), "--lr", "0.05",
+               "--batch-size", str(WIDE_BATCH), "--seed", "3", "--max-epochs", "3",
+               "--patience", "3"]
+# each width's directory, and the RAU_NUM_THREADS it runs under (None: unset)
+WIDTHS = {"width-1": "1", "width-default": None}
 
 
-def write_dataset(path: Path) -> None:
+def write_dataset(path: Path, shape=(80, 40, 8)) -> None:
     from sphererec import data
 
-    ds = data.two_cluster_dataset(80, 40, 8, seed=5)
+    ds = data.two_cluster_dataset(*shape, seed=5)
     path.write_text("".join(f"u{u}\ti{i}\n" for u, i in ds.interactions), encoding="utf-8")
 
 
@@ -100,6 +116,35 @@ def run_matrix(reduced: bool) -> None:
                      "--out-dir", "geometry"])
     run("inspect", ["inspect", "--dataset", DATASET, "--split-seed", "3",
                     "--manifest", "inspect-manifest.json"])
+    run_wide()
+
+
+def run_wide() -> None:
+    """Run the wide section under `wide/`, once per entry of WIDTHS, in its own directory."""
+    Path("wide").mkdir()
+    write_dataset(Path("wide", DATASET), WIDE_SHAPE)
+    caller_cap = os.environ.pop("RAU_NUM_THREADS", None)
+    try:
+        for width, cap in WIDTHS.items():
+            if cap is not None:
+                os.environ["RAU_NUM_THREADS"] = cap
+            Path("wide", width).mkdir()
+            os.chdir(Path("wide", width))  # so both widths write the same relative paths
+            try:
+                for encoder, objective in (("mf", "rau"), ("lightgcn", "bpr")):
+                    label = f"{encoder}-{objective}"
+                    run(f"train-{label}", ["train", *WIDE_COMMON, "--encoder", encoder,
+                                           "--objective", objective, "--out-dir", label])
+                    (checkpoint,) = Path(label).iterdir()
+                    run(f"eval-{label}", ["eval", "--checkpoint", str(checkpoint),
+                                          "--part", "test", "--k", "5", "20",
+                                          "--out", f"eval-{label}.json"])
+            finally:
+                os.chdir(Path("..", ".."))
+                os.environ.pop("RAU_NUM_THREADS", None)
+    finally:
+        if caller_cap is not None:
+            os.environ["RAU_NUM_THREADS"] = caller_cap
 
 
 def artifact_bytes(path: Path) -> bytes:
@@ -125,6 +170,15 @@ def digests(work_dir: Path, reduced: bool) -> dict[str, str]:
         os.chdir(previous)
 
 
+def width_pairs(files: dict[str, str]) -> tuple[list[str], list[str]]:
+    """The wide section's artifact names (relative to a width's directory), and those whose
+    digests differ between the widths or that only one width wrote."""
+    one, default = ({name.split("/", 2)[2]: digest for name, digest in files.items()
+                     if name.startswith(f"wide/{width}/")} for width in WIDTHS)
+    names = sorted(one.keys() | default.keys())
+    return names, [name for name in names if one.get(name) != default.get(name)]
+
+
 def compare(path_a: Path, path_b: Path) -> int:
     a, b = (json.loads(p.read_text(encoding="utf-8"))["files"] for p in (path_a, path_b))
     names = sorted(a.keys() | b.keys())
@@ -133,7 +187,15 @@ def compare(path_a: Path, path_b: Path) -> int:
         where = "differs" if name in a and name in b else f"only in {path_a if name in a else path_b}"
         print(f"{where}: {name}")
     print(f"{len(names) - len(differing)} of {len(names)} byte-identical")
-    return 1 if differing else 0
+    unequal_pairs = 0
+    for path, files in ((path_a, a), (path_b, b)):
+        pairs, unequal = width_pairs(files)
+        for name in unequal:
+            print(f"width pair differs in {path}: {name}")
+        if pairs:
+            print(f"{path}: {len(pairs) - len(unequal)} of {len(pairs)} width pairs equal")
+        unequal_pairs += len(unequal)
+    return 1 if differing or unequal_pairs else 0
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,9 @@
 """Command-line entry points: train, eval, sweep, geometry, inspect.
 
-Thread caps (RAU_NUM_THREADS or --single-thread) override the BLAS
-environment variables before any numerical module is imported, so the heavy
-imports happen inside the command handlers.
+Thread caps (RAU_NUM_THREADS, --single-thread, or a `sweep --workers N`
+worker's share of the CPUs) override the BLAS environment variables before
+any numerical module is imported, so the heavy imports happen inside the
+command handlers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import thread_cap
+from . import cpu_count, thread_cap, thread_width
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -26,9 +27,10 @@ _THREAD_ENV_VARS = (
 )
 
 
-def _apply_thread_cap(single_thread: bool) -> None:
+def _apply_thread_cap(single_thread: bool, workers: int = 1) -> None:
     env_cap = thread_cap()  # checked even when --single-thread wins
-    cap = 1 if single_thread else env_cap
+    # BLAS's threads are set when numpy loads, before sweep forks its `workers`
+    cap = 1 if single_thread else _worker_width(workers) if workers > 1 else env_cap
     if cap is None:
         return
     for name in _THREAD_ENV_VARS:
@@ -158,6 +160,21 @@ def _sweep_point(task):
     }
 
 
+def _sweep_workers(requested: int) -> int:
+    """Worker processes of `sweep --workers requested`: at most RAU_NUM_THREADS where set."""
+    return min(requested, thread_cap() or requested)
+
+
+def _worker_width(workers: int) -> int:
+    """BLAS, Adam and ranking threads of each of `workers` sweep processes: its share of the
+    CPUs, at least 1, and at most RAU_NUM_THREADS where that is set."""
+    return thread_width(cpu_count() // workers)
+
+
+def _cap_worker_threads(width: int) -> None:
+    os.environ["RAU_NUM_THREADS"] = str(width)
+
+
 def cmd_sweep(args) -> int:
     from .evaluation import check_ks
     from .hypersphere import write_csv
@@ -189,11 +206,12 @@ def cmd_sweep(args) -> int:
     if args.out.is_dir():
         raise ValueError(f"--out {args.out} is a directory, not a file")
 
-    workers = min(args.workers, thread_cap() or args.workers)
+    workers = _sweep_workers(args.workers)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_cap_worker_threads,
+                                 initargs=(_worker_width(workers),)) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(task) for task in tasks]
@@ -325,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_thread_cap(args.single_thread)
+        _apply_thread_cap(args.single_thread, _sweep_workers(getattr(args, "workers", 1)))
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,15 +7,25 @@ platforms. Scores are either raw dot products (ranking-loss geometry) or
 cosine similarities (hypersphere geometry).
 
 Users are ranked in chunks whose rows fit a byte budget: each chunk scores
-into one buffer and writes the negated scores into a second, both at most
-`_CHUNK_BYTES` and reused by every chunk, so a chunk's passes stay in cache
-and memory does not grow with the catalog times the user count. Only the
-top max(K) columns are ranked. A partition of the negated copy finds each
-user's K-th best score; the cells scoring at least that much, taken by flat
-(row-major) index, are the candidates, and of the cells tied with the K-th
-score only the first by item index are kept, so each user keeps exactly K.
-A stable sort of those K gives the same top K as a stable sort of the whole
-catalog.
+into one buffer and writes the negated scores into a second, so a chunk's
+passes stay in cache and memory does not grow with the catalog times the
+user count. The rows that fit one `_CHUNK_BYTES` buffer are cut into
+`_CHUNKS_PER_BUFFER` chunks, or kept as one where the users fit one
+buffer. The calling thread and the threads it starts, min(CPUs in the
+process's affinity, `_CHUNKS_PER_BUFFER`, chunks, RAU_NUM_THREADS where
+set) in all, claim the chunks one at a time (`sphererec.claim_and_join`).
+Each thread has its own pair of chunk buffers, allocated once by the
+caller, so the buffers hold at most two `_CHUNK_BYTES` at any width. A
+chunk writes its users' rows into its own slot and the means are reduced
+in user order. BLAS may round a score differently at another row of a
+product, so the cut depends on the inputs only, not on the CPUs or
+RAU_NUM_THREADS: the report is the same at any thread count and CPU
+count. Only the top max(K) columns are ranked. A partition of the negated
+copy finds each user's K-th best score; the cells scoring at least that
+much, taken by flat (row-major) index, are the candidates, and of the cells
+tied with the K-th score only the first by item index are kept, so each
+user keeps exactly K. A stable sort of those K gives the same top K as a
+stable sort of the whole catalog.
 """
 
 from __future__ import annotations
@@ -25,12 +35,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import claim_and_join, thread_width
 from .data import InteractionDataset, SplitDataset
 from .hypersphere import write_csv
 
 DEFAULT_KS = (20, 50)
-# each of the two chunk buffers holds at most this many bytes (and at least one row)
+# the chunk buffers of all threads together hold at most twice this many bytes (and
+# each at least one row)
 _CHUNK_BYTES = 4 << 20
+# the chunks one buffer's rows are cut into, and so the most threads that rank at once; a
+# constant, since BLAS may round a score differently at another row of a product
+_CHUNKS_PER_BUFFER = 2
 
 
 @dataclass(frozen=True)
@@ -87,8 +102,9 @@ def _csr_cells(part: InteractionDataset, users: np.ndarray) -> tuple[np.ndarray,
 def _top_k(scores: np.ndarray, k: int, work: np.ndarray) -> np.ndarray:
     """np.argsort(-scores, axis=1, kind="stable")[:, :k], sorting only k candidates per row.
 
-    `-scores` is written into `work`, a buffer of its shape, in one pass and
-    partitioned there; `scores` is left as it was. Negation is exact, so the
+    `-scores` is written into `work`, a contiguous buffer of its shape, in one
+    pass and partitioned there, and then the candidate mask is written over
+    it; `scores` is left as it was. Negation is exact, so the
     partition gives each row's k-th best score bit for bit, or NaN where
     fewer than k scores are not NaN (argsort ranks NaN last). A row's
     candidates are its cells at or above that score, or every cell when it
@@ -101,7 +117,9 @@ def _top_k(scores: np.ndarray, k: int, work: np.ndarray) -> np.ndarray:
     np.negative(scores, out=work)
     work.partition(k - 1, axis=1)
     kth = -work[:, k - 1]  # negation is exact: each row's k-th best score, or NaN
-    candidates = scores >= kth[:, None]
+    # the partitioned copy is spent, so the candidate mask takes its first bytes
+    mask = work.reshape(-1).view(np.bool_)[:scores.size].reshape(scores.shape)
+    candidates = np.greater_equal(scores, kth[:, None], out=mask)
     candidates[np.isnan(kth)] = True  # fewer than k scores are not NaN: NaN cells rank last
     flat = np.flatnonzero(candidates)  # row-major, so columns ascend within a row
     rows, columns = np.divmod(flat, num_columns)
@@ -157,8 +175,11 @@ def evaluate(
         if not np.isfinite(norms).all():
             raise ValueError(f"{name} contains non-finite entries or a row whose norm "
                              "overflows float64")
+    # a chunk divides its user rows by their norms (cosine) or by 1.0, which is exact (dot),
+    # so the user table is never copied whole
+    user_divisors = np.ones_like(user_norms)
     if score_mode == "cosine":
-        user_vectors = user_vectors / np.maximum(user_norms, 1e-12)[:, None]
+        np.maximum(user_norms, 1e-12, out=user_divisors)
         item_vectors = item_vectors / np.maximum(item_norms, 1e-12)[:, None]
 
     target = split.test if part == "test" else split.validation
@@ -182,14 +203,21 @@ def evaluate(
     ideal_dcg = np.cumsum(discounts)
     last_column = np.minimum(ks, ranked_columns) - 1
     excluded_parts = (split.train, split.validation) if part == "test" else (split.train,)
-    per_user = []  # recall@K then ndcg@K for each K, one row per user in user order
-    # every chunk scores into, and partitions in, the same two float64 buffers of at
-    # most _CHUNK_BYTES, so no chunk maps and faults in fresh chunk x catalog arrays
-    chunk_rows = max(1, _CHUNK_BYTES // (8 * split.num_items))
-    score_buffer, work_buffer = np.empty((2, min(chunk_rows, eval_users.size), split.num_items))
-    for start in range(0, eval_users.size, chunk_rows):
+    # one buffer's rows, cut into chunks; each thread's two chunk buffers are allocated
+    # here once, so no chunk maps and faults in fresh chunk x catalog arrays
+    buffer_rows = max(1, _CHUNK_BYTES // (8 * split.num_items))
+    lanes = min(_CHUNKS_PER_BUFFER, -(-eval_users.size // buffer_rows), buffer_rows)
+    chunk_rows = buffer_rows // lanes
+    starts = range(0, eval_users.size, chunk_rows)
+    per_user = [None] * len(starts)  # recall@K then ndcg@K for each K, one row per user
+
+    def rank_chunk(claimed: tuple[int, int], buffer: np.ndarray) -> None:
+        index, start = claimed
         chunk = eval_users[start:start + chunk_rows]
-        scores = np.matmul(user_vectors[chunk], item_vectors.T, out=score_buffer[:chunk.size])
+        score_buffer, work_buffer = buffer
+        chunk_vectors = user_vectors[chunk]
+        chunk_vectors /= user_divisors[chunk, None]
+        scores = np.matmul(chunk_vectors, item_vectors.T, out=score_buffer[:chunk.size])
         for excluded in excluded_parts:
             scores[_csr_cells(excluded, chunk)] = -np.inf
         ranked = _top_k(scores, ranked_columns, work_buffer[:chunk.size])
@@ -203,8 +231,12 @@ def evaluate(
         recall = np.cumsum(hits, axis=1)[:, last_column] / num_relevant
         dcg = np.cumsum(hits * discounts, axis=1)[:, last_column]
         ndcg = dcg / ideal_dcg[np.minimum(num_relevant, ks) - 1]
-        per_user.append(np.concatenate([recall, ndcg], axis=1))
-        del ranked, ranked_keys, found, hits  # freed before the next chunk allocates
+        per_user[index] = np.concatenate([recall, ndcg], axis=1)
+
+    # the buffers are freed when the threads are joined, before the means are reduced
+    claim_and_join(rank_chunk, enumerate(starts),
+                   np.empty((thread_width(lanes), 2, min(chunk_rows, eval_users.size),
+                             split.num_items)))
 
     # cumsum adds one user at a time in user order, as a running total does;
     # np.sum's pairwise order could change the last digits of the means

@@ -23,6 +23,13 @@ def sweep_args(dataset, *extra):
     return ["sweep", "--dataset", str(dataset), *FIT_FLAGS, *extra]
 
 
+def worker_thread_cap(task):
+    """A sweep point that reports the thread caps its worker process runs under."""
+    return {"rau_num_threads": os.environ.get("RAU_NUM_THREADS"),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "best_val_ndcg@20": 0.0}
+
+
 def only_run_dir(out_dir):
     runs = [p for p in out_dir.iterdir() if p.is_dir()]
     assert len(runs) == 1
@@ -146,6 +153,25 @@ def test_thread_cap_overrides_inherited_variables(monkeypatch, single_thread,
     else:
         monkeypatch.setenv("RAU_NUM_THREADS", rau_num_threads)
     cli._apply_thread_cap(single_thread)
+    assert [os.environ[name] for name in cli._THREAD_ENV_VARS] == [expected] * 4
+
+
+@pytest.mark.parametrize("single_thread, rau_num_threads, workers, expected", [
+    (False, None, 1, "16"), (False, None, 2, "4"), (False, None, 3, "2"), (False, None, 16, "1"),
+    (True, None, 2, "1"), (False, "3", 2, "3"), (False, "3", 3, "2"),
+])
+def test_sweep_workers_cap_blas_at_their_share(monkeypatch, single_thread, rau_num_threads,
+                                               workers, expected):
+    # each worker inherits BLAS as numpy loaded it in the parent, so the parent caps it at
+    # the worker's share of the 8 CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    for name in cli._THREAD_ENV_VARS:
+        monkeypatch.setenv(name, "16")
+    if rau_num_threads is None:
+        monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RAU_NUM_THREADS", rau_num_threads)
+    cli._apply_thread_cap(single_thread, workers)
     assert [os.environ[name] for name in cli._THREAD_ENV_VARS] == [expected] * 4
 
 
@@ -299,9 +325,35 @@ class TestSweepCommand:
             argv = sweep_args(synthetic_tsv, "--alpha-values", "0.0", "0.5", "--k", "10",
                               "--out", str(out_csv), "--workers", str(workers))
             assert cli.main(argv) == 0
-            return out_csv.read_text()
+            return out_csv.read_bytes()
 
         assert run("seq.csv", 1) == run("par.csv", 2)
+
+    def test_each_worker_gets_its_share_of_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
+        assert [cli._worker_width(n) for n in (1, 2, 3, 4, 8, 16)] == [8, 4, 2, 2, 1, 1]
+        monkeypatch.setenv("RAU_NUM_THREADS", "3")  # a user-set cap still holds
+        assert [cli._worker_width(n) for n in (1, 2, 3, 4)] == [3, 3, 2, 2]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delenv("RAU_NUM_THREADS")
+        assert [cli._worker_width(n) for n in (1, 2, 3)] == [2, 1, 1]
+
+    def test_workers_run_at_their_width(self, synthetic_tsv, tmp_path, monkeypatch):
+        # four CPUs over two workers: each worker process runs under a cap of two threads,
+        # for BLAS too (set before numpy loads, where the CLI runs in its own process)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
+        for name in cli._THREAD_ENV_VARS:
+            monkeypatch.setenv(name, "4")
+        monkeypatch.setattr(cli, "_sweep_point", worker_thread_cap)
+        argv = sweep_args(synthetic_tsv, "--alpha-values", "0.0", "0.5", "--out",
+                          str(tmp_path / "s.csv"), "--workers", "2")
+        assert cli.main(argv) == 0
+        rows = (tmp_path / "s.csv").read_text().strip().split("\n")
+        assert [row.split(",")[:2] for row in rows] == [
+            ["rau_num_threads", "openblas_num_threads"], ["2", "2"], ["2", "2"]]
+        assert "RAU_NUM_THREADS" not in os.environ  # the caller's environment is left alone
 
     @pytest.mark.parametrize("where", ["a-directory", "under-a-file"])
     def test_unusable_out_exits_2_before_fitting(self, synthetic_tsv, tmp_path, capsys,

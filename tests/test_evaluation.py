@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -90,6 +93,26 @@ def ranked_in_index_order(split, ks):
     """Evaluate a one-user split whose item scores fall as the item index grows."""
     items = np.arange(split.num_items, 0, -1, dtype=float)[:, None]
     return evaluate(split, np.ones((1, 1)), items, ks=ks, score_mode="dot")
+
+
+def assert_chunk_sizes_and_oracle(monkeypatch, num_users, chunk_sizes, score_mode, ordered):
+    """Rank the tie-heavy split's first `num_users` test users in buffers of 8 rows; with
+    `ordered`, the chunks must also be ranked in user order (one thread claims them all)."""
+    split, users, items = tie_heavy_fixture()
+    split = with_test_users(split, num_users)
+    monkeypatch.setattr(evaluation, "_CHUNK_BYTES", chunk_bytes_for_rows(split, 8))
+    seen = []
+
+    def recording_top_k(scores, k, work):
+        seen.append(scores.shape[0])
+        return _top_k(scores, k, work)
+
+    monkeypatch.setattr(evaluation, "_top_k", recording_top_k)
+    ks = (1, 3, 10, 40)
+    report = evaluate(split, users, items, ks=ks, part="test", score_mode=score_mode)
+    assert (seen if ordered else sorted(seen, reverse=True)) == chunk_sizes
+    assert report.num_users_evaluated == num_users
+    assert report == oracle_report(split, users, items, ks, "test", score_mode)
 
 
 class TestRecall:
@@ -200,27 +223,126 @@ class TestEvaluate:
         assert evaluate(split, users, items, ks=(1, 3, 40), score_mode=score_mode) == whole
         assert whole.num_users_evaluated % 7 != 0
 
-    # chunk - 1, chunk and chunk + 1 users, then two full chunks and a one-user last chunk
+    # 8-row buffers: buffer - 1 and buffer users make one chunk; from buffer + 1 users on,
+    # each buffer's rows are two 4-user chunks, with a one-user last chunk at 9 and 17
     @pytest.mark.parametrize("num_users, chunk_sizes", [
-        (7, [7]), (8, [8]), (9, [8, 1]), (17, [8, 8, 1])])
+        (7, [7]), (8, [8]), (9, [4, 4, 1]), (12, [4, 4, 4]), (17, [4, 4, 4, 4, 1])])
     @pytest.mark.parametrize("score_mode", ["cosine", "dot"])
     def test_user_counts_around_the_chunk_size_match_the_oracle(
             self, monkeypatch, num_users, chunk_sizes, score_mode):
+        monkeypatch.setenv("RAU_NUM_THREADS", "1")
+        assert_chunk_sizes_and_oracle(monkeypatch, num_users, chunk_sizes, score_mode,
+                                      ordered=True)
+
+    # the same cut at two CPUs, where two threads may claim the chunks out of user order
+    @pytest.mark.parametrize("num_users, chunk_sizes", [
+        (7, [7]), (8, [8]), (9, [4, 4, 1]), (12, [4, 4, 4]), (17, [4, 4, 4, 4, 1])])
+    @pytest.mark.parametrize("score_mode", ["cosine", "dot"])
+    def test_user_counts_around_the_chunk_size_match_the_oracle_at_width_2(
+            self, monkeypatch, num_users, chunk_sizes, score_mode):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
+        assert_chunk_sizes_and_oracle(monkeypatch, num_users, chunk_sizes, score_mode,
+                                      ordered=False)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("part", ["test", "validation"])
+    @pytest.mark.parametrize("score_mode", ["cosine", "dot"])
+    def test_threaded_chunks_match_the_oracle_at_any_width(self, monkeypatch, cpus, part,
+                                                           score_mode):
+        # 12-row buffers cut into three 4-user chunks, so up to three threads rank: several
+        # chunks per thread, and a short last one
         split, users, items = tie_heavy_fixture()
-        split = with_test_users(split, num_users)
-        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", chunk_bytes_for_rows(split, 8))
-        seen = []
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", chunk_bytes_for_rows(split, 12))
+        monkeypatch.setattr(evaluation, "_CHUNKS_PER_BUFFER", 3)
+        monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
+        ks = (1, 3, 10, 40)
+        reports = []
+        for affinity in ({0}, set(range(cpus))):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, affinity=affinity: affinity)
+            reports.append(evaluate(split, users, items, ks=ks, part=part, score_mode=score_mode))
+        target = split.test if part == "test" else split.validation
+        assert reports[0].num_users_evaluated % 4 != 0  # a short last chunk
+        assert reports[0].num_users_evaluated > 2 * 12
+        assert reports[1] == reports[0]
+        assert reports[1] == oracle_report(split, users, items, ks, part, score_mode)
+        assert reports[1].num_users_evaluated == np.count_nonzero(np.diff(target.user_indptr))
+
+    def test_the_scores_follow_neither_the_cpus_nor_the_thread_cap(self, monkeypatch):
+        # BLAS may round a score differently at another row of a product (OpenBLAS's Haswell
+        # kernels do in the last columns of a 12- and a 6-row product at 202 items), so
+        # neither the CPUs nor RAU_NUM_THREADS may move a chunk's edges
+        rng = np.random.default_rng(11)
+        num_users, num_items = 60, 202
+        pairs = [(user, int(item)) for user in range(num_users)
+                 for item in rng.choice(num_items, size=5, replace=False)]
+        split = data.split_per_user(data.dataset_from_pairs(num_users, num_items, pairs), seed=1)
+        users, items = rng.normal(size=(num_users, 4)), rng.normal(size=(num_items, 4))
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", chunk_bytes_for_rows(split, 12))
+        score_rows = []
 
         def recording_top_k(scores, k, work):
-            seen.append(scores.shape[0])
+            score_rows.extend(row.tobytes() for row in scores)
             return _top_k(scores, k, work)
 
         monkeypatch.setattr(evaluation, "_top_k", recording_top_k)
-        ks = (1, 3, 10, 40)
-        report = evaluate(split, users, items, ks=ks, part="test", score_mode=score_mode)
-        assert seen == chunk_sizes
-        assert report.num_users_evaluated == num_users
-        assert report == oracle_report(split, users, items, ks, "test", score_mode)
+        runs = []
+        for cpus, cap in ((1, None), (8, None), (8, "1"), (3, "3")):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            if cap is None:
+                monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("RAU_NUM_THREADS", cap)
+            score_rows.clear()
+            report = evaluate(split, users, items, ks=(1, 3, 10))
+            runs.append((report, sorted(score_rows)))  # threads may claim out of order
+        assert runs[0][0].num_users_evaluated > 12  # more than one buffer's rows
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_no_thread_outlives_a_call_and_a_chunk_error_reaches_the_caller(self, monkeypatch):
+        split, users, items = tie_heavy_fixture()
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", chunk_bytes_for_rows(split, 6))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
+        threads_before = threading.active_count()
+        num_chunks = -(-evaluate(split, users, items).num_users_evaluated // 3)
+        assert threading.active_count() == threads_before
+        calls, lock = [], threading.Lock()
+
+        def failing_top_k(scores, k, work):
+            with lock:
+                calls.append(scores.shape[0])
+                if len(calls) == 4:  # a later chunk, on whichever thread claimed it
+                    raise RuntimeError("failed in a later chunk")
+            return _top_k(scores, k, work)
+
+        monkeypatch.setattr(evaluation, "_top_k", failing_top_k)
+        with pytest.raises(RuntimeError, match="later chunk"):
+            evaluate(split, users, items)
+        assert threading.active_count() == threads_before
+        assert 4 <= len(calls) < num_chunks  # no chunk is claimed once one has raised
+
+    def test_many_threads_under_fast_switching_rank_every_chunk_once(self, monkeypatch):
+        # six threads on one-user chunks, switching every microsecond: a chunk claimed twice
+        # or lost would change the report; bounded by a timeout on the call's thread
+        split, users, items = tie_heavy_fixture()
+        monkeypatch.setattr(evaluation, "_CHUNK_BYTES", chunk_bytes_for_rows(split, 6))
+        monkeypatch.setattr(evaluation, "_CHUNKS_PER_BUFFER", 6)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
+        monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
+        expected = oracle_report(split, users, items, evaluation.DEFAULT_KS, "test", "cosine")
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=lambda: results.extend(
+                evaluate(split, users, items) for _ in range(5)))
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert results == [expected] * 5
 
     def test_peak_memory_is_the_chunk_buffers_whatever_the_user_count(self, monkeypatch):
         # 2,000 items in 64-user chunks, so each buffer is 1 MB; the tables and the split
@@ -229,24 +351,31 @@ class TestEvaluate:
         num_items, rows = 2000, 64
         buffer_bytes = rows * 8 * num_items
         monkeypatch.setattr(evaluation, "_CHUNK_BYTES", buffer_bytes)
-        peaks = []
+        monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
+        inputs = []
         for num_users in (256, 2048):
             pairs = [(user, int(item)) for user in range(num_users)
                      for item in rng.choice(num_items, size=4, replace=False)]
             split = data.split_per_user(data.dataset_from_pairs(num_users, num_items, pairs),
                                         seed=1)
-            users, items = rng.normal(size=(num_users, 4)), rng.normal(size=(num_items, 4))
-            tracemalloc.start()
-            try:
-                report = evaluate(split, users, items)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert report.num_users_evaluated == num_users
-        # the two buffers, plus one buffer's worth of slack for the candidate mask, the
-        # comparison's broadcast buffer and the per-user arrays
-        assert max(peaks) < 3 * buffer_bytes
-        assert peaks[1] - peaks[0] < buffer_bytes / 4  # 8x the users, not 8x the memory
+            inputs.append((split, rng.normal(size=(num_users, 4)),
+                           rng.normal(size=(num_items, 4))))
+        # at two CPUs the two threads split the same two buffers' bytes
+        for affinity in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, affinity=affinity: affinity)
+            peaks = []
+            for split, users, items in inputs:
+                tracemalloc.start()
+                try:
+                    report = evaluate(split, users, items)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert report.num_users_evaluated == split.num_users
+            # the two buffers, plus one buffer's worth of slack for the candidate mask, the
+            # comparison's broadcast buffer and the per-user arrays
+            assert max(peaks) < 3 * buffer_bytes
+            assert peaks[1] - peaks[0] < buffer_bytes / 4  # 8x the users, not 8x the memory
 
     @pytest.mark.parametrize("ks", [(1, 3, 10), (2, 7), (25,), (29,)])
     @pytest.mark.parametrize("part", ["test", "validation"])

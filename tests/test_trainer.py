@@ -8,6 +8,7 @@ import numpy as np
 import oracles
 import pytest
 
+import sphererec
 from sphererec import data, encoders, losses, trainer
 from sphererec.losses import LossWeights
 from sphererec.trainer import ADAM_BLOCK_ENTRIES, AdamState, TrainConfig, TrainState, adam_step
@@ -189,7 +190,7 @@ class TestAdamStep:
         monkeypatch.setenv("RAU_NUM_THREADS", str(width))
         rng = np.random.default_rng([width, int(touched * 1000)])
         shape = (3 * BLOCK_7 + 5, 7)  # four blocks
-        assert trainer._adam_threads(4) == width
+        assert sphererec.thread_width(4) == width
         workspace = losses.Workspace(2, 7, 2 * width)
         params = rng.standard_normal(shape)
         expected = params.copy()
@@ -206,12 +207,12 @@ class TestAdamStep:
     def test_width_is_capped_by_cpus_blocks_slots_and_rau_num_threads(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
-        assert [trainer._adam_threads(blocks) for blocks in (0, 1, 2, 5)] == [1, 1, 2, 3]
+        assert [sphererec.thread_width(blocks) for blocks in (0, 1, 2, 5)] == [1, 1, 2, 3]
         monkeypatch.setenv("RAU_NUM_THREADS", "2")
-        assert trainer._adam_threads(5) == 2
+        assert sphererec.thread_width(5) == 2
         monkeypatch.setenv("RAU_NUM_THREADS", "0")
         with pytest.raises(ValueError, match="RAU_NUM_THREADS"):
-            trainer._adam_threads(5)
+            sphererec.thread_width(5)
         # a state's workspace, built for fewer threads, caps the width at half its slots
         monkeypatch.delenv("RAU_NUM_THREADS")
         started, start = [], threading.Thread.start
