@@ -59,6 +59,9 @@ WIDE_COMMON = ["--dataset", f"../{DATASET}", "--dim", str(WIDE_DIM), "--lr", "0.
                "--patience", "3"]
 # each width's directory, and the RAU_NUM_THREADS it runs under (None: unset)
 WIDTHS = {"width-1": "1", "width-default": None}
+# the sweep's `--grid` specs, and the flag that took each one before `--grid` existed
+SWEEP_GRID = {"alpha=0,0.5": "--alpha-values", "beta=0,1": "--beta-values",
+              "gamma_user/gamma_item=0.5/0.5,0.7/0.3": "--gamma-ratios"}
 
 
 def write_dataset(path: Path, shape=(80, 40, 8)) -> None:
@@ -79,6 +82,19 @@ def run(label: str, argv: list[str]) -> None:
         raise SystemExit(f"{label}: exit code {code}\n{err.getvalue()}")
     Path("stdout").mkdir(exist_ok=True)
     Path("stdout", f"{label}.txt").write_text(out.getvalue(), encoding="utf-8")
+
+
+def sweep_grid_flags() -> list[str]:
+    """SWEEP_GRID as flags of the CLI this script imports."""
+    from sphererec import cli
+
+    _, unknown = cli.build_parser().parse_known_args(["sweep", "--grid", "alpha=0"])
+    if not unknown:
+        return [arg for spec in SWEEP_GRID for arg in ("--grid", spec)]
+    # only for a checkout from before `--grid` (a pull request's base, which CI runs with
+    # this script): the same grid through the three weight-grid flags it had instead
+    return [arg for spec, flag in SWEEP_GRID.items()
+            for arg in (flag, *spec.partition("=")[2].split(","))]
 
 
 def run_matrix(reduced: bool) -> None:
@@ -109,8 +125,7 @@ def run_matrix(reduced: bool) -> None:
                                  "--out", f"eval/{name}.json", "--out-csv", f"eval/{name}.csv"])
     if reduced:
         return
-    run("sweep", ["sweep", *COMMON, *STOPPING["early"], "--alpha-values", "0", "0.5",
-                  "--beta-values", "0", "1", "--gamma-ratios", "0.5/0.5", "0.7/0.3",
+    run("sweep", ["sweep", *COMMON, *STOPPING["early"], *sweep_grid_flags(),
                   "--k", "5", "20", "--out", "sweep/sweep.csv"])
     run("geometry", ["geometry", "--step", "5", "--case", "0", "90", "200",
                      "--out-dir", "geometry"])

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections import ChainMap
 from pathlib import Path
 
 from . import cpu_count, thread_cap, thread_width
@@ -38,7 +39,8 @@ def _apply_thread_cap(single_thread: bool, workers: int = 1) -> None:
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    """The fit flags of `train` and `sweep`; sweep's grid sets the objective and weights."""
+    """The fit flags of `train` and `sweep`; sweep takes the objective and weights from
+    --config or --grid."""
     parser.add_argument("--config", type=Path, help="JSON config file; flags override its values")
     parser.add_argument("--dataset", type=Path, help="interaction file (TSV/CSV)")
     parser.add_argument("--format", choices=["tsv", "csv"], help="dataset format (default: by suffix)")
@@ -82,12 +84,6 @@ def _load_split(args, cfg, payload):
     return split_per_user(ds, seed=cfg.seed), dataset_path
 
 
-def _run_dir(base: Path, cfg) -> Path:
-    from .hypersphere import config_hash
-
-    return base / f"{config_hash(cfg.to_dict())}-seed{cfg.seed}"
-
-
 def _evaluate_tables(split, user_table, item_table, cfg, score_mode=None, **evaluate_kwargs):
     """Encode the tables with the run's encoder and rank them (default: cfg.score_mode)."""
     from .encoders import Encoder, stack_nodes
@@ -100,7 +96,7 @@ def _evaluate_tables(split, user_table, item_table, cfg, score_mode=None, **eval
 
 def cmd_train(args) -> int:
     from .data import write_split_manifest
-    from .hypersphere import save_checkpoint, write_json
+    from .hypersphere import config_hash, save_checkpoint, write_json
     from .trainer import fit, write_diagnostics_csv
 
     cfg, payload = _resolve_train_config(args)
@@ -109,7 +105,7 @@ def cmd_train(args) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     report, user_table, item_table = fit(split, cfg)
 
-    out = _run_dir(args.out_dir, cfg)
+    out = args.out_dir / f"{config_hash(cfg.to_dict())}-seed{cfg.seed}"
     sidecar_config = dict(cfg.to_dict(), dataset=str(dataset_path))
     save_checkpoint(out, user_table, item_table, cfg.seed, sidecar_config)
     write_json(out / "report.json", report.to_dict())
@@ -144,16 +140,16 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_point(task):
-    """Fit one grid point and report its validation/test metrics."""
+    """Fit one grid point and report its grid fields and validation/test metrics."""
     from .trainer import fit
 
-    split, cfg, ks = task
+    split, cfg, ks, fields = task
     report, user_table, item_table = fit(split, cfg)
     test_report = _evaluate_tables(split, user_table, item_table, cfg, ks=ks)
     stopping_k = cfg.eval_k_for_stopping
     best_ndcg = report.best_val[f"ndcg@{stopping_k}"] if report.best_val else float("nan")
     return {
-        **dataclasses.asdict(cfg.weights),
+        **{name: cfg.to_dict()[name] for name in fields},
         f"best_val_ndcg@{stopping_k}": best_ndcg,
         **{f"test_recall@{k}": test_report.recall[k] for k in ks},
         **{f"test_ndcg@{k}": test_report.ndcg[k] for k in ks},
@@ -175,31 +171,48 @@ def _cap_worker_threads(width: int) -> None:
     os.environ["RAU_NUM_THREADS"] = str(width)
 
 
+def _grid_value(token: str):
+    """A grid value as a --config file would hold it: JSON, or else the text itself."""
+    try:
+        return json.loads(token)
+    except json.JSONDecodeError:
+        return token
+
+
+def _grid_axis(spec: str) -> list[dict]:
+    """The points of `--grid FIELD[/FIELD...]=V1,V2,...`; coupled fields take one `/`-joined
+    value per point."""
+    names, _, values = spec.partition("=")
+    points = [token.split("/") for token in values.split(",")]
+    if not values or any(len(parts) != names.count("/") + 1 for parts in points):
+        raise ValueError(f"bad --grid {spec!r}: expected FIELD=V1,V2,..., one part per field")
+    return [dict(zip(names.split("/"), map(_grid_value, parts))) for parts in points]
+
+
 def cmd_sweep(args) -> int:
     from .evaluation import check_ks
     from .hypersphere import write_csv
-    from .trainer import TrainConfig
+    from .trainer import TrainConfig, check_trainable
 
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     base_cfg, base_payload = _resolve_train_config(args)
-    if base_cfg.objective != "rau":
-        raise ValueError(f"sweep searches the rau weights, but --config sets objective "
-                         f"{base_cfg.objective!r}")
+    axes = [_grid_axis(spec) for spec in args.grid]
+    fields = [name for spec in args.grid for name in spec.partition("=")[0].split("/")]
+    # the stopping K names the CSV's validation column, so every point must share it
+    if len(set(fields)) < len(fields) or {"dataset", "eval_k_for_stopping"} & set(fields):
+        raise ValueError(f"bad --grid fields {fields}: each may appear once, and dataset and "
+                         "eval_k_for_stopping not at all")
+    # one split, from the base config's seed, for every point: a seed grid scores each
+    # seed on the same test users
     split, _ = _load_split(args, base_cfg, base_payload)
     ks = tuple(args.k)
     check_ks(ks)
-    # a grid flag not given keeps the config's value
-    weights = base_cfg.weights
-    gamma_pairs = ([(weights.gamma_user, weights.gamma_item)] if args.gamma_ratios is None
-                   else [_parse_gamma_ratio(token) for token in args.gamma_ratios])
     # every grid point's config is built, and so checked, before the first fit
-    tasks = [(split, TrainConfig.from_dict(dict(base_payload, alpha=alpha, beta=beta,
-                                                gamma_user=gamma_user, gamma_item=gamma_item)),
-              ks)
-             for alpha, beta, (gamma_user, gamma_item)
-             in itertools.product(args.alpha_values or [weights.alpha],
-                                  args.beta_values or [weights.beta], gamma_pairs)]
+    tasks = [(split, TrainConfig.from_dict(ChainMap(*point, base_payload)), ks, fields)
+             for point in itertools.product(*axes)]
+    for task in tasks:
+        check_trainable(split, task[1])
     metric = f"best_val_ndcg@{base_cfg.eval_k_for_stopping}"
     # an unusable --out fails here, not after the whole grid
     args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -228,14 +241,6 @@ def cmd_sweep(args) -> int:
     else:
         print(f"best grid point: {rows[best_index]}")
     return 0
-
-
-def _parse_gamma_ratio(token: str) -> tuple[float, float]:
-    try:
-        user_part, item_part = token.split("/")
-        return float(user_part), float(item_part)
-    except ValueError as exc:
-        raise ValueError(f"bad gamma ratio {token!r}: expected e.g. 0.7/0.3") from exc
 
 
 def cmd_geometry(args) -> int:
@@ -310,13 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--out-csv", type=Path, help="also write the report as CSV")
     evaluate.set_defaults(func=cmd_eval)
 
-    # no abbreviations, which would read `--alpha` and `--beta` as `--alpha-values` and
-    # `--beta-values`
-    sweep = sub.add_parser("sweep", help="grid-search the loss weights", allow_abbrev=False)
+    sweep = sub.add_parser("sweep", help="grid-search config fields")
     _add_fit_flags(sweep)
-    sweep.add_argument("--alpha-values", type=float, nargs="+")
-    sweep.add_argument("--beta-values", type=float, nargs="+")
-    sweep.add_argument("--gamma-ratios", type=str, nargs="+")
+    sweep.add_argument("--grid", action="append", default=[], metavar="FIELD=V1,V2,...",
+                       help="a config field's values (repeatable; coupled fields: "
+                            "gamma_user/gamma_item=0.7/0.3,0.5/0.5)")
     sweep.add_argument("--k", type=int, nargs="+", default=[20, 50])
     sweep.add_argument("--out", type=Path, default=Path("sweep.csv"))
     sweep.add_argument("--workers", type=int, default=1,

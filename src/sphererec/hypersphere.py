@@ -118,11 +118,6 @@ def _table_file(table: EmbeddingTable, role: str) -> bytes:
     return _HEADER.pack(_MAGIC, _VERSION, *values.shape, _ROLES.index(role)) + values.tobytes()
 
 
-def save_embedding_table(path, table: EmbeddingTable, role: str) -> None:
-    """Write one table (`_table_file`)."""
-    Path(path).write_bytes(_table_file(table, role))
-
-
 def load_embedding_table(path) -> tuple[EmbeddingTable, str]:
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:

@@ -17,6 +17,15 @@ together and kernel_variance penalizes spread in the pairwise Gaussian
 kernel values exp(-2 d), steering the uniformity term away from
 configurations that trade a few huge gaps for many collapsed pairs.
 
+The variance is that of the kernel values, not of the distances d, which
+is what the paper's abstract names ("the variance of pairwise distances").
+The full paper text is not in this repository, so which of the two the
+paper penalizes is unconfirmed. The kernel values are kept on purpose: they
+are the numbers the uniformity term averages, so both terms read the same
+kernel blocks, and the kernel weighs near pairs most, which is where the
+collapse the regularizer targets happens. No distance-variance variant is
+provided.
+
 Gradients are with respect to the RAW (pre-normalization) batch rows and
 include the normalization Jacobian (I - uu^T)/||e||, so they have no radial
 component along each raw row, and the unit-row gradients it is applied to

@@ -273,7 +273,7 @@ class TrainState:
 
     def __init__(self, split: SplitDataset, cfg: TrainConfig):
         started = time.perf_counter()
-        _check_trainable(split, cfg)
+        check_trainable(split, cfg)
         self.cfg = cfg
         root = np.random.SeedSequence(cfg.seed)
         user_seed, item_seed, probe_seed, shuffle_root, negative_root = (
@@ -311,7 +311,7 @@ class TrainState:
         self.report = TrainReport(total_time_s=time.perf_counter() - started)
 
 
-def _check_trainable(split: SplitDataset, cfg: TrainConfig) -> None:
+def check_trainable(split: SplitDataset, cfg: TrainConfig) -> None:
     """Raise ValueError where a fit of `split` under `cfg` could not run its epochs."""
     if not cfg.fixed_epochs and split.validation.num_interactions == 0:
         raise ValueError(

@@ -266,8 +266,9 @@ class TestEvalCommand:
 class TestSweepCommand:
     def test_single_point_grid_matches_train_eval(self, synthetic_tsv, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"
-        argv = sweep_args(synthetic_tsv, "--alpha-values", "0.3", "--beta-values", "2.0",
-                          "--gamma-ratios", "0.7/0.3", "--k", "10", "--out", str(out_csv))
+        argv = sweep_args(synthetic_tsv, "--grid", "alpha=0.3", "--grid", "beta=2.0",
+                          "--grid", "gamma_user/gamma_item=0.7/0.3", "--k", "10",
+                          "--out", str(out_csv))
         assert cli.main(argv) == 0
         lines = out_csv.read_text().strip().split("\n")
         assert len(lines) == 2
@@ -291,12 +292,132 @@ class TestSweepCommand:
         direct_metrics = json.loads((tmp_path / "direct.json").read_text())
         assert sweep_recall == pytest.approx(direct_metrics["recall"]["10"], abs=1e-12)
 
-    def test_bad_gamma_ratio_exits_2(self, synthetic_tsv, tmp_path, capsys):
-        argv = sweep_args(synthetic_tsv, "--gamma-ratios", "0.7:0.3",
+    def test_bad_gamma_ratio_exits_2(self, synthetic_tsv, tmp_path, monkeypatch, capsys):
+        # a coupled value needs one part per field
+        fits = []
+        monkeypatch.setattr(trainer, "fit", lambda *args: fits.append(args))
+        argv = sweep_args(synthetic_tsv, "--grid", "gamma_user/gamma_item=0.7/0.3,0.7:0.3",
                           "--out", str(tmp_path / "s.csv"))
         assert cli.main(argv) == 2
+        assert fits == []
+        assert "one part per field" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", [["--alpha-values", "0", "-1"], ["--k", "20", "20"],
+    @pytest.mark.parametrize("bad, message", [
+        (["--grid", "max_epoch=1,2"], "unknown config keys: ['max_epoch']"),
+        (["--grid", "dataset=other.tsv"], "bad --grid fields ['dataset']: each may appear once"),
+        (["--grid", "eval_k_for_stopping=5,10"], "bad --grid fields ['eval_k_for_stopping']"),
+        (["--grid", "alpha=0", "--grid", "alpha=1"], "bad --grid fields ['alpha', 'alpha']"),
+        (["--grid", "alpha/alpha=0/1"], "bad --grid fields ['alpha', 'alpha']"),
+        (["--grid", "alpha"], "expected FIELD=V1,V2,..."),
+        (["--grid", "alpha="], "expected FIELD=V1,V2,..."),
+        (["--grid", "alpha=0.5/0.5"], "one part per field"),
+        (["--grid", "gamma_user/gamma_item=0.5/0.5,0.7"], "one part per field"),
+        (["--grid", "dim=8,16.5"], "dim must be of type int"),
+        (["--grid", "objective=rau,dpo"], "objective must be one of"),
+        (["--grid", "fixed_epochs=true,yes"], "fixed_epochs must be of type bool"),
+    ], ids=["unknown", "dataset", "stopping-k", "twice", "twice-coupled", "no-equals",
+            "no-values", "too-many-parts", "too-few-parts", "float-for-int", "bad-objective",
+            "text-for-bool"])
+    def test_bad_grid_exits_2_before_any_fit(self, synthetic_tsv, tmp_path, monkeypatch,
+                                              capsys, bad, message):
+        # eval_k_for_stopping on the grid used to crash with a KeyError after every fit
+        fits = []
+        monkeypatch.setattr(trainer, "fit", lambda *args: fits.append(args))
+        argv = sweep_args(synthetic_tsv, *bad, "--out", str(tmp_path / "s.csv"))
+        assert cli.main(argv) == 2
+        assert fits == []
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_every_point_is_checked_trainable_before_any_fit(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # users with two pairs each leave the validation part empty, so only the
+        # fixed_epochs=true point can train; the first point used to be fitted before the
+        # second failed, and no CSV was written
+        fits = []
+        monkeypatch.setattr(trainer, "fit", lambda *args: fits.append(args))
+        tiny = tmp_path / "tiny.tsv"
+        tiny.write_text("a\tx\na\ty\nb\tx\nb\ty\n")
+        argv = ["sweep", "--dataset", str(tiny), "--max-epochs", "1", "--batch-size", "2",
+                "--grid", "fixed_epochs=true,false", "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 2
+        assert fits == []
+        assert "validation split is empty" in capsys.readouterr().err
+
+    def test_seed_grid_scores_every_seed_on_one_split(self, synthetic_tsv, tmp_path,
+                                                      monkeypatch):
+        evaluated = []
+        evaluate_tables = cli._evaluate_tables
+
+        def recording_evaluate_tables(split, user_table, item_table, cfg, **kwargs):
+            report = evaluate_tables(split, user_table, item_table, cfg, **kwargs)
+            evaluated.append((split, cfg, report))
+            return report
+
+        monkeypatch.setattr(cli, "_evaluate_tables", recording_evaluate_tables)
+        out_csv = tmp_path / "sweep.csv"
+        argv = sweep_args(synthetic_tsv, "--grid", "seed=1,2", "--k", "10",
+                          "--out", str(out_csv))
+        assert cli.main(argv) == 0
+        with out_csv.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["seed"] for row in rows] == ["1", "2"]
+        (split_1, cfg_1, report_1), (split_2, cfg_2, report_2) = evaluated
+        assert split_1 is split_2 and split_1.split_seed == 7  # the --seed flag's split
+        assert report_1.num_users_evaluated == report_2.num_users_evaluated > 0
+        assert (cfg_1.seed, cfg_2.seed) == (1, 2)
+        for row, (split, cfg, _) in zip(rows, evaluated):
+            # each row is a fit of its config on the sweep's split
+            _, user_table, item_table = trainer.fit(split, cfg)
+            direct = evaluate_tables(split, user_table, item_table, cfg, ks=(10,))
+            assert float(row["test_recall@10"]) == direct.recall[10]
+            assert float(row["test_ndcg@10"]) == direct.ndcg[10]
+
+    def test_objective_grid_runs_every_objective(self, synthetic_tsv, tmp_path, monkeypatch):
+        # sweep used to exit 2 for any objective but rau
+        objectives = []
+        fit = trainer.fit
+
+        def recording_fit(split, cfg):
+            objectives.append(cfg.objective)
+            return fit(split, cfg)
+
+        monkeypatch.setattr(trainer, "fit", recording_fit)
+        out_csv = tmp_path / "sweep.csv"
+        argv = sweep_args(synthetic_tsv, "--grid", "objective=rau,directau,bpr", "--k", "10",
+                          "--out", str(out_csv))
+        assert cli.main(argv) == 0
+        assert objectives == ["rau", "directau", "bpr"]
+        with out_csv.open(newline="") as handle:
+            assert [row["objective"] for row in csv.DictReader(handle)] == objectives
+
+    def test_grid_columns_follow_the_flags(self, synthetic_tsv, tmp_path, monkeypatch):
+        configs = []
+        fit = trainer.fit
+
+        def recording_fit(split, cfg):
+            configs.append(cfg)
+            return fit(split, cfg)
+
+        monkeypatch.setattr(trainer, "fit", recording_fit)
+        out_csv = tmp_path / "sweep.csv"
+        argv = sweep_args(synthetic_tsv, "--max-epochs", "0", "--grid", "lr=1,0.5",
+                          "--grid", "gamma_user/gamma_item=0.5/0.5,0.7/0.3",
+                          "--grid", "encoder=lightgcn", "--k", "10", "--out", str(out_csv))
+        assert cli.main(argv) == 0
+        lines = out_csv.read_text().splitlines()
+        assert lines[0] == ("lr,gamma_user,gamma_item,encoder,best_val_ndcg@20,"
+                            "test_recall@10,test_ndcg@10,best")
+        assert [line.split(",")[:4] for line in lines[1:]] == [
+            ["1", "0.5", "0.5", "lightgcn"], ["1", "0.7", "0.3", "lightgcn"],
+            ["0.5", "0.5", "0.5", "lightgcn"], ["0.5", "0.7", "0.3", "lightgcn"]]
+        # a grid value means what it means in a --config file: "lr": 1 stays an int
+        assert type(configs[0].lr) is int
+        assert configs[0] == trainer.TrainConfig.from_dict(
+            {"dim": 8, "lr": 1, "batch_size": 64, "max_epochs": 0, "patience": 5, "seed": 7,
+             "gamma_user": 0.5, "gamma_item": 0.5, "encoder": "lightgcn"})
+
+    @pytest.mark.parametrize("bad", [["--grid", "alpha=0,-1"], ["--k", "20", "20"],
                                      ["--k", "0"]])
     def test_bad_grid_value_or_k_exits_2_before_any_fit(self, synthetic_tsv, tmp_path,
                                                         monkeypatch, bad):
@@ -311,7 +432,7 @@ class TestSweepCommand:
     def test_fit_without_validation_marks_no_best_row(self, synthetic_tsv, tmp_path, capsys,
                                                       no_validation):
         out_csv = tmp_path / "sweep.csv"
-        argv = sweep_args(synthetic_tsv, *no_validation, "--alpha-values", "0.0", "0.5",
+        argv = sweep_args(synthetic_tsv, *no_validation, "--grid", "alpha=0.0,0.5",
                           "--k", "10", "--out", str(out_csv))
         assert cli.main(argv) == 0
         rows = out_csv.read_text().strip().split("\n")[1:]
@@ -322,7 +443,7 @@ class TestSweepCommand:
     def test_parallel_workers_match_sequential(self, synthetic_tsv, tmp_path):
         def run(out_name, workers):
             out_csv = tmp_path / out_name
-            argv = sweep_args(synthetic_tsv, "--alpha-values", "0.0", "0.5", "--k", "10",
+            argv = sweep_args(synthetic_tsv, "--grid", "alpha=0.0,0.5", "--k", "10",
                               "--out", str(out_csv), "--workers", str(workers))
             assert cli.main(argv) == 0
             return out_csv.read_bytes()
@@ -347,7 +468,7 @@ class TestSweepCommand:
         for name in cli._THREAD_ENV_VARS:
             monkeypatch.setenv(name, "4")
         monkeypatch.setattr(cli, "_sweep_point", worker_thread_cap)
-        argv = sweep_args(synthetic_tsv, "--alpha-values", "0.0", "0.5", "--out",
+        argv = sweep_args(synthetic_tsv, "--grid", "alpha=0.0,0.5", "--out",
                           str(tmp_path / "s.csv"), "--workers", "2")
         assert cli.main(argv) == 0
         rows = (tmp_path / "s.csv").read_text().strip().split("\n")
@@ -370,7 +491,7 @@ class TestSweepCommand:
         else:
             blocker.write_text("not a directory\n")
             out = blocker / "s.csv"
-        argv = sweep_args(synthetic_tsv, "--alpha-values", "0.0", "0.5", "--out", str(out))
+        argv = sweep_args(synthetic_tsv, "--grid", "alpha=0.0,0.5", "--out", str(out))
         assert cli.main(argv) == 2
         assert str(blocker) in capsys.readouterr().err
 
@@ -409,13 +530,22 @@ class TestSweepCommand:
         assert fits == []
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid, expected", [
-        ([], [(0.3, 2.0)]),
-        (["--beta-values", "1.0", "5.0"], [(0.3, 1.0), (0.3, 5.0)]),
+    @pytest.mark.parametrize("grid, header, expected", [
+        ([], "best_val_ndcg@20", [(0.3, 2.0)]),
+        (["--grid", "beta=1.0,5.0"], "beta,best_val_ndcg@20", [(0.3, 1.0), (0.3, 5.0)]),
     ], ids=["no-grid-flags", "beta-grid"])
     def test_a_grid_flag_not_given_keeps_the_config_weight(self, synthetic_tsv, tmp_path,
-                                                           grid, expected):
-        # the grid flags' defaults used to replace the config's weights without a word
+                                                           monkeypatch, grid, header, expected):
+        # the grid flags' defaults used to replace the config's weights without a word; a
+        # field not on the grid keeps the config's value and gets no column
+        weights = []
+        fit = trainer.fit
+
+        def recording_fit(split, cfg):
+            weights.append(cfg.weights)
+            return fit(split, cfg)
+
+        monkeypatch.setattr(trainer, "fit", recording_fit)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"alpha": 0.3, "beta": 2.0, "gamma_user": 0.7,
                                       "gamma_item": 0.3}))
@@ -423,24 +553,30 @@ class TestSweepCommand:
         argv = sweep_args(synthetic_tsv, "--config", str(config), *grid, "--k", "10",
                           "--out", str(out_csv))
         assert cli.main(argv) == 0
-        with out_csv.open(newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert [(float(row["alpha"]), float(row["beta"])) for row in rows] == expected
-        assert {(row["gamma_user"], row["gamma_item"]) for row in rows} == {("0.7", "0.3")}
+        lines = out_csv.read_text().splitlines()
+        assert lines[0].startswith(header + ",")
+        assert len(lines) == 1 + len(expected)
+        assert [(w.alpha, w.beta) for w in weights] == expected
+        assert {(w.gamma_user, w.gamma_item) for w in weights} == {(0.7, 0.3)}
 
     @pytest.mark.parametrize("objective", ["directau", "bpr"])
-    def test_config_objective_other_than_rau_exits_2_before_any_fit(self, synthetic_tsv, tmp_path,
-                                                                    monkeypatch, capsys,
-                                                                    objective):
-        # sweep used to fit the grid under rau whatever objective its config named
-        fits = []
-        monkeypatch.setattr(trainer, "fit", lambda *args: fits.append(args))
+    def test_config_objective_other_than_rau_is_fitted(self, synthetic_tsv, tmp_path,
+                                                       monkeypatch, objective):
+        # sweep used to exit 2 here, and before that fitted rau whatever the config named
+        objectives = []
+        fit = trainer.fit
+
+        def recording_fit(split, cfg):
+            objectives.append(cfg.objective)
+            return fit(split, cfg)
+
+        monkeypatch.setattr(trainer, "fit", recording_fit)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"objective": objective}))
-        argv = sweep_args(synthetic_tsv, "--config", str(config), "--out", str(tmp_path / "s.csv"))
-        assert cli.main(argv) == 2
-        assert fits == []
-        assert f"objective {objective!r}" in capsys.readouterr().err
+        argv = sweep_args(synthetic_tsv, "--config", str(config), "--k", "10",
+                          "--out", str(tmp_path / "s.csv"))
+        assert cli.main(argv) == 0
+        assert objectives == [objective]
 
 
 class TestGeometryCommand:

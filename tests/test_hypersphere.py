@@ -89,7 +89,7 @@ class TestL2Normalize:
 class TestCheckpointIO:
     def test_roundtrip_is_float32_exact(self, tmp_path):
         table = hs.init_xavier(7, 4, seed=2)
-        hs.save_embedding_table(tmp_path / "t.emb", table, "user")
+        (tmp_path / "t.emb").write_bytes(hs._table_file(table, "user"))
         loaded, role = hs.load_embedding_table(tmp_path / "t.emb")
         assert role == "user"
         assert loaded.values.shape == (7, 4)
@@ -134,8 +134,7 @@ class TestCheckpointIO:
     def test_truncated_rejected(self, tmp_path):
         table = hs.init_xavier(4, 4, seed=0)
         path = tmp_path / "t.emb"
-        hs.save_embedding_table(path, table, "item")
-        path.write_bytes(path.read_bytes()[:-5])
+        path.write_bytes(hs._table_file(table, "item")[:-5])
         with pytest.raises(ValueError, match="bytes"):
             hs.load_embedding_table(path)
 
@@ -157,9 +156,9 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*non-finite"):
             hs.load_checkpoint(tmp_path)
 
-    def test_bad_role_rejected(self, tmp_path):
+    def test_bad_role_rejected(self):
         with pytest.raises(ValueError, match="role"):
-            hs.save_embedding_table(tmp_path / "t.emb", hs.init_xavier(2, 2, 0), "query")
+            hs._table_file(hs.init_xavier(2, 2, 0), "query")
 
 
 def test_artifact_writers_exact_bytes(tmp_path):

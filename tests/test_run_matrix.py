@@ -1,5 +1,6 @@
 """The run-matrix script: a reduced matrix run twice gives byte-identical artifacts."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sphererec import data, evaluation, losses, trainer
+from sphererec import cli, data, evaluation, losses, trainer
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_matrix.py"
 
@@ -94,3 +95,19 @@ def test_compare_checks_each_width_pair(tmp_path):
     changed = run_script("--compare", other, other)
     assert changed.returncode == 1
     assert f"width pair differs in {other}: x.json" in changed.stdout.splitlines()
+
+
+def test_sweep_grid_reaches_a_cli_without_grid_through_its_old_flags(monkeypatch):
+    # CI runs this script in a pull request's base checkout, whose CLI may predate --grid
+    matrix = load_run_matrix()
+    assert matrix.sweep_grid_flags() == ["--grid", "alpha=0,0.5", "--grid", "beta=0,1",
+                                         "--grid", "gamma_user/gamma_item=0.5/0.5,0.7/0.3"]
+
+    def parser_without_grid():
+        parser = argparse.ArgumentParser()
+        parser.add_subparsers().add_parser("sweep")
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", parser_without_grid)
+    assert matrix.sweep_grid_flags() == ["--alpha-values", "0", "0.5", "--beta-values", "0", "1",
+                                         "--gamma-ratios", "0.5/0.5", "0.7/0.3"]
