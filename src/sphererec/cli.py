@@ -18,7 +18,7 @@ import sys
 from collections import ChainMap
 from pathlib import Path
 
-from . import cpu_count, thread_cap, thread_width
+from . import ENCODERS, OBJECTIVES, cpu_count, thread_cap, thread_width
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -44,7 +44,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file; flags override its values")
     parser.add_argument("--dataset", type=Path, help="interaction file (TSV/CSV)")
     parser.add_argument("--format", choices=["tsv", "csv"], help="dataset format (default: by suffix)")
-    parser.add_argument("--encoder", choices=["mf", "lightgcn"])
+    parser.add_argument("--encoder", choices=ENCODERS)
     parser.add_argument("--dim", type=int)
     parser.add_argument("--lr", type=float)
     parser.add_argument("--batch-size", type=int)
@@ -139,11 +139,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_point(task):
+def _sweep_point(split, ks, fields, cfg):
     """Fit one grid point and report its grid fields and validation/test metrics."""
     from .trainer import fit
 
-    split, cfg, ks, fields = task
     report, user_table, item_table = fit(split, cfg)
     test_report = _evaluate_tables(split, user_table, item_table, cfg, ks=ks)
     stopping_k = cfg.eval_k_for_stopping
@@ -167,8 +166,20 @@ def _worker_width(workers: int) -> int:
     return thread_width(cpu_count() // workers)
 
 
-def _cap_worker_threads(width: int) -> None:
+# a sweep worker process's (split, ks, fields), set once by `_start_sweep_worker`
+_worker_inputs: tuple = ()
+
+
+def _start_sweep_worker(width: int, inputs: tuple) -> None:
+    """Cap a sweep worker's threads and keep the inputs that every grid point shares, so
+    each task sent to the worker carries only its config."""
+    global _worker_inputs
     os.environ["RAU_NUM_THREADS"] = str(width)
+    _worker_inputs = inputs
+
+
+def _worker_sweep_point(cfg):
+    return _sweep_point(*_worker_inputs, cfg)
 
 
 def _grid_value(token: str):
@@ -209,10 +220,10 @@ def cmd_sweep(args) -> int:
     ks = tuple(args.k)
     check_ks(ks)
     # every grid point's config is built, and so checked, before the first fit
-    tasks = [(split, TrainConfig.from_dict(ChainMap(*point, base_payload)), ks, fields)
-             for point in itertools.product(*axes)]
-    for task in tasks:
-        check_trainable(split, task[1])
+    configs = [TrainConfig.from_dict(ChainMap(*point, base_payload))
+               for point in itertools.product(*axes)]
+    for cfg in configs:
+        check_trainable(split, cfg)
     metric = f"best_val_ndcg@{base_cfg.eval_k_for_stopping}"
     # an unusable --out fails here, not after the whole grid
     args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -223,11 +234,11 @@ def cmd_sweep(args) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_cap_worker_threads,
-                                 initargs=(_worker_width(workers),)) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_sweep_worker,
+                                 initargs=(_worker_width(workers), (split, ks, fields))) as pool:
+            rows = list(pool.map(_worker_sweep_point, configs))
     else:
-        rows = [_sweep_point(task) for task in tasks]
+        rows = [_sweep_point(split, ks, fields, cfg) for cfg in configs]
 
     # a fit that scored no validation epoch (--fixed-epochs, --max-epochs 0) cannot be best
     scored = [i for i, row in enumerate(rows) if math.isfinite(row[metric])]
@@ -298,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="fit embeddings and write a checkpoint")
     _add_fit_flags(train)
-    train.add_argument("--objective", choices=["rau", "directau", "bpr"])
+    train.add_argument("--objective", choices=OBJECTIVES)
     for weight in ("--alpha", "--beta", "--gamma-user", "--gamma-item"):
         train.add_argument(weight, type=float)
     train.add_argument("--out-dir", type=Path, default=Path("runs"))

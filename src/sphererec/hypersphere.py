@@ -40,19 +40,24 @@ class EmbeddingTable:
             raise ValueError("embedding table contains non-finite entries")
 
 
-def init_xavier(rows: int, dim: int, seed: int) -> EmbeddingTable:
-    """Xavier-uniform initialization with fan_in = fan_out = dim.
+def init_xavier(out: np.ndarray, seed: int) -> np.ndarray:
+    """Fill `out` (rows x dim, C-contiguous float64) with Xavier-uniform entries, fan_in =
+    fan_out = dim, and return it.
 
-    Entries are i.i.d. uniform on [-a, a] with a = sqrt(6 / (dim + dim));
-    deterministic for a given seed.
+    Entries are i.i.d. uniform on [-a, a] with a = sqrt(6 / (dim + dim)), the
+    bits of `default_rng(seed).uniform(-a, a, out.shape)`, which computes -a + 2a * r
+    from the same draws r; deterministic for a given seed.
     """
+    rows, dim = out.shape
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     bound = np.sqrt(6.0 / (dim + dim))
-    values = np.random.default_rng(seed).uniform(-bound, bound, size=(rows, dim))
-    return EmbeddingTable(values)
+    np.random.default_rng(seed).random(out=out)
+    out *= 2 * bound
+    out -= bound
+    return out
 
 
 def normalize_with_norms(vectors: np.ndarray,

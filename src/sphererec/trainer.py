@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import claim_and_join, encoders, losses, thread_width
+from . import ENCODERS, OBJECTIVES, claim_and_join, encoders, losses, thread_width
 from .data import SplitDataset, epoch_batches
 from .evaluation import evaluate
 from .hypersphere import EmbeddingTable, init_xavier, l2_normalize, write_csv
@@ -26,9 +26,6 @@ ADAM_EPS = 1e-8
 # adam_step updates blocks of rows holding this many entries (at least one row): one
 # kernel block (65536 entries, 512 KiB), so its two buffers are two workspace slots
 ADAM_BLOCK_ENTRIES = losses.KERNEL_BLOCK_ROWS ** 2
-
-OBJECTIVES = ("rau", "directau", "bpr")
-ENCODERS = ("mf", "lightgcn")
 
 PROBE_LIMIT = 2048
 DIRECTAU_WEIGHTS = LossWeights(alpha=0.0, beta=0.0, gamma_user=0.5, gamma_item=0.5)
@@ -258,12 +255,12 @@ class TrainReport:
 class TrainState:
     """The whole state of a fit, which `fit_epoch` advances by one epoch.
 
-    It holds the node table (`encoders.stack_nodes` of the user and the item
-    table, a plain array that Adam updates in place) and its Adam state, the
-    seeds, the encoder, the probe sample, the step workspace, the `report` of
-    the epochs run and `best_table`, a copy of the node table at the report's
-    best epoch (None until an epoch is kept, and always with fixed_epochs,
-    whose result is the live table).
+    It holds the node table (the user rows, then the item rows, each part
+    drawn in place by `init_xavier`; a plain array that Adam updates in
+    place) and its Adam state, the seeds, the encoder, the probe sample, the
+    step workspace, the `report` of the epochs run and `best_table`, a copy
+    of the node table at the report's best epoch (None until an epoch is
+    kept, and always with fixed_epochs, whose result is the live table).
     The shuffle and negative generators are re-seeded from `[root, epoch]`
     every epoch, so no generator state is kept.
 
@@ -279,9 +276,10 @@ class TrainState:
         user_seed, item_seed, probe_seed, shuffle_root, negative_root = (
             int(s) for s in root.generate_state(5)
         )
-        self.node_table = encoders.stack_nodes(init_xavier(split.num_users, cfg.dim, user_seed),
-                                               init_xavier(split.num_items, cfg.dim, item_seed),
-                                               split.num_users, split.num_items)
+        self.node_table = np.empty((split.num_users + split.num_items, cfg.dim))
+        for rows, seed in zip(encoders.split_nodes(self.node_table, split.num_users),
+                              (user_seed, item_seed)):
+            init_xavier(rows, seed)
         self.adam = AdamState.like(self.node_table)
         # one step's buffers (the loss's, Adam's and the probe's kernel blocks) for the whole
         # fit; bpr's loss takes none

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sphererec import data
+from sphererec.hypersphere import EmbeddingTable, init_xavier
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +30,8 @@ def synthetic_tsv(synthetic_dataset, tmp_path_factory):
 def random_unit_rows(rng: np.random.Generator, batch: int, dim: int) -> np.ndarray:
     rows = rng.normal(size=(batch, dim))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def xavier_table(rows: int, dim: int, seed: int) -> EmbeddingTable:
+    """An EmbeddingTable of `init_xavier`'s entries for a rows x dim table."""
+    return EmbeddingTable(init_xavier(np.empty((rows, dim)), seed))

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import xavier_table
 from sphererec import cli, data, encoders, evaluation, losses, trainer
 from sphererec.geometry import sweep_moving_point, verify_low_variance_claim
-from sphererec.hypersphere import init_xavier
 from sphererec.losses import LossWeights
 from test_gradients import central_differences, max_relative_error
 
@@ -225,8 +225,8 @@ def test_criterion_5_synthetic_end_to_end(split):
     started = time.perf_counter()
 
     # hypergeometric chance baseline: 10 slots out of the 91 unseen items
-    random_users = init_xavier(split.num_users, 32, seed=101)
-    random_items = init_xavier(split.num_items, 32, seed=102)
+    random_users = xavier_table(split.num_users, 32, seed=101)
+    random_items = xavier_table(split.num_items, 32, seed=102)
     random_report = evaluation.evaluate(split, random_users.values, random_items.values,
                                         ks=(10,), part="test")
     chance = 10.0 / 91.0

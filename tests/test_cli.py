@@ -1,10 +1,14 @@
 import csv
+import io
 import json
 import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
-from sphererec import cli, geometry, trainer
+from sphererec import cli, data, geometry, trainer
 from sphererec.hypersphere import config_hash
 
 
@@ -23,11 +27,24 @@ def sweep_args(dataset, *extra):
     return ["sweep", "--dataset", str(dataset), *FIT_FLAGS, *extra]
 
 
-def worker_thread_cap(task):
+def worker_thread_cap(*point_inputs):
     """A sweep point that reports the thread caps its worker process runs under."""
     return {"rau_num_threads": os.environ.get("RAU_NUM_THREADS"),
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "best_val_ndcg@20": 0.0}
+
+
+def pickled_types(obj) -> set[type]:
+    """The types of the objects pickled with `obj` (but for plain ints, strs and tuples)."""
+    seen = set()
+
+    class Spy(pickle.Pickler):
+        def reducer_override(self, value):
+            seen.add(type(value))
+            return NotImplemented
+
+    Spy(io.BytesIO()).dump(obj)
+    return seen
 
 
 def only_run_dir(out_dir):
@@ -449,6 +466,24 @@ class TestSweepCommand:
             return out_csv.read_bytes()
 
         assert run("seq.csv", 1) == run("par.csv", 2)
+
+    def test_pool_tasks_carry_only_their_config(self, synthetic_tsv, tmp_path, monkeypatch):
+        # the split reaches each worker once, through the pool's initializer
+        sent = []
+        pool_map = ProcessPoolExecutor.map
+
+        def recording_map(pool, fn, *iterables, **kwargs):
+            iterables = [list(tasks) for tasks in iterables]
+            sent.extend(zip(*iterables))
+            return pool_map(pool, fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "map", recording_map)
+        argv = sweep_args(synthetic_tsv, "--grid", "alpha=0.0,0.5", "--k", "10",
+                          "--out", str(tmp_path / "s.csv"), "--workers", "2")
+        assert cli.main(argv) == 0
+        assert [type(arg) for task in sent for arg in task] == [trainer.TrainConfig] * 2
+        for task in sent:
+            assert not pickled_types(task) & {data.SplitDataset, np.ndarray}
 
     def test_each_worker_gets_its_share_of_the_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))

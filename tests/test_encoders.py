@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphererec import data, encoders, losses
-from sphererec.hypersphere import EmbeddingTable, init_xavier
+from sphererec.hypersphere import EmbeddingTable
 from sphererec.losses import LossWeights
+from conftest import xavier_table
 from test_gradients import central_differences, max_relative_error
 
 
@@ -27,17 +28,17 @@ def graph_encode(user_table, item_table, adj, cfg, user_ids, item_ids):
 
 class TestMfEncode:
     def test_repeated_ids_gather_same_row(self):
-        table = init_xavier(4, 3, seed=0)
+        table = xavier_table(4, 3, seed=0)
         out = encoders.mf_encode(table.values, [0, 0])
         np.testing.assert_array_equal(out[0], table.values[0])
         np.testing.assert_array_equal(out[1], table.values[0])
 
     def test_empty_ids(self):
-        table = init_xavier(4, 3, seed=0)
+        table = xavier_table(4, 3, seed=0)
         assert encoders.mf_encode(table.values, np.array([], dtype=np.int64)).shape == (0, 3)
 
     def test_out_of_range(self):
-        table = init_xavier(4, 3, seed=0)
+        table = xavier_table(4, 3, seed=0)
         with pytest.raises(ValueError, match="range"):
             encoders.mf_encode(table.values, [4])
 
@@ -115,8 +116,8 @@ class TestGraphEncoderConfig:
 class TestLightgcnEncode:
     def test_zero_layers_equals_lookup(self):
         ds, adj = toy_graph()
-        user_table = init_xavier(2, 4, seed=1)
-        item_table = init_xavier(3, 4, seed=2)
+        user_table = xavier_table(2, 4, seed=1)
+        item_table = xavier_table(3, 4, seed=2)
         cfg = encoders.GraphEncoderConfig(num_layers=0)
         got_u, got_i = graph_encode(user_table, item_table, adj, cfg, [0, 1], [2, 0])
         np.testing.assert_array_equal(got_u, encoders.mf_encode(user_table.values, [0, 1]))
@@ -166,9 +167,9 @@ class TestLightgcnEncode:
         cfg = encoders.GraphEncoderConfig()
         with pytest.raises(ValueError, match=r"^tables have 5 users / 3 items, the training "
                                              r"part has 2 / 3$"):
-            encoders.lightgcn_propagate(init_xavier(5, 4, 0), init_xavier(3, 4, 1), adj, cfg)
+            encoders.lightgcn_propagate(xavier_table(5, 4, 0), xavier_table(3, 4, 1), adj, cfg)
         with pytest.raises(ValueError, match="one dimensionality"):
-            encoders.lightgcn_propagate(init_xavier(2, 4, 0), init_xavier(3, 5, 1), adj, cfg)
+            encoders.lightgcn_propagate(xavier_table(2, 4, 0), xavier_table(3, 5, 1), adj, cfg)
 
 
 def full_tables(adj, backward):
@@ -305,8 +306,8 @@ class TestBatchRestrictedPropagation:
 class TestEncoder:
     def test_lookup_path_equals_graph_path_at_zero_layers(self):
         ds, adj = toy_graph()
-        user_table = init_xavier(2, 4, seed=1)
-        item_table = init_xavier(3, 4, seed=2)
+        user_table = xavier_table(2, 4, seed=1)
+        item_table = xavier_table(3, 4, seed=2)
         graph_cfg = encoders.GraphEncoderConfig(num_layers=0)
         user_ids, item_ids = np.array([0, 1, 1, 0]), np.array([2, 0, 2, 2])
         grads = np.random.default_rng(4).normal(size=(2, 4, 4))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import xavier_table
 from sphererec import hypersphere as hs
 
 finite_rows = hnp.arrays(
@@ -18,31 +19,39 @@ finite_rows = hnp.arrays(
 
 class TestInitXavier:
     def test_bound_for_dim_64(self):
-        table = hs.init_xavier(100, 64, seed=0)
+        values = hs.init_xavier(np.empty((100, 64)), seed=0)
         bound = np.sqrt(6.0 / 128.0)
         assert bound == pytest.approx(0.2165, abs=1e-4)
-        assert np.all(np.abs(table.values) <= bound)
+        assert np.all(np.abs(values) <= bound)
 
     def test_deterministic(self):
-        a = hs.init_xavier(50, 16, seed=9)
-        b = hs.init_xavier(50, 16, seed=9)
-        np.testing.assert_array_equal(a.values, b.values)
+        a = hs.init_xavier(np.empty((50, 16)), seed=9)
+        b = hs.init_xavier(np.empty((50, 16)), seed=9)
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (7, 3), (50, 16), (1100, 64)])
+    @pytest.mark.parametrize("seed", [0, 3, 2**40])
+    def test_fills_out_with_the_bits_of_uniform(self, shape, seed):
+        out = np.full(shape, np.nan)
+        assert hs.init_xavier(out, seed) is out
+        bound = np.sqrt(6.0 / (2 * shape[1]))
+        assert out.tobytes() == np.random.default_rng(seed).uniform(-bound, bound,
+                                                                    shape).tobytes()
 
     def test_sample_mean_near_zero(self):
         rows, dim = 500, 64
-        table = hs.init_xavier(rows, dim, seed=1)
+        values = hs.init_xavier(np.empty((rows, dim)), seed=1)
         bound = np.sqrt(6.0 / (2 * dim))
         # uniform on [-a, a]: var = a^2 / 3, so the mean estimator has
         # sigma = a / sqrt(3 N)
         sigma = bound / np.sqrt(3 * rows * dim)
-        assert abs(table.values.mean()) <= 3 * sigma
+        assert abs(values.mean()) <= 3 * sigma
 
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
-            hs.init_xavier(0, 8, seed=0)
+            hs.init_xavier(np.empty((0, 8)), seed=0)
         with pytest.raises(ValueError):
-            hs.init_xavier(4, 1, seed=0)
-
+            hs.init_xavier(np.empty((4, 1)), seed=0)
 
 
 class TestEmbeddingTable:
@@ -88,7 +97,7 @@ class TestL2Normalize:
 
 class TestCheckpointIO:
     def test_roundtrip_is_float32_exact(self, tmp_path):
-        table = hs.init_xavier(7, 4, seed=2)
+        table = xavier_table(7, 4, seed=2)
         (tmp_path / "t.emb").write_bytes(hs._table_file(table, "user"))
         loaded, role = hs.load_embedding_table(tmp_path / "t.emb")
         assert role == "user"
@@ -96,8 +105,8 @@ class TestCheckpointIO:
         np.testing.assert_array_equal(loaded.values, table.values.astype(np.float32).astype(np.float64))
 
     def test_checkpoint_pair_with_sidecar(self, tmp_path):
-        user = hs.init_xavier(3, 4, seed=0)
-        item = hs.init_xavier(5, 4, seed=1)
+        user = xavier_table(3, 4, seed=0)
+        item = xavier_table(5, 4, seed=1)
         config = {"objective": "rau", "lr": 1e-3}
         hs.save_checkpoint(tmp_path, user, item, seed=42, config=config)
         u, i, sidecar = hs.load_checkpoint(tmp_path)
@@ -108,7 +117,7 @@ class TestCheckpointIO:
 
     @pytest.mark.parametrize("key", ["seed", "config_hash", "config"])
     def test_sidecar_missing_key_rejected(self, tmp_path, key):
-        hs.save_checkpoint(tmp_path, hs.init_xavier(3, 4, seed=0), hs.init_xavier(5, 4, seed=1),
+        hs.save_checkpoint(tmp_path, xavier_table(3, 4, seed=0), xavier_table(5, 4, seed=1),
                            seed=42, config={"encoder": "mf"})
         sidecar = json.loads((tmp_path / "checkpoint.json").read_text())
         del sidecar[key]
@@ -117,7 +126,7 @@ class TestCheckpointIO:
             hs.load_checkpoint(tmp_path)
 
     def test_edited_sidecar_config_rejected(self, tmp_path):
-        hs.save_checkpoint(tmp_path, hs.init_xavier(3, 4, seed=0), hs.init_xavier(5, 4, seed=1),
+        hs.save_checkpoint(tmp_path, xavier_table(3, 4, seed=0), xavier_table(5, 4, seed=1),
                            seed=42, config={"encoder": "mf"})
         sidecar = json.loads((tmp_path / "checkpoint.json").read_text())
         sidecar["config"]["encoder"] = "lightgcn"
@@ -132,7 +141,7 @@ class TestCheckpointIO:
             hs.load_embedding_table(path)
 
     def test_truncated_rejected(self, tmp_path):
-        table = hs.init_xavier(4, 4, seed=0)
+        table = xavier_table(4, 4, seed=0)
         path = tmp_path / "t.emb"
         path.write_bytes(hs._table_file(table, "item")[:-5])
         with pytest.raises(ValueError, match="bytes"):
@@ -142,12 +151,12 @@ class TestCheckpointIO:
         # it used to be written as inf, with a RuntimeWarning, and then failed to load
         item = hs.EmbeddingTable(np.array([[1.0, 0.0], [0.0, -1e39]]))
         with pytest.raises(ValueError, match="item table has an entry beyond float32's range"):
-            hs.save_checkpoint(tmp_path / "ckpt", hs.init_xavier(3, 2, seed=0), item,
+            hs.save_checkpoint(tmp_path / "ckpt", xavier_table(3, 2, seed=0), item,
                                seed=0, config={})
         assert not (tmp_path / "ckpt").exists()
 
     def test_non_finite_table_file_is_named(self, tmp_path):
-        hs.save_checkpoint(tmp_path, hs.init_xavier(3, 2, seed=0), hs.init_xavier(2, 2, seed=1),
+        hs.save_checkpoint(tmp_path, xavier_table(3, 2, seed=0), xavier_table(2, 2, seed=1),
                            seed=0, config={})
         path = tmp_path / "item.emb"
         raw = bytearray(path.read_bytes())
@@ -158,7 +167,7 @@ class TestCheckpointIO:
 
     def test_bad_role_rejected(self):
         with pytest.raises(ValueError, match="role"):
-            hs._table_file(hs.init_xavier(2, 2, 0), "query")
+            hs._table_file(xavier_table(2, 2, 0), "query")
 
 
 def test_artifact_writers_exact_bytes(tmp_path):

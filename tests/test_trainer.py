@@ -684,6 +684,19 @@ class TestTrainState:
         with pytest.raises(ValueError, match=message):
             TrainState(split, base_config(**fixed, **overrides))
 
+    def test_both_xavier_draws_land_in_the_node_table(self):
+        # the user and the item rows are drawn in place, with the bits of one uniform draw
+        # per table from the first two seeds of the config's seed
+        split, cfg = small_split(), base_config(dim=8)
+        state = TrainState(split, cfg)
+        seeds = np.random.SeedSequence(cfg.seed).generate_state(5)[:2]
+        bound = np.sqrt(6.0 / (2 * cfg.dim))
+        parts = encoders.split_nodes(state.node_table, split.num_users)
+        for rows, seed in zip(parts, seeds):
+            want = np.random.default_rng(int(seed)).uniform(-bound, bound, rows.shape)
+            assert rows.tobytes() == want.tobytes()
+        assert [len(rows) for rows in parts] == [split.num_users, split.num_items]
+
 
 def without_wall_times(report):
     return dataclasses.replace(
