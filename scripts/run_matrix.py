@@ -11,11 +11,11 @@ The matrix runs on a seeded synthetic TSV with BLAS on one thread:
 - `eval` of every trained checkpoint on both parts in both score modes;
 - `sweep`, `geometry` and `inspect`;
 - a wide section, at shapes where the blocked and threaded paths run:
-  `train` of `mf`/`rau` and `lightgcn`/`bpr` and their test `eval` on
-  1,200 users x 800 items at dim 128 and batch 600 (several Adam blocks,
-  ranking chunks, kernel blocks and propagation blocks), once under
-  `RAU_NUM_THREADS=1` (in `wide/width-1/`) and once without it (in
-  `wide/width-default/`).
+  `train` of `mf`/`rau`, `lightgcn`/`rau` and `lightgcn`/`bpr` and their
+  test `eval` on 1,200 users x 800 items at dim 128 and batch 600 (several
+  Adam blocks, ranking chunks, kernel blocks on two lanes and propagation
+  blocks), once under `RAU_NUM_THREADS=1` (in `wide/width-1/`) and once
+  without it (in `wide/width-default/`).
 
 Every file the runs write, and each command's standard output, gets a
 SHA-256; `report.json`'s wall times are zeroed before hashing. `--reduced`
@@ -57,6 +57,7 @@ WIDE_DIM, WIDE_BATCH = 128, 600
 WIDE_COMMON = ["--dataset", f"../{DATASET}", "--dim", str(WIDE_DIM), "--lr", "0.05",
                "--batch-size", str(WIDE_BATCH), "--seed", "3", "--max-epochs", "3",
                "--patience", "3"]
+WIDE_RUNS = (("mf", "rau"), ("lightgcn", "rau"), ("lightgcn", "bpr"))
 # each width's directory, and the RAU_NUM_THREADS it runs under (None: unset)
 WIDTHS = {"width-1": "1", "width-default": None}
 # the sweep's grid: alpha, beta and the coupled gamma ratio
@@ -133,7 +134,7 @@ def run_wide() -> None:
             Path("wide", width).mkdir()
             os.chdir(Path("wide", width))  # so both widths write the same relative paths
             try:
-                for encoder, objective in (("mf", "rau"), ("lightgcn", "bpr")):
+                for encoder, objective in WIDE_RUNS:
                     label = f"{encoder}-{objective}"
                     run(f"train-{label}", ["train", *WIDE_COMMON, "--encoder", encoder,
                                            "--objective", objective, "--out-dir", label])

@@ -24,11 +24,13 @@ def thread_cap() -> int | None:
     """RAU_NUM_THREADS as a positive int, or None where it is unset.
 
     It caps BLAS threads (set by the CLI before numpy loads), `sweep`'s
-    worker processes, and the threads of `trainer.adam_step` and of
-    `evaluation.evaluate` (`thread_width`). `sweep` sets it in each worker,
-    and the BLAS cap before numpy loads, to a worker's share of the CPUs,
-    CPUs // workers and at least 1, within the cap already set. Any other
-    value raises ValueError.
+    worker processes, and the threads of `trainer.adam_step`, of
+    `losses.rau_loss_and_gradient` and the probe's kernel statistics (one
+    per kernel side, `losses.on_lanes`) and of `evaluation.evaluate`
+    (`thread_width`). `sweep` sets it in each worker, and the BLAS cap
+    before numpy loads, to a worker's share of the CPUs, CPUs // workers
+    and at least 1, within the cap already set. Any other value raises
+    ValueError.
     """
     cap = os.environ.get("RAU_NUM_THREADS")
     if cap is not None and not (cap.isascii() and cap.isdigit() and int(cap) > 0):

@@ -38,6 +38,14 @@ whose uniformity and variance weights are both zero forms no kernel
 gradient. The blocks, the unit rows, the gradients and their intermediates
 are written into a `Workspace`, which a training run builds once, so a
 warmed step allocates no array of a batch's or a block's size.
+
+The user side's kernel terms and the item side's share nothing but the
+weights, so `rau_loss_and_gradient` runs them at once, one side per lane of
+the workspace (`on_lanes`): each lane holds its own scratch slot, one slot
+per upper block pair, gradient products and kernel gradient. Each side adds
+its kernel gradient to its own side's gradient before its lane takes
+another side, and its arithmetic does not depend on the lane, so the bits
+do not depend on the number of lanes or on which thread runs which side.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from . import claim_and_join, thread_width
 from .hypersphere import normalize_with_norms
 
 UNIFORM_EPS = 1e-12
@@ -61,30 +70,54 @@ class Workspace:
     """The buffers of one training step, allocated once and overwritten by every step.
 
     `blocks` holds flat slots of KERNEL_BLOCK_ROWS**2 entries (or one
-    `dim`-row, if that is longer): slot 0 for the kernel's coefficient
-    scratch and one for each upper block pair of `batch_size` rows, at least
-    one, and at least `min_slots` in all. `_kernel_terms` rebuilds, for each
-    later pass, the blocks of a longer set of rows (the probe's) that find no
-    slot, so fewer slots cost time, not bits. `trainer.adam_step` takes two
-    slots per thread for its block buffers. The row buffers hold
+    `dim`-row, if that is longer), at least `min_slots` in all, shared
+    evenly by `lanes` lanes, one for each side the kernel terms may run on
+    at once (`on_lanes`). A lane takes at least its coefficient scratch and
+    one slot for each upper block pair of `batch_size` rows, at least one:
+    two slots at B <= 256, 11 at B = 1,024. `_kernel_terms` rebuilds, for
+    each later pass, the blocks of a longer set of rows (the probe's) that
+    find no slot in its lane, so fewer slots cost time, not bits.
+    `trainer.adam_step` takes two slots per thread for its block buffers.
+    Each lane also holds its own `products` (one block's gradient products)
+    and `kernel_grad` (up to `batch_size` rows). The row buffers hold
     `rau_loss_and_gradient`'s unit rows, gradients and intermediates for up
-    to `batch_size` rows, and `products` one block's gradient products; a
-    fit whose loss takes none (bpr) passes batch_size 0.
+    to `batch_size` rows; a fit whose loss takes none (bpr) passes
+    batch_size 0.
     """
 
-    def __init__(self, batch_size: int, dim: int, min_slots: int = 2):
+    def __init__(self, batch_size: int, dim: int, min_slots: int = 2, lanes: int = 1):
         spans = -(-batch_size // KERNEL_BLOCK_ROWS)
-        slots = max(min_slots, 1 + max(1, spans * (spans + 1) // 2))
-        self.blocks = np.empty((slots, max(KERNEL_BLOCK_ROWS ** 2, dim)))
-        self.products = np.empty((min(batch_size, KERNEL_BLOCK_ROWS), dim))
-        (self.users, self.items, self.diff, self.grad_users, self.grad_items,
-         self.kernel_grad) = (np.empty((batch_size, dim)) for _ in range(6))
+        lane_slots = 1 + max(1, spans * (spans + 1) // 2)
+        self.blocks = np.empty((max(min_slots, lanes * lane_slots),
+                                max(KERNEL_BLOCK_ROWS ** 2, dim)))
+        self.products = np.empty((lanes, min(batch_size, KERNEL_BLOCK_ROWS), dim))
+        self.kernel_grad = np.empty((lanes, batch_size, dim))
+        (self.users, self.items, self.diff, self.grad_users,
+         self.grad_items) = (np.empty((batch_size, dim)) for _ in range(5))
 
     def check_rows(self, rows: np.ndarray) -> None:
         """Raise unless the row buffers can hold `rows`."""
         if rows.shape[0] > self.users.shape[0] or rows.shape[1:] != self.users.shape[1:]:
             raise ValueError(f"workspace holds up to {self.users.shape[0]} rows of dim "
                              f"{self.users.shape[1]}, got shape {rows.shape}")
+
+
+def on_lanes(work, sides: list, workspace: Workspace) -> list:
+    """[work(side, lane) for side in sides], each side run on a lane of `workspace`.
+
+    The lanes claim the sides through `sphererec.claim_and_join`, one thread
+    per lane, at most `sphererec.thread_width(len(sides))` lanes. A lane may
+    run several sides, one after the other, so `work` must be done with its
+    lane's buffers when it returns.
+    """
+    results = [None] * len(sides)
+
+    def run_side(n: int, lane: int) -> None:
+        results[n] = work(sides[n], lane)
+
+    claim_and_join(run_side, range(len(sides)),
+                   range(min(len(workspace.kernel_grad), thread_width(len(sides)))))
+    return results
 
 
 @dataclass(frozen=True)
@@ -145,8 +178,8 @@ def align_loss(users: np.ndarray, items: np.ndarray) -> float:
     return float(np.einsum("ij,ij->i", diff, diff).mean())
 
 
-def _kernel_terms(unit: np.ndarray, gamma: float, beta: float,
-                  workspace: Workspace) -> tuple[float, float, np.ndarray | None]:
+def _kernel_terms(unit: np.ndarray, gamma: float, beta: float, workspace: Workspace,
+                  lane: int = 0) -> tuple[float, float, np.ndarray | None]:
     """Kernel statistics of unit rows and the gradient of their weighted loss terms.
 
     Returns (u, V, grad): the uniformity u = log(m + eps) of the mean m and
@@ -154,20 +187,21 @@ def _kernel_terms(unit: np.ndarray, gamma: float, beta: float,
     P = B(B-1)/2 condensed pairs, and the gradient of gamma * u + beta * V
     with respect to the rows up to a radial component per row (None when
     both weights are zero), which the normalization backward discards. The
-    gradient is `workspace.kernel_grad`'s first B rows, valid until the
-    workspace's next use.
+    gradient is the first B rows of `lane`'s `kernel_grad`, valid until the
+    lane's next use.
 
     The kernel is built one pair of row blocks I <= J at a time, in place,
-    into the workspace's slots; an off-diagonal block stands for itself and
-    its transpose, so it counts twice in every sum. The mean pass builds
-    every block; when there are more blocks than slots, the blocks from the
-    last slot on share it and each later pass (variance, gradient) rebuilds
-    them, with the same bits. With B <= KERNEL_BLOCK_ROWS there is one
-    block, which gives the bits of the whole-matrix formula. Both gradient
-    terms are sums of C_jk (x_j - x_k), whose x_j part is radial, so each
-    block is turned into one coefficient block C = W * (c_u + c_v (W - m))
-    and subtracts its products with the rows J from rows I and, off the
-    diagonal, its transposed products with the rows I from rows J.
+    into the slots of the workspace's `lane`; an off-diagonal block stands
+    for itself and its transpose, so it counts twice in every sum. The mean
+    pass builds every block; when there are more blocks than slots, the
+    blocks from the last slot on share it and each later pass (variance,
+    gradient) rebuilds them, with the same bits. With B <= KERNEL_BLOCK_ROWS
+    there is one block, which gives the bits of the whole-matrix formula.
+    Both gradient terms are sums of C_jk (x_j - x_k), whose x_j part is
+    radial, so each block is turned into one coefficient block
+    C = W * (c_u + c_v (W - m)) and subtracts its products with the rows J
+    from rows I and, off the diagonal, its transposed products with the
+    rows I from rows J.
     """
     unit = np.asarray(unit, dtype=np.float64)
     b = unit.shape[0]
@@ -176,7 +210,8 @@ def _kernel_terms(unit: np.ndarray, gamma: float, beta: float,
     spans = [slice(start, min(start + KERNEL_BLOCK_ROWS, b))
              for start in range(0, b, KERNEL_BLOCK_ROWS)]
     pairs = [(rows, cols) for n, rows in enumerate(spans) for cols in spans[n:]]
-    scratch, *slots = workspace.blocks
+    share = len(workspace.blocks) // len(workspace.kernel_grad)
+    scratch, *slots = workspace.blocks[lane * share:(lane + 1) * share]
     kept = len(pairs) if len(pairs) <= len(slots) else len(slots) - 1
 
     def blocks(build_all: bool):
@@ -217,36 +252,35 @@ def _kernel_terms(unit: np.ndarray, gamma: float, beta: float,
     c_u = -4.0 * gamma / (pair_count * (mean + UNIFORM_EPS))
     c_v = -8.0 * beta / pair_count
     workspace.check_rows(unit)
-    grad = workspace.kernel_grad[:b]
+    grad, products = workspace.kernel_grad[lane, :b], workspace.products[lane]
     grad.fill(0.0)
     for rows, cols, kernel in blocks(False):
         coef = np.subtract(kernel, mean, out=scratch[:kernel.size].reshape(kernel.shape))
         coef *= c_v
         coef += c_u
         kernel *= coef
-        grad[rows] -= np.matmul(kernel, unit[cols], out=workspace.products[:kernel.shape[0]])
+        grad[rows] -= np.matmul(kernel, unit[cols], out=products[:kernel.shape[0]])
         if rows != cols:
-            grad[cols] -= np.matmul(kernel.T, unit[rows],
-                                    out=workspace.products[:kernel.shape[1]])
+            grad[cols] -= np.matmul(kernel.T, unit[rows], out=products[:kernel.shape[1]])
     return uniform, variance, grad
 
 
-def uniformity_and_variance(vectors: np.ndarray,
-                            workspace: Workspace | None = None) -> tuple[float, float]:
+def uniformity_and_variance(vectors: np.ndarray, workspace: Workspace | None = None,
+                            lane: int = 0) -> tuple[float, float]:
     """(uniformity, kernel variance) of the same rows from one kernel build.
 
     Uniformity is log(E exp(-2 d) + eps) over the condensed pairs: zero when
     all points coincide (up to eps), lower the more evenly they spread. The
     kernel variance is the population variance of the same kernel values.
-    The kernel blocks go into `workspace`'s slots; the values do not depend
-    on its size. The default, a new workspace with a slot for each block,
-    stays so the function is a pure call for `geometry` and the acceptance
-    checks, which hold no workspace; a fit passes its own.
+    The kernel blocks go into the slots of `workspace`'s `lane`; the values
+    do not depend on their number. The default, a new workspace with a slot
+    for each block, stays so the function is a pure call for `geometry` and
+    the acceptance checks, which hold no workspace; a fit passes its own.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if workspace is None:
         workspace = Workspace(len(vectors), vectors.shape[-1])
-    return _kernel_terms(vectors, 0.0, 0.0, workspace)[:2]
+    return _kernel_terms(vectors, 0.0, 0.0, workspace, lane)[:2]
 
 
 def _normalization_backward(grad_unit: np.ndarray, unit: np.ndarray, norms: np.ndarray,
@@ -267,8 +301,9 @@ def rau_loss_and_gradient(
 
     Each side's kernel blocks serve both its loss values and its gradient,
     and a side whose gamma and beta are both zero forms no kernel gradient.
-    The unit-row gradients are summed up to a radial component per row,
-    which the normalization backward removes.
+    The two sides run at once on the workspace's lanes (`on_lanes`), with
+    the bits of one lane. The unit-row gradients are summed up to a radial
+    component per row, which the normalization backward removes.
 
     Every array of the batch's size is written into `workspace`, so the
     returned gradients are views into it, valid until its next use. The
@@ -297,15 +332,17 @@ def rau_loss_and_gradient(
     grad_users = np.multiply(2.0 / batch, diff, out=workspace.grad_users[:batch])
     grad_items = np.multiply(-2.0 / batch, diff, out=workspace.grad_items[:batch])
 
-    # each side's kernel gradient is added before the next side reuses its buffer
-    sides = []
-    for unit, gamma, grad in ((users, weights.gamma_user, grad_users),
-                              (items, weights.gamma_item, grad_items)):
-        uniform, variance, kernel_grad = _kernel_terms(unit, gamma, weights.beta, workspace)
+    def side_terms(side, lane: int) -> tuple[float, float]:
+        unit, gamma, grad = side
+        uniform, variance, kernel_grad = _kernel_terms(unit, gamma, weights.beta, workspace, lane)
         if kernel_grad is not None:
+            # added before returning, since the lane may run the other side next
             grad += kernel_grad
-        sides.append((uniform, variance))
-    (uniform_u, variance_u), (uniform_i, variance_i) = sides
+        return uniform, variance
+
+    (uniform_u, variance_u), (uniform_i, variance_i) = on_lanes(
+        side_terms, [(users, weights.gamma_user, grad_users),
+                     (items, weights.gamma_item, grad_items)], workspace)
     weighted_uniform = weights.gamma_user * uniform_u + weights.gamma_item * uniform_i
     ru = variance_u + variance_i
 

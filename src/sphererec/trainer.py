@@ -282,10 +282,10 @@ class TrainState:
             init_xavier(rows, seed)
         self.adam = AdamState.like(self.node_table)
         # one step's buffers (the loss's, Adam's and the probe's kernel blocks) for the whole
-        # fit; bpr's loss takes none
+        # fit, with a lane for each kernel side run at once; bpr's loss takes none
         adam_blocks = -(-len(self.node_table) // _adam_block_rows(cfg.dim))
         self.workspace = losses.Workspace(0 if cfg.objective == "bpr" else cfg.batch_size,
-                                          cfg.dim, 2 * thread_width(adam_blocks))
+                                          cfg.dim, 2 * thread_width(adam_blocks), thread_width(2))
         self.shuffle_root = shuffle_root
         self.negative_root = negative_root
         self.encoder = encoders.Encoder(cfg.encoder, cfg.num_layers, split.train)
@@ -374,14 +374,17 @@ def _sample_negatives(batch_items: np.ndarray, split: SplitDataset, user_ids: np
 
 def _probe_diagnostics(state: TrainState, encoded: tuple[np.ndarray, np.ndarray], epoch: int,
                        wall_time_s: float) -> EpochDiagnostics:
-    """Diagnostics of the probe sample, read from `encoded`, the node table's `encode_all`."""
+    """Diagnostics of the probe sample, read from `encoded`, the node table's `encode_all`.
+
+    The user and the item statistics run at once, on the workspace's lanes.
+    """
     all_users, all_items = encoded
     pair_users = l2_normalize(all_users[state.probe_pair_users])
     pair_items = l2_normalize(all_items[state.probe_pair_items])
-    uniform_user, variance_user = losses.uniformity_and_variance(
-        l2_normalize(all_users[state.probe_users]), state.workspace)
-    uniform_item, variance_item = losses.uniformity_and_variance(
-        l2_normalize(all_items[state.probe_items]), state.workspace)
+    (uniform_user, variance_user), (uniform_item, variance_item) = losses.on_lanes(
+        lambda rows, lane: losses.uniformity_and_variance(rows, state.workspace, lane),
+        [l2_normalize(all_users[state.probe_users]), l2_normalize(all_items[state.probe_items])],
+        state.workspace)
     return EpochDiagnostics(
         epoch=epoch,
         align=losses.align_loss(pair_users, pair_items),

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import astuple
 
@@ -323,33 +326,135 @@ class TestWorkspace:
         results = []
         for workspace in (full, few):
             uniform, variance, grad = losses._kernel_terms(unit, 0.6, 2.5, workspace)
+            grad = grad.tobytes()  # a view into the workspace, valid until its next use
             out, grad_users, grad_items = losses.rau_loss_and_gradient(users_raw, items_raw,
                                                                        ALL_WEIGHTS, workspace)
             results.append((np.array([uniform, variance, *astuple(out)]).tobytes(),
-                            grad.tobytes(), grad_users.tobytes(), grad_items.tobytes(),
+                            grad, grad_users.tobytes(), grad_items.tobytes(),
                             np.array(losses.uniformity_and_variance(unit, workspace)).tobytes()))
         assert results[0] == results[1]
 
-    def test_warmed_rau_step_allocates_no_block_sized_array(self):
+    def test_warmed_rau_step_allocates_no_block_sized_array(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
         rng = np.random.default_rng(4)
         users_raw, items_raw = rng.normal(size=(1024, 64)), rng.normal(size=(1024, 64))
-        workspace = losses.Workspace(1024, 64)
-        losses.rau_loss_and_gradient(users_raw, items_raw, ALL_WEIGHTS, workspace)
-        tracemalloc.start()
-        try:
+        for lanes in (1, 2):
+            workspace = losses.Workspace(1024, 64, lanes=lanes)
             losses.rau_loss_and_gradient(users_raw, items_raw, ALL_WEIGHTS, workspace)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # everything allocated at once stays below one kernel block (512 KiB), so no
-        # single array was that large
-        assert peak < losses.KERNEL_BLOCK_ROWS ** 2 * 8
+            tracemalloc.start()
+            try:
+                losses.rau_loss_and_gradient(users_raw, items_raw, ALL_WEIGHTS, workspace)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # everything allocated at once stays below one kernel block (512 KiB), so no
+            # single array was that large, on either lane
+            assert peak < losses.KERNEL_BLOCK_ROWS ** 2 * 8
 
     def test_too_small_a_workspace_is_rejected(self):
         rows = np.random.default_rng(0).normal(size=(5, 3))
         for workspace in (losses.Workspace(4, 3), losses.Workspace(5, 4)):
             with pytest.raises(ValueError, match="workspace holds"):
                 losses.rau_loss_and_gradient(rows, rows + 1.0, ALL_WEIGHTS, workspace)
+
+
+# the item side takes no kernel gradient
+NO_ITEM_KERNEL = LossWeights(alpha=0.4, beta=0.0, gamma_user=1.0, gamma_item=0.0)
+
+
+def loss_bytes(users_raw, items_raw, weights, workspace):
+    out, grad_users, grad_items = losses.rau_loss_and_gradient(users_raw, items_raw, weights,
+                                                               workspace)
+    return np.array(astuple(out)).tobytes(), grad_users.tobytes(), grad_items.tobytes()
+
+
+class TestLanes:
+    """The user and the item side on two lanes, at once, with the bits of one lane."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delenv("RAU_NUM_THREADS", raising=False)
+
+    @pytest.mark.parametrize("weights", [ALL_WEIGHTS, NO_ITEM_KERNEL],
+                             ids=["rau", "no-item-kernel"])
+    @pytest.mark.parametrize("batch", [2, 256, 257, 1024])
+    def test_two_lanes_keep_the_bits(self, batch, weights):
+        rng = np.random.default_rng([batch, 3])
+        users_raw, items_raw = rows_across_blocks(rng, batch, 6), rows_across_blocks(rng, batch, 6)
+        one = loss_bytes(users_raw, items_raw, weights, losses.Workspace(batch, 6))
+        workspace = losses.Workspace(batch, 6, lanes=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads trade the interpreter as often as they can
+        try:
+            for _ in range(3):  # the lanes' buffers carry nothing from one call to the next
+                assert loss_bytes(users_raw, items_raw, weights, workspace) == one
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("schedule", ["one-side-each", "helper-starts-late"])
+    def test_either_schedule_keeps_the_bits(self, monkeypatch, schedule):
+        rng = np.random.default_rng(8)
+        users_raw, items_raw = rows_across_blocks(rng, 600, 6), rows_across_blocks(rng, 600, 6)
+        one = loss_bytes(users_raw, items_raw, ALL_WEIGHTS, losses.Workspace(600, 6))
+        calls, kernel_terms = [], losses._kernel_terms
+        both_in, both_run = threading.Barrier(2), threading.Event()
+
+        def scheduled(unit, gamma, beta, workspace, lane=0):
+            if schedule == "one-side-each":
+                both_in.wait(timeout=30)  # neither lane claims a second side
+            result = kernel_terms(unit, gamma, beta, workspace, lane)
+            calls.append((threading.get_ident(), lane))
+            if len(calls) == 2:
+                both_run.set()
+            return result
+
+        monkeypatch.setattr(losses, "_kernel_terms", scheduled)
+        if schedule == "helper-starts-late":
+            # the helper runs only once the caller has run both sides on its own lane, one
+            # after the other through one kernel gradient buffer
+            start = threading.Thread.start
+
+            def late_start(thread):
+                run = thread.run
+                thread.run = lambda: (both_run.wait(timeout=30), run())
+                start(thread)
+
+            monkeypatch.setattr(threading.Thread, "start", late_start)
+        workspace = losses.Workspace(600, 6, lanes=2)
+        assert loss_bytes(users_raw, items_raw, ALL_WEIGHTS, workspace) == one
+        caller = threading.get_ident()
+        if schedule == "one-side-each":
+            assert sorted(lane for _, lane in calls) == [0, 1]
+            assert all((thread == caller) == (lane == 0) for thread, lane in calls)
+        else:
+            assert calls == [(caller, 0), (caller, 0)]
+
+    def test_an_error_in_the_item_side_reaches_the_caller(self, monkeypatch):
+        workspace = losses.Workspace(300, 6, lanes=2)
+        kernel_terms = losses._kernel_terms
+
+        def failing(unit, *args):
+            if np.shares_memory(unit, workspace.items):
+                raise RuntimeError("failed in the item side")
+            return kernel_terms(unit, *args)
+
+        monkeypatch.setattr(losses, "_kernel_terms", failing)
+        rng = np.random.default_rng(9)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="item side"):
+            losses.rau_loss_and_gradient(rng.normal(size=(300, 6)), rng.normal(size=(300, 6)),
+                                         ALL_WEIGHTS, workspace)
+        assert threading.active_count() == threads_before
+
+    def test_lanes_take_even_shares_of_the_slots(self):
+        # two slots a lane at B <= 256, so two lanes fit in the four slots two Adam threads
+        # take; 11 a lane at B = 1,024 (the scratch and 10 block pairs)
+        assert len(losses.Workspace(256, 64, 4, lanes=2).blocks) == 4
+        assert len(losses.Workspace(1024, 64, 4, lanes=1).blocks) == 11
+        assert len(losses.Workspace(1024, 64, 4, lanes=2).blocks) == 22
+        assert losses.Workspace(1024, 64, 4, lanes=2).kernel_grad.shape == (2, 1024, 64)
 
 
 class TestBprLoss:

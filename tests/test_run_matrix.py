@@ -50,8 +50,8 @@ def load_run_matrix():
 
 def test_wide_section_reaches_the_threaded_paths(monkeypatch):
     # derived from the module constants, so a later constant change cannot shrink the
-    # coverage unnoticed: at width 2, each thread ranks more than one chunk and Adam steps
-    # at least 3 blocks
+    # coverage unnoticed: at width 2, each thread ranks more than one chunk, Adam steps at
+    # least 3 blocks and the kernel loss runs its two sides on two lanes
     matrix = load_run_matrix()
     num_users, num_items, per_user = matrix.WIDE_SHAPE
     split = data.split_per_user(data.two_cluster_dataset(num_users, num_items, per_user, seed=5),
@@ -71,12 +71,18 @@ def test_wide_section_reaches_the_threaded_paths(monkeypatch):
     assert len(chunks) > 2  # more than one chunk for each of the two threads
     nodes = num_users + num_items
     assert -(-nodes * matrix.WIDE_DIM // trainer.ADAM_BLOCK_ENTRIES) >= 3
-    # the kernel loss spans more than one block, and the probe's users make more block
-    # pairs than the step's workspace holds slots
+    # each side of the kernel loss spans more than one block, on a lane of its own under
+    # both encoders, and the probe's users make more block pairs than a lane holds slots
     spans = -(-matrix.WIDE_BATCH // losses.KERNEL_BLOCK_ROWS)
     assert spans > 1
+    assert {("mf", "rau"), ("lightgcn", "rau")} <= set(matrix.WIDE_RUNS)
+    cfg = trainer.TrainConfig(dim=matrix.WIDE_DIM, batch_size=matrix.WIDE_BATCH)
+    workspace = trainer.TrainState(split, cfg).workspace
+    assert len(workspace.kernel_grad) == 2
+    lane_slots = len(workspace.blocks) // 2 - 1
+    assert lane_slots >= spans * (spans + 1) // 2
     probe_spans = -(-min(trainer.PROBE_LIMIT, num_users) // losses.KERNEL_BLOCK_ROWS)
-    assert probe_spans * (probe_spans + 1) // 2 > spans * (spans + 1) // 2
+    assert probe_spans * (probe_spans + 1) // 2 > lane_slots
 
 
 def test_compare_checks_each_width_pair(tmp_path):
