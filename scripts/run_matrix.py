@@ -7,7 +7,8 @@ The matrix runs on a seeded synthetic TSV with BLAS on one thread:
 
 - `train` for `mf` and `lightgcn` under `rau`, `directau` and `bpr`, each
   with early stopping, with `--fixed-epochs` and with `--max-epochs 0`, plus
-  `bpr` with full-history rejection;
+  `bpr` with full-history rejection; every `rau` train runs both of RAU's
+  regularizers with an asymmetric gamma (RAU_WEIGHTS);
 - `eval` of every trained checkpoint on both parts in both score modes;
 - `sweep`, `geometry` and `inspect`;
 - a wide section, at shapes where the blocked and threaded paths run:
@@ -51,6 +52,8 @@ STOPPING = {
     "fixed": ["--max-epochs", "3", "--fixed-epochs"],
     "zero": ["--max-epochs", "0"],
 }
+# every rau train's weights: both regularizers on, and each side's own gamma
+RAU_WEIGHTS = ["--alpha", "0.5", "--beta", "5", "--gamma-user", "0.7", "--gamma-item", "0.3"]
 # the wide section's data (users, items, items per user) and fit flags
 WIDE_SHAPE = (1200, 800, 10)
 WIDE_DIM, WIDE_BATCH = 128, 600
@@ -85,20 +88,31 @@ def run(label: str, argv: list[str]) -> None:
     Path("stdout", f"{label}.txt").write_text(out.getvalue(), encoding="utf-8")
 
 
+def model_flags(encoder: str, objective: str) -> list[str]:
+    """A train's encoder and objective flags, with RAU_WEIGHTS for `rau`."""
+    return ["--encoder", encoder, "--objective", objective,
+            *(RAU_WEIGHTS if objective == "rau" else [])]
+
+
+def main_trains(reduced: bool) -> list[tuple[str, list[str]]]:
+    """(label, flags after COMMON) of the main section's trains."""
+    trains = [(f"{encoder}-{objective}-{stopping}", [*model_flags(encoder, objective), *flags])
+              for encoder in ("mf", "lightgcn") for objective in ("rau", "directau", "bpr")
+              for stopping, flags in STOPPING.items() if stopping == "early" or not reduced]
+    if not reduced:
+        trains += [(f"{encoder}-bpr-full-history", [*model_flags(encoder, "bpr"),
+                                                    "--config", "bpr-full-history.json",
+                                                    *STOPPING["early"]])
+                   for encoder in ("mf", "lightgcn")]
+    return trains
+
+
 def run_matrix(reduced: bool) -> None:
     """Run the matrix in the current directory."""
     write_dataset(Path(DATASET))
     Path("bpr-full-history.json").write_text('{"bpr_full_history_rejection": true}\n',
                                              encoding="utf-8")
-    trains = [(f"{encoder}-{objective}-{stopping}", ["--encoder", encoder,
-                                                     "--objective", objective, *flags])
-              for encoder in ("mf", "lightgcn") for objective in ("rau", "directau", "bpr")
-              for stopping, flags in STOPPING.items() if stopping == "early" or not reduced]
-    if not reduced:
-        trains += [(f"{encoder}-bpr-full-history", ["--encoder", encoder, "--objective", "bpr",
-                                                    "--config", "bpr-full-history.json",
-                                                    *STOPPING["early"]])
-                   for encoder in ("mf", "lightgcn")]
+    trains = main_trains(reduced)
     evals = [("test", "cosine")] if reduced else [
         (part, mode) for part in ("validation", "test") for mode in ("cosine", "dot")]
     Path("eval").mkdir()
@@ -136,8 +150,8 @@ def run_wide() -> None:
             try:
                 for encoder, objective in WIDE_RUNS:
                     label = f"{encoder}-{objective}"
-                    run(f"train-{label}", ["train", *WIDE_COMMON, "--encoder", encoder,
-                                           "--objective", objective, "--out-dir", label])
+                    run(f"train-{label}", ["train", *WIDE_COMMON, *model_flags(encoder, objective),
+                                           "--out-dir", label])
                     (checkpoint,) = Path(label).iterdir()
                     run(f"eval-{label}", ["eval", "--checkpoint", str(checkpoint),
                                           "--part", "test", "--k", "5", "20",

@@ -24,13 +24,13 @@ def thread_cap() -> int | None:
     """RAU_NUM_THREADS as a positive int, or None where it is unset.
 
     It caps BLAS threads (set by the CLI before numpy loads), `sweep`'s
-    worker processes, and the threads of `trainer.adam_step`, of
-    `losses.rau_loss_and_gradient` and the probe's kernel statistics (one
-    per kernel side, `losses.on_lanes`) and of `evaluation.evaluate`
-    (`thread_width`). `sweep` sets it in each worker, and the BLAS cap
-    before numpy loads, to a worker's share of the CPUs, CPUs // workers
-    and at least 1, within the cap already set. Any other value raises
-    ValueError.
+    worker processes, and the threads that `claim_and_join` starts for
+    `trainer.adam_step`, for the two kernel sides of
+    `losses.rau_loss_and_gradient` and of the probe's kernel statistics
+    (`losses.on_lanes`) and for `evaluation.evaluate` (`thread_width`).
+    `sweep` sets it in each worker, and the BLAS cap before numpy loads, to
+    a worker's share of the CPUs, CPUs // workers and at least 1, within the
+    cap already set. Any other value raises ValueError.
     """
     cap = os.environ.get("RAU_NUM_THREADS")
     if cap is not None and not (cap.isascii() and cap.isdigit() and int(cap) > 0):
@@ -51,18 +51,19 @@ def thread_width(tasks: int) -> int:
     return max(1, min(cpu_count(), tasks, thread_cap() or tasks))
 
 
-def claim_and_join(work, tasks, buffers) -> None:
-    """Call `work(task, buffer)` once for each of `tasks` (none of them None), on one thread
-    per buffer.
+def claim_and_join(work, tasks, buffers) -> list:
+    """[work(task, buffer) for task in tasks], in task order, on one thread per buffer.
 
     The calling thread runs with `buffers[0]` and starts one thread for each
-    other buffer. Each thread claims the next unclaimed task until none is
-    left, so a thread whose CPU is busy holds up only the task it runs. The
-    threads are joined before the call returns, and the first exception
-    raised in any of them is raised here; once one is raised, no thread
-    claims another task.
+    other buffer. Each thread claims the next unclaimed task index until none
+    is left, so a thread whose CPU is busy holds up only the task it runs,
+    and any value, None included, may be a task. The threads are joined
+    before the call returns, and the first exception raised in any of them
+    is raised here; once one is raised, no thread claims another task.
     """
-    unclaimed = iter(tasks)
+    tasks = list(tasks)
+    results = [None] * len(tasks)
+    unclaimed = iter(range(len(tasks)))
     claim = threading.Lock()
     errors = []
 
@@ -70,10 +71,10 @@ def claim_and_join(work, tasks, buffers) -> None:
         try:
             while not errors:
                 with claim:
-                    task = next(unclaimed, None)
-                if task is None:
+                    index = next(unclaimed, None)
+                if index is None:
                     return
-                work(task, buffer)
+                results[index] = work(tasks[index], buffer)
         except Exception as exc:  # kept for the caller, which raises it after the join
             errors.append(exc)
 
@@ -89,3 +90,4 @@ def claim_and_join(work, tasks, buffers) -> None:
                 helper.join()
     if errors:
         raise errors[0]
+    return results

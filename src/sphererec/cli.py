@@ -94,6 +94,15 @@ def _evaluate_tables(split, user_table, item_table, cfg, score_mode=None, **eval
     return evaluate(split, *encoded, score_mode=score_mode or cfg.score_mode, **evaluate_kwargs)
 
 
+def _note_directau_weights(configs) -> None:
+    """One stderr line if an rau config had alpha = beta = 0; printed once the command has
+    run, so a command that fails prints its one error line alone."""
+    if any(cfg.objective == "rau" and cfg.weights.alpha == cfg.weights.beta == 0
+           for cfg in configs):
+        print("note: objective rau ran with alpha = beta = 0, so neither regularizer was on; "
+              "at gamma 0.5/0.5 these are the directau weights", file=sys.stderr)
+
+
 def cmd_train(args) -> int:
     from .data import write_split_manifest
     from .hypersphere import config_hash, save_checkpoint, write_json
@@ -119,6 +128,7 @@ def cmd_train(args) -> int:
     test_report = _evaluate_tables(split, user_table, item_table, cfg)
     write_json(out / "test_metrics.json", test_report.to_dict())
     print(test_report.format_table())
+    _note_directau_weights([cfg])
     return 0
 
 
@@ -251,6 +261,7 @@ def cmd_sweep(args) -> int:
         print("best grid point: none (no fit scored a validation epoch)")
     else:
         print(f"best grid point: {rows[best_index]}")
+    _note_directau_weights(configs)
     return 0
 
 
@@ -309,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="fit embeddings and write a checkpoint")
     _add_fit_flags(train)
-    train.add_argument("--objective", choices=OBJECTIVES)
+    train.add_argument("--objective", choices=OBJECTIVES,
+                       help="default rau; its default weights are the directau weights")
     for weight in ("--alpha", "--beta", "--gamma-user", "--gamma-item"):
         train.add_argument(weight, type=float)
     train.add_argument("--out-dir", type=Path, default=Path("runs"))

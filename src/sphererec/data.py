@@ -1,4 +1,4 @@
-"""Interaction data: loading, id remapping, per-user splits, positive-pair batches.
+"""Interaction data: loading, id remapping, per-user splits, shuffled training batches.
 
 Input files are UTF-8 text, TSV or CSV, with one interaction per line
 (`raw_user_id<sep>raw_item_id[<sep>ignored...]`). TSV fields are separated
@@ -80,14 +80,6 @@ class SplitDataset:
     @property
     def num_items(self) -> int:
         return self.train.num_items
-
-
-@dataclass(frozen=True)
-class PositivePairBatch:
-    """A minibatch of positive (user, item) training pairs, paired by position."""
-
-    user_indices: np.ndarray
-    item_indices: np.ndarray
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -262,6 +254,7 @@ def split_per_user(ds: InteractionDataset, seed: int = 0) -> SplitDataset:
 def epoch_batches(train: InteractionDataset, batch_size: int, epoch_seed: int):
     """Yield every training pair exactly once, in seeded-shuffled minibatches.
 
+    A batch is `(user_ids, item_ids)`, two int64 arrays paired by position.
     The trailing batch is dropped when it has fewer than 2 pairs (the
     uniformity terms need at least two entities).
     """
@@ -273,8 +266,7 @@ def epoch_batches(train: InteractionDataset, batch_size: int, epoch_seed: int):
         chunk = order[start:start + batch_size]
         if chunk.shape[0] < 2:
             break
-        rows = train.interactions[chunk]
-        yield PositivePairBatch(user_indices=rows[:, 0].copy(), item_indices=rows[:, 1].copy())
+        yield train.interactions[chunk, 0], train.interactions[chunk, 1]
 
 
 def two_cluster_dataset(

@@ -15,17 +15,17 @@ buffer. The calling thread and the threads it starts, min(CPUs in the
 process's affinity, `_CHUNKS_PER_BUFFER`, chunks, RAU_NUM_THREADS where
 set) in all, claim the chunks one at a time (`sphererec.claim_and_join`).
 Each thread has its own pair of chunk buffers, allocated once by the
-caller, so the buffers hold at most two `_CHUNK_BYTES` at any width. A
-chunk writes its users' rows into its own slot and the means are reduced
-in user order. BLAS may round a score differently at another row of a
-product, so the cut depends on the inputs only, not on the CPUs or
-RAU_NUM_THREADS: the report is the same at any thread count and CPU
-count. Only the top max(K) columns are ranked. A partition of the negated
-copy finds each user's K-th best score; the cells scoring at least that
-much, taken by flat (row-major) index, are the candidates, and of the cells
-tied with the K-th score only the first by item index are kept, so each
-user keeps exactly K. A stable sort of those K gives the same top K as a
-stable sort of the whole catalog.
+caller, so the buffers hold at most two `_CHUNK_BYTES` at any width. Each
+chunk returns its users' metric rows, which come back in chunk order, and
+the means are reduced in user order. BLAS may round a score differently
+at another row of a product, so the cut depends on the inputs only, not
+on the CPUs or RAU_NUM_THREADS: the report is the same at any thread
+count and CPU count. Only the top max(K) columns are ranked. A partition
+of the negated copy finds each user's K-th best score; the cells scoring
+at least that much, taken by flat (row-major) index, are the candidates,
+and of the cells tied with the K-th score only the first by item index
+are kept, so each user keeps exactly K. A stable sort of those K gives
+the same top K as a stable sort of the whole catalog.
 """
 
 from __future__ import annotations
@@ -208,11 +208,9 @@ def evaluate(
     buffer_rows = max(1, _CHUNK_BYTES // (8 * split.num_items))
     lanes = min(_CHUNKS_PER_BUFFER, -(-eval_users.size // buffer_rows), buffer_rows)
     chunk_rows = buffer_rows // lanes
-    starts = range(0, eval_users.size, chunk_rows)
-    per_user = [None] * len(starts)  # recall@K then ndcg@K for each K, one row per user
 
-    def rank_chunk(claimed: tuple[int, int], buffer: np.ndarray) -> None:
-        index, start = claimed
+    def rank_chunk(start: int, buffer: np.ndarray) -> np.ndarray:
+        """Recall@K then NDCG@K for each K, one row per user of the chunk at `start`."""
         chunk = eval_users[start:start + chunk_rows]
         score_buffer, work_buffer = buffer
         chunk_vectors = user_vectors[chunk]
@@ -231,12 +229,12 @@ def evaluate(
         recall = np.cumsum(hits, axis=1)[:, last_column] / num_relevant
         dcg = np.cumsum(hits * discounts, axis=1)[:, last_column]
         ndcg = dcg / ideal_dcg[np.minimum(num_relevant, ks) - 1]
-        per_user[index] = np.concatenate([recall, ndcg], axis=1)
+        return np.concatenate([recall, ndcg], axis=1)
 
     # the buffers are freed when the threads are joined, before the means are reduced
-    claim_and_join(rank_chunk, enumerate(starts),
-                   np.empty((thread_width(lanes), 2, min(chunk_rows, eval_users.size),
-                             split.num_items)))
+    per_user = claim_and_join(rank_chunk, range(0, eval_users.size, chunk_rows),
+                              np.empty((thread_width(lanes), 2, min(chunk_rows, eval_users.size),
+                                        split.num_items)))
 
     # cumsum adds one user at a time in user order, as a running total does;
     # np.sum's pairwise order could change the last digits of the means

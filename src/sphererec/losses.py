@@ -26,10 +26,17 @@ kernel blocks, and the kernel weighs near pairs most, which is where the
 collapse the regularizer targets happens. No distance-variance variant is
 provided.
 
-Gradients are with respect to the RAW (pre-normalization) batch rows and
-include the normalization Jacobian (I - uu^T)/||e||, so they have no radial
-component along each raw row, and the unit-row gradients it is applied to
-are formed only up to one.
+Both objectives take a batch's encoded user rows and item rows and return
+(loss, grad_users, grad_items), so a training step calls either the same
+way: `rau_loss_and_gradient` pairs B user rows with B item rows and its
+loss is a `LossBreakdown`; `bpr_loss_and_gradient` takes B user rows and
+2B item rows, the positives and then the drawn negatives, stacked as the
+encoder returns them, and its loss is a float.
+
+The hypersphere gradients are with respect to the RAW (pre-normalization)
+batch rows and include the normalization Jacobian (I - uu^T)/||e||, so
+they have no radial component along each raw row, and the unit-row
+gradients it is applied to are formed only up to one.
 
 The kernel is symmetric, so it is built over the upper pairs of row blocks
 only, KERNEL_BLOCK_ROWS rows a side, and no B x B array is allocated. Its
@@ -105,19 +112,13 @@ class Workspace:
 def on_lanes(work, sides: list, workspace: Workspace) -> list:
     """[work(side, lane) for side in sides], each side run on a lane of `workspace`.
 
-    The lanes claim the sides through `sphererec.claim_and_join`, one thread
-    per lane, at most `sphererec.thread_width(len(sides))` lanes. A lane may
-    run several sides, one after the other, so `work` must be done with its
-    lane's buffers when it returns.
+    `sphererec.claim_and_join` runs the sides, with one thread per lane, at
+    most `sphererec.thread_width(len(sides))` lanes and no more than the
+    workspace holds. A lane may run several sides, one after the other, so
+    `work` must be done with its lane's buffers when it returns.
     """
-    results = [None] * len(sides)
-
-    def run_side(n: int, lane: int) -> None:
-        results[n] = work(sides[n], lane)
-
-    claim_and_join(run_side, range(len(sides)),
-                   range(min(len(workspace.kernel_grad), thread_width(len(sides)))))
-    return results
+    return claim_and_join(work, sides,
+                          range(min(len(workspace.kernel_grad), thread_width(len(sides)))))
 
 
 @dataclass(frozen=True)
@@ -362,25 +363,27 @@ def rau_loss_and_gradient(
 
 def bpr_loss_and_gradient(
     user_vecs: np.ndarray,
-    pos_vecs: np.ndarray,
-    neg_vecs: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    item_vecs: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Pairwise ranking loss on raw dot products, with batch-row gradients.
 
-    Scores are unnormalized dot products; gradients are w.r.t. the raw user,
-    positive-item, and negative-item rows.
+    `item_vecs` stacks the B positive rows, then the B negative rows, one
+    of each per user row, as the encoder returns them. Scores are
+    unnormalized dot products. Returns (loss, grad_users, grad_items), the
+    gradients with respect to the raw user rows and to the stacked item
+    rows, whose negative half is the positive half negated.
     """
     user_vecs = np.asarray(user_vecs, dtype=np.float64)
-    pos_vecs = np.asarray(pos_vecs, dtype=np.float64)
-    neg_vecs = np.asarray(neg_vecs, dtype=np.float64)
-    if not (user_vecs.shape == pos_vecs.shape == neg_vecs.shape):
-        raise ValueError("user/pos/neg batches must share one shape")
+    item_vecs = np.asarray(item_vecs, dtype=np.float64)
     batch = user_vecs.shape[0]
-    margin = np.einsum("ij,ij->i", user_vecs, pos_vecs - neg_vecs)
+    if item_vecs.shape != (2 * batch, *user_vecs.shape[1:]):
+        raise ValueError(f"expected {2 * batch} item rows (positives, then negatives) of the "
+                         f"user rows' shape {user_vecs.shape}, got {item_vecs.shape}")
+    pos_minus_neg = item_vecs[:batch] - item_vecs[batch:]
+    margin = np.einsum("ij,ij->i", user_vecs, pos_minus_neg)
     loss = float(np.logaddexp(0.0, -margin).mean())
     # d/dx mean(-log sigmoid(x)) = -sigmoid(-x) / B per pair
     coef = (-expit(-margin) / batch)[:, None]
-    grad_users = coef * (pos_vecs - neg_vecs)
     grad_pos = coef * user_vecs
-    grad_neg = -coef * user_vecs
-    return loss, grad_users, grad_pos, grad_neg
+    # negation is exact, so the negatives' rows equal (-coef) * user_vecs bit for bit
+    return loss, coef * pos_minus_neg, np.concatenate([grad_pos, -grad_pos])

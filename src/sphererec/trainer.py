@@ -411,8 +411,8 @@ def train_epoch(split: SplitDataset, state: TrainState,
     cfg = state.cfg
     weights = cfg.effective_weights()
     negative_rng = np.random.default_rng([state.negative_root, epoch_index])
-    for batch in epoch_batches(split.train, cfg.batch_size, [state.shuffle_root, epoch_index]):
-        user_ids, item_ids = batch.user_indices, batch.item_indices
+    for user_ids, item_ids in epoch_batches(split.train, cfg.batch_size,
+                                            [state.shuffle_root, epoch_index]):
         if weights is None:
             # bpr's drawn negatives join the positives as one item batch
             item_ids = np.concatenate([item_ids, _sample_negatives(
@@ -420,9 +420,7 @@ def train_epoch(split: SplitDataset, state: TrainState,
         frontiers = state.encoder.frontiers(user_ids, item_ids)
         user_vecs, item_vecs = state.encoder.encode(state.node_table, frontiers)
         if weights is None:
-            _, grad_users, *grad_pos_neg = losses.bpr_loss_and_gradient(
-                user_vecs, *np.split(item_vecs, 2))
-            grad_items = np.concatenate(grad_pos_neg)
+            _, grad_users, grad_items = losses.bpr_loss_and_gradient(user_vecs, item_vecs)
         else:
             _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights,
                                                                      state.workspace)

@@ -315,9 +315,7 @@ def reference_train_epoch(split, state, epoch_index):
         encoded = layer_mean(state.node_table)
         user_vecs, item_vecs = encoded[user_ids], encoded[num_users + item_ids]
         if weights is None:
-            _, grad_users, grad_pos, grad_neg = losses.bpr_loss_and_gradient(
-                user_vecs, *np.split(item_vecs, 2))
-            grad_items = np.concatenate([grad_pos, grad_neg])
+            _, grad_users, grad_items = losses.bpr_loss_and_gradient(user_vecs, item_vecs)
         else:
             _, grad_users, grad_items = losses.rau_loss_and_gradient(user_vecs, item_vecs, weights)
         scattered = np.zeros_like(encoded)

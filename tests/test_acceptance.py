@@ -87,7 +87,8 @@ def test_criterion_1_loss_oracle_equivalence():
         # one-column vectors against a unit user turn the scores into BPR margins
         pos = rng.normal(size=batch)
         neg = rng.normal(size=batch)
-        bpr = losses.bpr_loss_and_gradient(np.ones((batch, 1)), pos[:, None], neg[:, None])[0]
+        bpr = losses.bpr_loss_and_gradient(np.ones((batch, 1)),
+                                           np.concatenate([pos, neg])[:, None])[0]
         assert abs(bpr - oracles.bpr(pos.tolist(), neg.tolist())) <= 1e-10
 
     elapsed = time.perf_counter() - started

@@ -205,6 +205,32 @@ def test_bad_thread_cap_exits_2_before_the_command(monkeypatch, synthetic_tsv, t
     assert not (tmp_path / "runs").exists()
 
 
+DIRECTAU_NOTE = ("note: objective rau ran with alpha = beta = 0, so neither regularizer was on; "
+                 "at gamma 0.5/0.5 these are the directau weights\n")
+
+
+@pytest.mark.parametrize("extra, noted", [
+    ({}, True), ({"gamma-user": 0.7, "gamma-item": 0.3}, True), ({"objective": "directau"}, False),
+    ({"objective": "bpr"}, False), ({"alpha": 0.5}, False), ({"beta": 1}, False)])
+def test_train_notes_an_rau_run_without_regularizers(synthetic_tsv, tmp_path, capsys, extra,
+                                                     noted):
+    argv = train_args(synthetic_tsv, tmp_path / "runs", **extra, **{"max-epochs": 0})
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == (DIRECTAU_NOTE if noted else "")
+
+
+@pytest.mark.parametrize("grid, noted", [
+    (["alpha=0,0.5", "beta=0,1"], True), (["objective=rau,directau", "beta=0,1"], True),
+    (["alpha=0.5", "beta=0,1"], False), (["objective=directau,bpr"], False)])
+def test_sweep_notes_rau_points_without_regularizers_once(synthetic_tsv, tmp_path, capsys, grid,
+                                                          noted):
+    argv = sweep_args(synthetic_tsv, "--max-epochs", "0", *[arg for spec in grid
+                                                            for arg in ("--grid", spec)],
+                      "--out", str(tmp_path / "sweep.csv"))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == (DIRECTAU_NOTE if noted else "")
+
+
 class TestEvalCommand:
     @pytest.fixture()
     def checkpoint(self, synthetic_tsv, tmp_path):

@@ -296,20 +296,20 @@ class TestSplitPerUser:
 class TestEpochBatches:
     def test_batch_sizes_partition(self):
         ds = single_user_dataset(10)
-        sizes = [b.user_indices.size for b in data.epoch_batches(ds, 4, epoch_seed=0)]
+        sizes = [users.size for users, _ in data.epoch_batches(ds, 4, epoch_seed=0)]
         assert sizes == [4, 4, 2]
 
     def test_short_tail_dropped(self):
         ds = single_user_dataset(9)
         batches = list(data.epoch_batches(ds, 4, epoch_seed=0))
-        assert [b.user_indices.size for b in batches] == [4, 4]
-        assert sum(b.user_indices.size for b in batches) == 8
+        assert [users.size for users, _ in batches] == [4, 4]
+        assert sum(users.size for users, _ in batches) == 8
 
     def test_each_pair_seen_once(self, synthetic_split):
         train = synthetic_split.train
         seen = []
-        for batch in data.epoch_batches(train, 64, epoch_seed=1):
-            seen.extend(zip(batch.user_indices.tolist(), batch.item_indices.tolist()))
+        for users, items in data.epoch_batches(train, 64, epoch_seed=1):
+            seen.extend(zip(users.tolist(), items.tolist()))
         assert len(seen) == len(set(seen))
         assert set(seen) <= oracles.interaction_set(train)
 
@@ -317,8 +317,8 @@ class TestEpochBatches:
         ds = single_user_dataset(12)
         flat = lambda s: [
             (int(u), int(i))
-            for b in data.epoch_batches(ds, 4, epoch_seed=s)
-            for u, i in zip(b.user_indices, b.item_indices)
+            for users, items in data.epoch_batches(ds, 4, epoch_seed=s)
+            for u, i in zip(users, items)
         ]
         a, b = flat(1), flat(2)
         assert sorted(a) == sorted(b)
@@ -330,8 +330,8 @@ class TestEpochBatches:
 
     def test_pairs_are_training_interactions(self, synthetic_split):
         train = synthetic_split.train
-        batch = next(data.epoch_batches(train, 32, epoch_seed=3))
-        pairs = set(zip(batch.user_indices.tolist(), batch.item_indices.tolist()))
+        users, items = next(data.epoch_batches(train, 32, epoch_seed=3))
+        pairs = set(zip(users.tolist(), items.tolist()))
         assert pairs <= oracles.interaction_set(train)
 
 

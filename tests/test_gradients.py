@@ -89,10 +89,11 @@ class TestBprGradient:
         users = rng.normal(size=(6, 4))
         pos = rng.normal(size=(6, 4))
         neg = rng.normal(size=(6, 4))
-        _, grad_u, grad_p, grad_n = losses.bpr_loss_and_gradient(users, pos, neg)
+        _, grad_u, grad_items = losses.bpr_loss_and_gradient(users, np.concatenate([pos, neg]))
+        grad_p, grad_n = np.split(grad_items, 2)
 
         def loss_of(u=users, p=pos, n=neg):
-            return losses.bpr_loss_and_gradient(u, p, n)[0]
+            return losses.bpr_loss_and_gradient(u, np.concatenate([p, n]))[0]
 
         assert max_relative_error(grad_u, central_differences(lambda u: loss_of(u=u), users)) <= 1e-4
         assert max_relative_error(grad_p, central_differences(lambda p: loss_of(p=p), pos)) <= 1e-4
@@ -103,7 +104,7 @@ class TestBprGradient:
         users = rng.normal(size=(4, 3))
         pos = rng.normal(size=(4, 3))
         neg = rng.normal(size=(4, 3))
-        value, *_ = losses.bpr_loss_and_gradient(users, pos, neg)
+        value, *_ = losses.bpr_loss_and_gradient(users, np.concatenate([pos, neg]))
         pos_scores = np.einsum("ij,ij->i", users, pos)
         neg_scores = np.einsum("ij,ij->i", users, neg)
         assert value == pytest.approx(oracles.bpr(pos_scores.tolist(), neg_scores.tolist()),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import oracles
 from conftest import random_unit_rows
@@ -221,7 +222,8 @@ class TestOracleEquivalence:
 
         pos = rng.normal(size=batch)
         neg = rng.normal(size=batch)
-        value = losses.bpr_loss_and_gradient(np.ones((batch, 1)), pos[:, None], neg[:, None])[0]
+        value = losses.bpr_loss_and_gradient(np.ones((batch, 1)),
+                                             np.concatenate([pos, neg])[:, None])[0]
         assert value == pytest.approx(oracles.bpr(pos.tolist(), neg.tolist()), abs=1e-10)
 
 
@@ -461,17 +463,37 @@ class TestBprLoss:
     """Scores as one-column vectors against a unit user: each score is its own margin term."""
 
     def test_equal_scores(self):
-        value, *_ = losses.bpr_loss_and_gradient(np.ones((2, 1)), [[1.0], [2.0]], [[1.0], [2.0]])
+        value, *_ = losses.bpr_loss_and_gradient(np.ones((2, 1)), [[1.0], [2.0], [1.0], [2.0]])
         assert value == pytest.approx(math.log(2.0))
 
     def test_unit_margin(self):
-        value, *_ = losses.bpr_loss_and_gradient([[1.0]], [[1.0]], [[0.0]])
+        value, *_ = losses.bpr_loss_and_gradient([[1.0]], [[1.0], [0.0]])
         assert value == pytest.approx(0.31326168751822286)
 
     def test_large_margin_vanishes(self):
-        value, *_ = losses.bpr_loss_and_gradient([[1.0]], [[60.0]], [[0.0]])
+        value, *_ = losses.bpr_loss_and_gradient([[1.0]], [[60.0], [0.0]])
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            losses.bpr_loss_and_gradient(np.ones((2, 1)), [[1.0], [2.0]], [[1.0]])
+            losses.bpr_loss_and_gradient(np.ones((2, 1)), [[1.0], [2.0], [1.0]])
+
+    def test_item_rows_must_be_twice_the_user_rows(self):
+        users = np.ones((3, 2))
+        with pytest.raises(ValueError, match="expected 6 item rows"):
+            losses.bpr_loss_and_gradient(users, np.ones((7, 2)))
+        with pytest.raises(ValueError, match="expected 6 item rows"):
+            losses.bpr_loss_and_gradient(users, np.ones((6, 3)))
+
+    def test_gradients_match_the_per_part_formula_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        users, pos, neg = (rng.normal(size=(5, 4)) for _ in range(3))
+        pos[0] = 1e3 * users[0]  # a margin so large that its coefficient is -0.0
+        loss, grad_users, grad_items = losses.bpr_loss_and_gradient(
+            users, np.concatenate([pos, neg]))
+        margin = np.einsum("ij,ij->i", users, pos - neg)
+        coef = (-expit(-margin) / 5)[:, None]
+        assert np.signbit(coef[0, 0]) and coef[0, 0] == 0.0
+        assert loss == float(np.logaddexp(0.0, -margin).mean())
+        assert grad_users.tobytes() == (coef * (pos - neg)).tobytes()
+        assert grad_items.tobytes() == np.concatenate([coef * users, -coef * users]).tobytes()

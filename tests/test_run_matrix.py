@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sphererec import data, evaluation, losses, trainer
+from sphererec import cli, data, evaluation, losses, trainer
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_matrix.py"
 
@@ -83,6 +83,24 @@ def test_wide_section_reaches_the_threaded_paths(monkeypatch):
     assert lane_slots >= spans * (spans + 1) // 2
     probe_spans = -(-min(trainer.PROBE_LIMIT, num_users) // losses.KERNEL_BLOCK_ROWS)
     assert probe_spans * (probe_spans + 1) // 2 > lane_slots
+
+
+def test_every_rau_train_runs_both_regularizers_with_asymmetric_gamma():
+    matrix = load_run_matrix()
+    argvs = [["train", *matrix.COMMON, *flags] for _, flags in matrix.main_trains(reduced=False)]
+    argvs += [["train", *matrix.WIDE_COMMON, *matrix.model_flags(encoder, objective)]
+              for encoder, objective in matrix.WIDE_RUNS]
+    rau_weights = []
+    for argv in argvs:
+        args = cli.build_parser().parse_args(argv)
+        if args.objective == "rau":
+            cfg, _ = cli._resolve_train_config(args)
+            rau_weights.append(cfg.effective_weights())
+    # three stopping modes per encoder in the main section, and both wide rau runs
+    assert len(rau_weights) == 3 * 2 + 2
+    for weights in rau_weights:
+        assert weights.alpha > 0 and weights.beta > 0
+        assert weights.gamma_user != weights.gamma_item
 
 
 def test_compare_checks_each_width_pair(tmp_path):

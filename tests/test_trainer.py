@@ -503,8 +503,8 @@ class TestSampleNegatives:
         ours, reference = np.random.default_rng(11), np.random.default_rng(11)
         train_keys = trainer._train_keys(split) if full_history else None
         sampled = 0
-        for batch in data.epoch_batches(split.train, batch_size, 3):
-            args = (batch.item_indices, split, batch.user_indices)
+        for users, items in data.epoch_batches(split.train, batch_size, 3):
+            args = (items, split, users)
             expected = oracles.reference_negatives(*args, reference, full_history)
             negatives = trainer._sample_negatives(*args, ours, train_keys)
             assert negatives.dtype == expected.dtype
